@@ -137,8 +137,10 @@ def perturbation_demo(X_i, delta, y):
     """Report how the least-squares residual moves under a dictionary perturbation.
 
     Returns both sides of the first-order sensitivity bound without asserting
-    it: lhs = ||r_j - r_i||_2 / ||y||_2 for X_j = X_i + delta, plus the
-    relative perturbation size and the condition number of X_i.
+    it: lhs = ||r_j - r_i||_2 / ||y||_2 for X_j = X_i + delta, and
+    rhs = xi * (1 + 2 kappa) * min(1, m - n) (Golub & Van Loan, Thm 5.3.1),
+    with xi the relative perturbation size and kappa the condition number
+    of X_i.
     """
     X_i = np.asarray(X_i, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
@@ -158,7 +160,7 @@ def perturbation_demo(X_i, delta, y):
     r_j = _residual(X_i + delta)
     ynorm = float(np.linalg.norm(y))
     lhs = float(np.linalg.norm(r_j - r_i)) / ynorm if ynorm > 0 else 0.0
-    rhs_first_order = xi * (1.0 + kappa) * min(1, m - n)
+    rhs_first_order = xi * (1.0 + 2.0 * kappa) * min(1, m - n)
     return {
         "xi": xi,
         "kappa2": kappa,

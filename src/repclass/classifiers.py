@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import class_coefficients
-from .errors import DimensionMismatch, FingerprintMismatch, SingleClass
+from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
 from .solvers import (
     AlmParams,
     CodingResult,
@@ -66,6 +66,8 @@ def _check_query(dictionary, y):
         raise DimensionMismatch(
             f"query has dimension {y.shape[0]}, dictionary has {dictionary.m}"
         )
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("query contains NaN or inf")
     return y
 
 

@@ -1,8 +1,9 @@
 """Batch CLI: ingest, train, classify, experiment, sweep, roc, bench, analyze.
 
-Configs are JSON files; any field can be overridden with --set key=value
-(dotted keys reach nested sections). Errors exit nonzero with a
-machine-readable JSON object on stderr.
+ingest, experiment, sweep and roc read a JSON config (--config) whose
+fields can be overridden with --set key=value (dotted keys reach nested
+sections). Errors exit nonzero with a machine-readable JSON object on
+stderr.
 """
 
 import argparse
@@ -10,11 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, harness, io
-from .classifiers import classify_crc_rls, classify_nn, classify_ns, classify_rcrc, classify_src
-from .dictionary import build_dictionary, build_projector, default_lambda
+from .dictionary import build_dictionary, build_projector
 from .errors import RepclassError
 from .harness import ExperimentConfig
 
@@ -65,11 +63,16 @@ def cmd_ingest(args):
     print(json.dumps({"columns": data.n_columns, "classes": len(set(data.labels))}))
 
 
+def _lambda_arg(text):
+    """--lambda value: "auto" or a number."""
+    return text if text == "auto" else float(text)
+
+
 def cmd_train(args):
     data = harness.load_dataset(args.data)
     feats, labels = data.columns("train")
-    dictionary = build_dictionary([(feats[:, i], labels[i]) for i in range(feats.shape[1])])
-    lam = default_lambda(dictionary.n) if args.lam == "auto" else float(args.lam)
+    dictionary = build_dictionary(zip(feats.T, labels))
+    lam = ExperimentConfig(lam=_lambda_arg(args.lam)).resolve_lambda(dictionary.n)
     projector = build_projector(dictionary, lam)
     io.save_dictionary(dictionary, args.out)
     io.save_projector(projector, args.out + ".proj")
@@ -79,21 +82,13 @@ def cmd_train(args):
 def cmd_classify(args):
     dictionary = io.load_dictionary(args.dict)
     y = io.read_matrix(args.query).ravel()
-    lam = default_lambda(dictionary.n) if args.lam == "auto" else float(args.lam)
-    if args.classifier == "crc_rls":
+    config = ExperimentConfig(classifier=args.classifier, lam=_lambda_arg(args.lam))
+    projector = None
+    if config.classifier == "crc_rls":
         projector = io.load_projector(args.dict + ".proj", dictionary)
-        decision = classify_crc_rls(projector, dictionary, y)
-    elif args.classifier == "src":
-        decision = classify_src(dictionary, y, lam)
-    elif args.classifier == "rcrc":
-        decision = classify_rcrc(dictionary, y, lam)
-    elif args.classifier == "nn":
-        decision = classify_nn(dictionary, y)
-    else:
-        decision = classify_ns(dictionary, y)
+    decision = harness._Runner(config, dictionary, projector).classify(y)
     residuals = {
-        str(k): (v if np.isfinite(v) else "inf")
-        for k, v in decision.per_class_residuals.items()
+        str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
     }
     print(json.dumps({"predicted": str(decision.predicted), "residuals": residuals}))
 
@@ -215,8 +210,7 @@ def build_parser():
     p = sub.add_parser("classify", help="classify one query vector")
     p.add_argument("--dict", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--classifier", default="crc_rls",
-                   choices=("crc_rls", "src", "rcrc", "nn", "ns"))
+    p.add_argument("--classifier", default="crc_rls", choices=harness.CLASSIFIERS)
     p.add_argument("--lambda", dest="lam", default="auto")
     p.set_defaults(func=cmd_classify)
 

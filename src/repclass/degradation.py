@@ -5,7 +5,7 @@ bit-identical across platforms for a fixed seed. Per-image seeds for batch
 runs are derived with derive_seed so batch order does not matter.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,13 +27,7 @@ class DegradationSpec:
             raise BadFraction(f"fraction must lie in [0, 1], got {self.fraction}")
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "fraction": self.fraction,
-            "seed": self.seed,
-            "low": self.low,
-            "high": self.high,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):

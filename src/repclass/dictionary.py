@@ -9,6 +9,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     EmptyInput,
+    NonFiniteInput,
     NonPositiveLambda,
     UnknownClass,
     ZeroColumn,
@@ -112,7 +113,10 @@ def build_dictionary(samples):
         pos += len(block)
         cols.extend(block)
         labels.extend([lab] * len(block))
-    data = normalize_columns(np.column_stack(cols))
+    raw = np.column_stack(cols)
+    if not np.all(np.isfinite(raw)):
+        raise NonFiniteInput("training samples contain NaN or inf")
+    data = normalize_columns(raw)
     return Dictionary(data=data, labels=tuple(labels), class_ranges=ranges)
 
 

@@ -9,6 +9,10 @@ class ZeroColumn(RepclassError):
     pass
 
 
+class NonFiniteInput(RepclassError):
+    pass
+
+
 class DimensionMismatch(RepclassError):
     pass
 

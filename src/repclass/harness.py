@@ -4,7 +4,7 @@ parameter sweeps, ROC evaluation, and timing benchmarks."""
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .features import fit_pca, project_pca, vectorize_image
 from .io import read_matrix, read_pgm
-from .solvers import AlmParams, FistaParams
+from .solvers import AlmParams, FistaParams, _thin_svd
 from .synthetic import make_subspace_dataset
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
@@ -80,15 +80,8 @@ class ExperimentConfig:
             "feature_dim": self.feature_dim,
             "seed": self.seed,
             "decision_variant": self.decision_variant,
-            "alm": {
-                "mu0": self.alm.mu0,
-                "rho": self.alm.rho,
-                "tol": self.alm.tol,
-                "max_iter": self.alm.max_iter,
-                "mu_max": self.alm.mu_max,
-                "inner_max": self.alm.inner_max,
-            },
-            "fista": {"tol": self.fista.tol, "max_iter": self.fista.max_iter},
+            "alm": asdict(self.alm),
+            "fista": asdict(self.fista),
         }
         if self.degradation is not None:
             out["degradation"] = self.degradation.to_json()
@@ -268,49 +261,39 @@ def synthetic_dataset(
 
 def _degrade_queries(queries, spec, image_shape):
     """Apply the configured degradation to each test column (pre-PCA)."""
+    if spec.kind == "block_occlusion" and image_shape is None:
+        raise ConfigInvalid("block occlusion needs image-shaped data")
+    shape = image_shape if image_shape is not None else (queries.shape[0], 1)
     out = queries.copy()
     for j in range(queries.shape[1]):
-        col = queries[:, j]
+        occ = None
         if spec.kind == "block_occlusion":
-            if image_shape is None:
-                raise ConfigInvalid("block occlusion needs image-shaped data")
-            img = col.reshape(image_shape, order="F")
-            seed = degrade_mod.derive_seed(spec.seed, j)
             rng = np.random.Generator(np.random.PCG64(degrade_mod.derive_seed(spec.seed, 2**32 + j)))
-            occ = rng.uniform(spec.low, spec.high, size=image_shape)
-            deg, _ = degrade_mod.occlude_block(img, spec.fraction, occ, seed)
-            out[:, j] = vectorize_image(deg)
-        else:
-            shape = image_shape if image_shape is not None else (queries.shape[0], 1)
-            img = col.reshape(shape, order="F")
-            deg = degrade_mod.corrupt_pixels(
-                img, spec.fraction, degrade_mod.derive_seed(spec.seed, j),
-                low=spec.low, high=spec.high,
-            )
-            out[:, j] = deg.flatten(order="F")
+            occ = rng.uniform(spec.low, spec.high, size=shape)
+        img = queries[:, j].reshape(shape, order="F")
+        out[:, j] = vectorize_image(degrade_mod.apply_spec(img, spec, j, occluder=occ))
     return out
 
 
 class _Runner:
-    """One classifier bound to a trained dictionary; times offline setup."""
+    """The one map from a classifier name to its decision rule.
 
-    def __init__(self, config, train_features, train_labels):
-        t0 = time.perf_counter()
+    Binds the configured classifier to a dictionary and does its offline
+    setup: the CRC-RLS projector (built unless one is passed in) or the
+    R-CRC solver's SVD. build_projector and the classify_* functions are
+    looked up as module globals at call time, so tracing can wrap them.
+    """
+
+    def __init__(self, config, dictionary, projector=None):
         self.config = config
-        self.dictionary = build_dictionary(
-            [(train_features[:, i], train_labels[i]) for i in range(train_features.shape[1])]
-        )
-        lam = config.resolve_lambda(self.dictionary.n)
-        self.lam = lam
-        self.projector = None
-        if config.classifier == "crc_rls":
-            self.projector = build_projector(self.dictionary, lam)
+        self.dictionary = dictionary
+        self.lam = config.resolve_lambda(dictionary.n)
+        self.projector = projector
+        if config.classifier == "crc_rls" and projector is None:
+            self.projector = build_projector(dictionary, self.lam)
         elif config.classifier == "rcrc":
             # warm the solver's SVD cache: this is the offline projector family
-            from .solvers import _thin_svd
-
-            _thin_svd(self.dictionary.data)
-        self.offline_time = time.perf_counter() - t0
+            _thin_svd(dictionary.data)
 
     def classify(self, y):
         c = self.config
@@ -355,7 +338,9 @@ def run_experiment(config, data):
     else:
         train_feats, test_feats = train_raw, test_raw
 
-    runner = _Runner(config, train_feats, train_labels)
+    t0 = time.perf_counter()
+    runner = _Runner(config, build_dictionary(zip(train_feats.T, train_labels)))
+    offline_time = time.perf_counter() - t0 + offline_extra
 
     per_query = []
     times = []
@@ -403,7 +388,7 @@ def run_experiment(config, data):
         n_queries=n,
         mean_query_time=float(np.mean(times)),
         median_query_time=float(np.median(times)),
-        offline_time=runner.offline_time + offline_extra,
+        offline_time=offline_time,
         config=config.to_json(),
         environment=_environment_stamp(),
         per_query=per_query,
@@ -421,11 +406,7 @@ def lambda_sweep(config, data, lambdas):
         b <= a for a, b in zip(lambdas, lambdas[1:])
     ):
         raise ConfigInvalid("lambdas must be positive and strictly increasing")
-    reports = []
-    for lam in lambdas:
-        cfg = ExperimentConfig.from_json({**config.to_json(), "lambda": lam})
-        reports.append(run_experiment(cfg, data))
-    return reports
+    return [run_experiment(replace(config, lam=lam), data) for lam in lambdas]
 
 
 def run_roc(config, gallery, customers, imposters, thresholds):
@@ -441,7 +422,7 @@ def run_roc(config, gallery, customers, imposters, thresholds):
         raise OverlappingClasses("imposter classes must be disjoint from the gallery")
     customer_feats, customer_labels = _all_columns(customers)
 
-    runner = _Runner(config, train_feats, train_labels)
+    runner = _Runner(config, build_dictionary(zip(train_feats.T, train_labels)))
 
     def score(y):
         decision = runner.classify(y)

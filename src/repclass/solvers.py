@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import alm_l1res_kernel, fista_l1_kernel, power_iteration_sq, shrink_kernel
 from .dictionary import Dictionary, Projector
 from .errors import (
     BadGrid,
@@ -76,7 +75,8 @@ def shrink(x, a):
     """Soft-thresholding: sign(x) * max(|x| - a, 0), componentwise."""
     if a < 0:
         raise NegativeThreshold(f"threshold must be nonnegative, got {a}")
-    return shrink_kernel(np.asarray(x, dtype=np.float64), float(a))
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.maximum(np.abs(x) - float(a), 0.0)
 
 
 def solve_rls(X, y, lam=None):
@@ -127,7 +127,7 @@ def _cached_sigma_sq(X, Xt):
     hit = _SIGMA_CACHE.get(key)
     if hit is not None and hit[0] is X:
         return hit[1]
-    val = power_iteration_sq(X, Xt, 1e-6, 1000)
+    val = _power_iteration_sq(X, Xt, 1e-6, 1000)
     if len(_SIGMA_CACHE) >= _SVD_CACHE_MAX:
         _SIGMA_CACHE.pop(next(iter(_SIGMA_CACHE)))
     _SIGMA_CACHE[key] = (X, val)
@@ -146,6 +146,71 @@ def _thin_svd(X):
     return U, s, Vt
 
 
+def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
+    """Augmented-Lagrangian loop for min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
+
+    U, s, Vt is the thin SVD of X; the ridge-projection step
+    a = (X^T X + c I)^{-1} X^T w is applied as Vt^T diag(s/(s^2+c)) U^T w,
+    which realizes the precomputed per-penalty projection family without
+    materializing one matrix per penalty value.
+
+    Each multiplier step minimizes the augmented Lagrangian by alternating
+    (a, e) updates; the inner loop exits once mu*||de|| is small, which
+    bounds the stationarity error 2*lam*a - X^T z of the outer iterate.
+    The penalty is capped so the late iterations retain contraction (an
+    unbounded schedule freezes the primal iterate off the optimum).
+    """
+    m = y.shape[0]
+    n = X.shape[1]
+    alpha = np.zeros(n)
+    e = np.zeros(m)
+    z = np.zeros(m)
+    mu = mu0
+    ynorm = np.sqrt(np.sum(y * y))
+    if ynorm == 0.0:
+        return alpha, e, z, 0, True
+    converged = False
+    it = 0
+    xa = np.zeros(m)
+    change = 0.0
+    while it < max_iter:
+        it += 1
+        for _ in range(inner_max):
+            w = y - e + z / mu
+            t = np.dot(U.T, w)
+            c = 2.0 * lam / mu
+            t = t * (s / (s * s + c))
+            alpha_new = np.dot(Vt.T, t)
+            xa = np.dot(X, alpha_new)
+            v = y - xa + z / mu
+            e_new = np.sign(v) * np.maximum(np.abs(v) - 1.0 / mu, 0.0)
+            da = alpha_new - alpha
+            de = e_new - e
+            change = np.sqrt(np.sum(da * da) + np.sum(de * de))
+            de_norm = np.sqrt(np.sum(de * de))
+            alpha = alpha_new
+            e = e_new
+            anorm = np.sqrt(np.sum(alpha * alpha))
+            if mu * de_norm <= 10.0 * tol * (1.0 + anorm):
+                break
+        gap = y - xa - e
+        z = z + mu * gap
+        grad = 2.0 * lam * alpha - np.dot(X.T, z)
+        stat = np.sqrt(np.sum(grad * grad))
+        anorm = np.sqrt(np.sum(alpha * alpha))
+        scale = np.sqrt(np.sum(alpha * alpha) + np.sum(e * e)) + 1e-30
+        feas = np.sqrt(np.sum(gap * gap))
+        if (
+            feas <= tol * ynorm
+            and change <= tol * scale
+            and stat <= 100.0 * tol * (1.0 + anorm)
+        ):
+            converged = True
+            break
+        mu = min(mu * rho, mu_max)
+    return alpha, e, z, it, converged
+
+
 def solve_alm_l1res(X, y, lam, params=None):
     """l1-residual ridge coding: min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
 
@@ -161,7 +226,7 @@ def solve_alm_l1res(X, y, lam, params=None):
     if params is None:
         params = AlmParams()
     U, s, Vt = _thin_svd(Xm)
-    alpha, e, z, it, converged = alm_l1res_kernel(
+    alpha, e, z, it, converged = _alm_l1res(
         U, s, Vt, Xm, y, float(lam),
         params.mu0, params.rho, params.mu_max, params.tol,
         params.max_iter, params.inner_max,
@@ -175,6 +240,67 @@ def solve_alm_l1res(X, y, lam, params=None):
         residual_vec=e,
         multiplier=z,
     )
+
+
+def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
+    """Accelerated proximal gradient for min ||y - X a||_2^2 + lam*||a||_1.
+
+    Momentum is restarted whenever the objective increases.
+    """
+    n = X.shape[1]
+    alpha = np.zeros(n)
+    v = alpha.copy()
+    tk = 1.0
+    r0 = y - np.dot(X, alpha)
+    obj = np.sum(r0 * r0) + lam * np.sum(np.abs(alpha))
+    converged = False
+    it = 0
+    while it < max_iter:
+        it += 1
+        r = np.dot(X, v) - y
+        grad = 2.0 * np.dot(Xt, r)
+        g = v - step * grad
+        alpha_new = np.sign(g) * np.maximum(np.abs(g) - step * lam, 0.0)
+        res = y - np.dot(X, alpha_new)
+        obj_new = np.sum(res * res) + lam * np.sum(np.abs(alpha_new))
+        if obj_new > obj:
+            # restart momentum from the last accepted iterate
+            v = alpha.copy()
+            tk = 1.0
+            r = np.dot(X, v) - y
+            grad = 2.0 * np.dot(Xt, r)
+            g = v - step * grad
+            alpha_new = np.sign(g) * np.maximum(np.abs(g) - step * lam, 0.0)
+            res = y - np.dot(X, alpha_new)
+            obj_new = np.sum(res * res) + lam * np.sum(np.abs(alpha_new))
+        tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        v = alpha_new + ((tk - 1.0) / tk_new) * (alpha_new - alpha)
+        tk = tk_new
+        rel = abs(obj - obj_new) / (abs(obj) + 1e-30)
+        alpha = alpha_new
+        obj = obj_new
+        if rel <= tol:
+            converged = True
+            break
+    return alpha, obj, it, converged
+
+
+def _power_iteration_sq(X, Xt, tol, max_iter):
+    """Largest squared singular value of X, by power iteration on X^T X."""
+    n = X.shape[1]
+    v = np.ones(n) / np.sqrt(n)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = np.dot(Xt, np.dot(X, v))
+        nw = np.sqrt(np.sum(w * w))
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        lam_new = nw
+        if abs(lam_new - lam) <= tol * lam_new:
+            return lam_new
+        lam = lam_new
+    return lam
 
 
 def solve_fista_l1(X, y, lam, params=None):
@@ -195,7 +321,7 @@ def solve_fista_l1(X, y, lam, params=None):
     if sigma_sq == 0.0:
         return CodingResult(alpha=np.zeros(Xm.shape[1]), objective=float(y @ y))
     step = 1.0 / (2.0 * sigma_sq)
-    alpha, obj, it, converged = fista_l1_kernel(
+    alpha, obj, it, converged = _fista_l1(
         Xm, Xt, y, float(lam), step, params.tol, params.max_iter
     )
     return CodingResult(

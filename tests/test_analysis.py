@@ -134,6 +134,17 @@ def test_perturbation_small_delta_tracks_first_order():
     assert out["lhs"] <= 10 * out["rhs_first_order"]
 
 
+def test_perturbation_bound_uses_two_kappa():
+    # Golub & Van Loan, Thm 5.3.1: the residual bound carries (1 + 2 kappa)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((15, 4))
+    delta = 1e-3 * rng.standard_normal((15, 4))
+    out = perturbation_demo(X, delta, rng.standard_normal(15))
+    s = np.linalg.svd(X, compute_uv=False)
+    xi = np.linalg.norm(delta, "fro") / np.linalg.norm(X, "fro")
+    assert out["rhs_first_order"] == pytest.approx(xi * (1 + 2 * s[0] / s[-1]), rel=1e-12)
+
+
 def test_perturbation_rank_deficient():
     X = np.ones((8, 3))
     with pytest.raises(RankDeficient):

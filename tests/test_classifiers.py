@@ -14,7 +14,7 @@ from repclass.classifiers import (
     validate,
 )
 from repclass.dictionary import build_dictionary, build_projector, default_lambda
-from repclass.errors import DimensionMismatch, FingerprintMismatch, SingleClass
+from repclass.errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
 from repclass.solvers import CodingResult
 from repclass.synthetic import make_subspace_dataset
 
@@ -69,6 +69,25 @@ def test_crc_rls_query_dimension_guard():
     proj = build_projector(d, 0.01)
     with pytest.raises(DimensionMismatch):
         classify_crc_rls(proj, d, rng.standard_normal(d.m + 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_rejected(bad):
+    # a NaN query used to predict the first class with degenerate=True
+    d, rng = _toy(4)
+    proj = build_projector(d, 0.01)
+    y = rng.standard_normal(d.m)
+    y[3] = bad
+    for classify in (
+        lambda q: classify_crc_rls(proj, d, q),
+        lambda q: classify_src(d, q, 0.01),
+        lambda q: classify_rcrc(d, q, 0.01),
+        lambda q: classify_rns(d, q, 0.01),
+        lambda q: classify_nn(d, q),
+        lambda q: classify_ns(d, q),
+    ):
+        with pytest.raises(NonFiniteInput):
+            classify(y)
 
 
 def test_scale_invariance_of_argmin():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from repclass import harness
 from repclass.cli import main
-from repclass.io import load_dictionary, write_matrix
+from repclass.io import load_dictionary, load_projector, write_matrix
 
 
 @pytest.fixture
@@ -47,6 +48,47 @@ def test_train_and_classify(dataset, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert out["predicted"] == "class000"
     assert set(out["residuals"]) == {f"class{c:03d}" for c in range(4)}
+
+
+@pytest.fixture
+def trained(dataset, tmp_path, capsys):
+    """A trained dictionary plus a query file holding the first test column."""
+    dict_path = str(tmp_path / "model.rpmat")
+    assert main(["train", "--data", dataset, "--out", dict_path]) == 0
+    capsys.readouterr()
+    query = harness.load_dataset(dataset).columns("test")[0][:, 0]
+    query_path = str(tmp_path / "q.rpmat")
+    write_matrix(query_path, query)
+    return dict_path, query_path, query
+
+
+@pytest.mark.parametrize("classifier", harness.CLASSIFIERS)
+def test_classify_matches_harness_runner(trained, classifier, capsys):
+    dict_path, query_path, query = trained
+    rc = main(["classify", "--dict", dict_path, "--query", query_path,
+               "--classifier", classifier])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+
+    d = load_dictionary(dict_path)
+    proj = load_projector(dict_path + ".proj", d) if classifier == "crc_rls" else None
+    config = harness.ExperimentConfig(classifier=classifier)
+    decision = harness._Runner(config, d, proj).classify(query)
+    assert out["predicted"] == str(decision.predicted)
+    assert out["residuals"] == {
+        str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
+    }
+
+
+def test_classify_nan_query_is_json_error(trained, capsys):
+    dict_path, query_path, query = trained
+    bad = query.copy()
+    bad[0] = np.nan
+    write_matrix(query_path, bad)
+    rc = main(["classify", "--dict", dict_path, "--query", query_path])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteInput"
 
 
 def test_experiment_and_log(dataset, tmp_path):

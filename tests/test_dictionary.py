@@ -13,6 +13,7 @@ from repclass.dictionary import (
 from repclass.errors import (
     DimensionMismatch,
     EmptyInput,
+    NonFiniteInput,
     NonPositiveLambda,
     UnknownClass,
     ZeroColumn,
@@ -71,6 +72,14 @@ def test_build_dictionary_grouping_and_ranges():
 def test_build_dictionary_empty_input():
     with pytest.raises(EmptyInput):
         build_dictionary([])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_build_dictionary_rejects_non_finite_column(bad):
+    samples = _samples(np.random.default_rng(3))
+    samples[5][0][2] = bad
+    with pytest.raises(NonFiniteInput):
+        build_dictionary(samples)
 
 
 def test_fingerprint_stability_and_sensitivity():

@@ -276,65 +276,3 @@ def test_constrained_lp_bad_grid():
         solve_constrained_lp(X, y, 1, [1.0, 0.5])
     with pytest.raises(BadGrid):
         solve_constrained_lp(X, y, 3, [1.0, 2.0])
-
-
-# ---------------------------------------------------------- backend parity
-
-def test_pure_numpy_backend_matches(tmp_path):
-    """The numba kernels and the plain-numpy fallback must agree.
-
-    A fresh process imports repclass with REPCLASS_DISABLE_NUMBA=1 and runs
-    ALM and FISTA; this process runs them with the default backend. Where
-    numba is importable, that compares the numba kernels with the numpy
-    fallback. Where it is not, both sides run the fallback, and the test
-    checks that the REPCLASS_DISABLE_NUMBA path in a fresh process
-    reproduces the in-process results to 1e-12. The child must import the
-    same repclass source as this process.
-    """
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repclass
-
-    script = tmp_path / "fallback.py"
-    script.write_text(
-        "import json, numpy as np\n"
-        "from repclass import backend\n"
-        "from repclass.solvers import solve_alm_l1res, solve_fista_l1\n"
-        "assert not backend.NUMBA_ENABLED\n"
-        "rng = np.random.default_rng(77)\n"
-        "X = rng.standard_normal((12, 20)); X /= np.linalg.norm(X, axis=0)\n"
-        "y = rng.standard_normal(12)\n"
-        "a = solve_alm_l1res(X, y, 0.3)\n"
-        "f = solve_fista_l1(X, y, 0.3)\n"
-        "import repclass\n"
-        "print(json.dumps({'alm': a.alpha.tolist(), 'fista': f.alpha.tolist(),\n"
-        "                  'file': repclass.__file__}))\n"
-    )
-    # Copy this process's environment, not a hand-picked one: both sides need
-    # the same import path and BLAS thread settings to agree to 1e-12.
-    env = dict(os.environ, REPCLASS_DISABLE_NUMBA="1")
-    src_root = str(Path(repclass.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_root, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True, text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    got = json.loads(out.stdout)
-    assert got["file"] == repclass.__file__
-
-    rng = np.random.default_rng(77)
-    X = rng.standard_normal((12, 20))
-    X /= np.linalg.norm(X, axis=0)
-    y = rng.standard_normal(12)
-    a = solve_alm_l1res(X, y, 0.3)
-    f = solve_fista_l1(X, y, 0.3)
-    np.testing.assert_allclose(a.alpha, got["alm"], rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(f.alpha, got["fista"], rtol=1e-12, atol=1e-14)
