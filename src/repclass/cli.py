@@ -86,6 +86,8 @@ def cmd_classify(args):
     projector = None
     if config.classifier == "crc_rls":
         projector = io.load_projector(args.dict + ".proj", dictionary)
+        if projector.lam != config.resolve_lambda(dictionary.n):
+            projector = None  # the runner builds one for the requested lambda
     decision = harness._Runner(config, dictionary, projector).classify(y)
     residuals = {
         str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()

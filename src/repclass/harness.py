@@ -27,7 +27,7 @@ from .errors import (
     OverlappingClasses,
 )
 from .features import fit_pca, project_pca, vectorize_image
-from .io import read_matrix, read_pgm
+from .io import read_matrix, read_pgm, read_sidecar
 from .solvers import AlmParams, FistaParams, _thin_svd
 from .synthetic import make_subspace_dataset
 
@@ -115,12 +115,18 @@ class Report:
     environment: dict
     per_query: list  # JSON-ready per-query records
 
+    @property
+    def n_not_converged(self):
+        """Queries whose solver stopped at its iteration cap."""
+        return sum(1 for rec in self.per_query if rec["converged"] is False)
+
     def to_json(self):
         return {
             "recognition_rate": self.recognition_rate,
             "per_class_rates": self.per_class_rates,
             "confusion": self.confusion,
             "n_queries": self.n_queries,
+            "n_not_converged": self.n_not_converged,
             "mean_query_time": self.mean_query_time,
             "median_query_time": self.median_query_time,
             "offline_time": self.offline_time,
@@ -152,7 +158,7 @@ def save_dataset(dataset, path):
 def load_dataset(path):
     path = Path(path)
     features = read_matrix(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    sidecar = read_sidecar(path, ("labels",))
     shape = sidecar.get("image_shape")
     return Dataset(
         features=features,
@@ -187,7 +193,7 @@ def ingest_dataset(path, layout="class_dirs", train_per_class=None, split_seed=0
         raise MissingPath(str(path))
     if layout == "matrix_file":
         features = read_matrix(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+        sidecar = read_sidecar(path, ("labels",))
         labels = list(sidecar["labels"])
         split = list(sidecar.get("split", ["train"] * len(labels)))
         return Dataset(
@@ -362,12 +368,16 @@ def run_experiment(config, data):
         correct_by_class[true] = correct_by_class.get(true, 0) + ok
         confusion.setdefault(str(true), {})
         confusion[str(true)][str(pred)] = confusion[str(true)].get(str(pred), 0) + 1
+        coding = decision.coding
         sci = None
-        if runner.dictionary.k >= 2 and decision.coding is not None:
-            try:
-                sci = compute_sci(runner.dictionary, decision.coding)
-            except Exception:
-                sci = None
+        # SCI is defined on a code over the whole dictionary; the per-class
+        # codes of rns_* have no such code, so their SCI is None
+        if (
+            runner.dictionary.k >= 2
+            and coding is not None
+            and len(coding.alpha) == runner.dictionary.n
+        ):
+            sci = compute_sci(runner.dictionary, coding)
         per_query.append(
             {
                 "query": j,
@@ -376,6 +386,9 @@ def run_experiment(config, data):
                 "residuals": {str(k): _jsonable(v) for k, v in decision.per_class_residuals.items()},
                 "sci": sci,
                 "wall_time": dt,
+                "iterations": None if coding is None else int(coding.iterations),
+                "converged": None if coding is None else bool(coding.converged),
+                "objective": None if coding is None else _jsonable(float(coding.objective)),
             }
         )
     n = test_feats.shape[1]

@@ -97,6 +97,19 @@ def write_pgm(path, image):
         fh.write(clipped.tobytes())
 
 
+def read_sidecar(path, required):
+    """The JSON sidecar of a matrix file; MalformedMatrix names a missing key."""
+    path = Path(path)
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    if not isinstance(sidecar, dict):
+        raise MalformedMatrix(f"{sidecar_path}: sidecar is not a JSON object")
+    for key in required:
+        if key not in sidecar:
+            raise MalformedMatrix(f"{sidecar_path}: sidecar lacks key {key!r}")
+    return sidecar
+
+
 def save_dictionary(dictionary, path):
     """Write a dictionary as matrix file + JSON sidecar (labels, ranges)."""
     path = Path(path)
@@ -112,7 +125,7 @@ def save_dictionary(dictionary, path):
 def load_dictionary(path):
     path = Path(path)
     data = read_matrix(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    sidecar = read_sidecar(path, ("labels", "class_ranges"))
     ranges = {k: tuple(v) for k, v in sidecar["class_ranges"].items()}
     return Dictionary(data=data, labels=tuple(sidecar["labels"]), class_ranges=ranges)
 
@@ -130,7 +143,7 @@ def save_projector(projector, path):
 def load_projector(path, dictionary=None):
     path = Path(path)
     matrix = read_matrix(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    sidecar = read_sidecar(path, ("lambda", "dictionary_fingerprint"))
     return Projector(
         matrix=matrix,
         lam=float(sidecar["lambda"]),

@@ -75,8 +75,13 @@ def shrink(x, a):
     """Soft-thresholding: sign(x) * max(|x| - a, 0), componentwise."""
     if a < 0:
         raise NegativeThreshold(f"threshold must be nonnegative, got {a}")
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - float(a), 0.0)
+    return _soft_threshold(np.asarray(x, dtype=np.float64), float(a))
+
+
+def _soft_threshold(x, a):
+    # x - clip(x, -a, a) equals sign(x) * max(|x| - a, 0) exactly (a zero
+    # result may differ in sign) and takes three array passes instead of five
+    return x - np.minimum(np.maximum(x, -a), a)
 
 
 def solve_rls(X, y, lam=None):
@@ -154,6 +159,12 @@ def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
     which realizes the precomputed per-penalty projection family without
     materializing one matrix per penalty value.
 
+    The inner loop carries the SVD coordinates t = diag(s/(s^2+c)) U^T w of
+    the code instead of the code itself: a = Vt^T t, X a = U (s * t), and
+    ||a|| = ||t|| because Vt has orthonormal rows. Each inner step therefore
+    costs two m x r products and no n-vector; a is formed once per
+    multiplier step, for the stationarity test.
+
     Each multiplier step minimizes the augmented Lagrangian by alternating
     (a, e) updates; the inner loop exits once mu*||de|| is small, which
     bounds the stationarity error 2*lam*a - X^T z of the outer iterate.
@@ -163,47 +174,45 @@ def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
     m = y.shape[0]
     n = X.shape[1]
     alpha = np.zeros(n)
+    t = np.zeros(s.shape[0])
     e = np.zeros(m)
     z = np.zeros(m)
     mu = mu0
-    ynorm = np.sqrt(np.sum(y * y))
+    ynorm = np.sqrt(y @ y)
     if ynorm == 0.0:
         return alpha, e, z, 0, True
     converged = False
     it = 0
     xa = np.zeros(m)
-    change = 0.0
     while it < max_iter:
         it += 1
+        inv_mu = 1.0 / mu
+        w0 = y + z * inv_mu
+        d = s / (s * s + 2.0 * lam * inv_mu)
         for _ in range(inner_max):
-            w = y - e + z / mu
-            t = np.dot(U.T, w)
-            c = 2.0 * lam / mu
-            t = t * (s / (s * s + c))
-            alpha_new = np.dot(Vt.T, t)
-            xa = np.dot(X, alpha_new)
-            v = y - xa + z / mu
-            e_new = np.sign(v) * np.maximum(np.abs(v) - 1.0 / mu, 0.0)
-            da = alpha_new - alpha
-            de = e_new - e
-            change = np.sqrt(np.sum(da * da) + np.sum(de * de))
-            de_norm = np.sqrt(np.sum(de * de))
-            alpha = alpha_new
-            e = e_new
-            anorm = np.sqrt(np.sum(alpha * alpha))
-            if mu * de_norm <= 10.0 * tol * (1.0 + anorm):
+            t_prev, e_prev = t, e
+            t = d * (U.T @ (w0 - e))
+            xa = U @ (s * t)
+            v = w0 - xa
+            e = _soft_threshold(v, inv_mu)
+            de = e - e_prev
+            de_sq = de @ de
+            if mu * np.sqrt(de_sq) <= 10.0 * tol * (1.0 + np.sqrt(t @ t)):
                 break
+        dt = t - t_prev
+        change = np.sqrt(dt @ dt + de_sq)
+        alpha = Vt.T @ t
         gap = y - xa - e
         z = z + mu * gap
-        grad = 2.0 * lam * alpha - np.dot(X.T, z)
-        stat = np.sqrt(np.sum(grad * grad))
-        anorm = np.sqrt(np.sum(alpha * alpha))
-        scale = np.sqrt(np.sum(alpha * alpha) + np.sum(e * e)) + 1e-30
-        feas = np.sqrt(np.sum(gap * gap))
+        grad = 2.0 * lam * alpha - X.T @ z
+        stat = np.sqrt(grad @ grad)
+        anorm_sq = alpha @ alpha
+        scale = np.sqrt(anorm_sq + e @ e) + 1e-30
+        feas = np.sqrt(gap @ gap)
         if (
             feas <= tol * ynorm
             and change <= tol * scale
-            and stat <= 100.0 * tol * (1.0 + anorm)
+            and stat <= 100.0 * tol * (1.0 + np.sqrt(anorm_sq))
         ):
             converged = True
             break
@@ -245,39 +254,42 @@ def solve_alm_l1res(X, y, lam, params=None):
 def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
     """Accelerated proximal gradient for min ||y - X a||_2^2 + lam*||a||_1.
 
-    Momentum is restarted whenever the objective increases.
+    Momentum is restarted whenever the objective increases. The products
+    X a of the accepted iterate and X v of the momentum point are carried
+    along (X v is the same combination of X a values as v is of a's), so
+    each iteration costs two matrix-vector products.
     """
     n = X.shape[1]
+    thr = step * lam
+
+    def prox_step(point, x_point):
+        # proximal gradient step from point, given x_point = X @ point
+        a = _soft_threshold(point - (2.0 * step) * (Xt @ (x_point - y)), thr)
+        x_a = X @ a
+        res = y - x_a
+        return a, x_a, res @ res + lam * np.sum(np.abs(a))
+
     alpha = np.zeros(n)
-    v = alpha.copy()
+    xa = np.zeros(y.shape[0])
+    v, xv = alpha, xa
     tk = 1.0
-    r0 = y - np.dot(X, alpha)
-    obj = np.sum(r0 * r0) + lam * np.sum(np.abs(alpha))
+    obj = y @ y
     converged = False
     it = 0
     while it < max_iter:
         it += 1
-        r = np.dot(X, v) - y
-        grad = 2.0 * np.dot(Xt, r)
-        g = v - step * grad
-        alpha_new = np.sign(g) * np.maximum(np.abs(g) - step * lam, 0.0)
-        res = y - np.dot(X, alpha_new)
-        obj_new = np.sum(res * res) + lam * np.sum(np.abs(alpha_new))
+        alpha_new, xa_new, obj_new = prox_step(v, xv)
         if obj_new > obj:
             # restart momentum from the last accepted iterate
-            v = alpha.copy()
             tk = 1.0
-            r = np.dot(X, v) - y
-            grad = 2.0 * np.dot(Xt, r)
-            g = v - step * grad
-            alpha_new = np.sign(g) * np.maximum(np.abs(g) - step * lam, 0.0)
-            res = y - np.dot(X, alpha_new)
-            obj_new = np.sum(res * res) + lam * np.sum(np.abs(alpha_new))
+            alpha_new, xa_new, obj_new = prox_step(alpha, xa)
         tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        v = alpha_new + ((tk - 1.0) / tk_new) * (alpha_new - alpha)
+        beta = (tk - 1.0) / tk_new
+        v = alpha_new + beta * (alpha_new - alpha)
+        xv = xa_new + beta * (xa_new - xa)
         tk = tk_new
         rel = abs(obj - obj_new) / (abs(obj) + 1e-30)
-        alpha = alpha_new
+        alpha, xa = alpha_new, xa_new
         obj = obj_new
         if rel <= tol:
             converged = True

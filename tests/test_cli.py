@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,38 @@ def test_classify_nan_query_is_json_error(trained, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NonFiniteInput"
+
+
+def test_classify_lambda_option_is_used(trained, capsys):
+    dict_path, query_path, query = trained
+    assert main(["classify", "--dict", dict_path, "--query", query_path]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--dict", dict_path, "--query", query_path,
+                 "--lambda", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["residuals"] != default["residuals"]
+
+    d = load_dictionary(dict_path)
+    config = harness.ExperimentConfig(classifier="crc_rls", lam=5.0)
+    decision = harness._Runner(config, d).classify(query)
+    assert out["residuals"] == {
+        str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
+    }
+
+
+def test_classify_malformed_sidecar_is_json_error(trained, capsys):
+    dict_path, query_path, _ = trained
+    sidecar_path = Path(dict_path + ".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    del sidecar["class_ranges"]
+    sidecar_path.write_text(json.dumps(sidecar))
+    rc = main(["classify", "--dict", dict_path, "--query", query_path])
+    assert rc == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "MalformedMatrix"
+    assert "class_ranges" in err["message"]
 
 
 def test_experiment_and_log(dataset, tmp_path):

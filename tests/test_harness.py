@@ -145,12 +145,34 @@ def test_run_experiment_report_contents():
     assert report.offline_time > 0
     assert len(report.per_query) == 16
     rec = report.per_query[0]
-    assert {"query", "true", "predicted", "residuals", "sci", "wall_time"} <= set(rec)
+    assert {
+        "query", "true", "predicted", "residuals", "sci", "wall_time",
+        "iterations", "converged", "objective",
+    } <= set(rec)
+    assert rec["iterations"] == 0 and rec["converged"] is True
+    assert rec["objective"] > 0
     # confusion row sums match per-class query counts
     total = sum(sum(row.values()) for row in report.confusion.values())
     assert total == 16
     # report serializes
-    json.dumps(report.to_json())
+    assert json.loads(json.dumps(report.to_json()))["n_not_converged"] == 0
+
+
+def test_run_experiment_reports_solver_caps():
+    data = _small_data(seed=4, n_classes=3, n_train=4, n_test=2)
+    cfg = ExperimentConfig(classifier="rcrc", alm=AlmParams(max_iter=1))
+    report = run_experiment(cfg, data)
+    assert [rec["iterations"] for rec in report.per_query] == [1] * 6
+    assert [rec["converged"] for rec in report.per_query] == [False] * 6
+    assert report.to_json()["n_not_converged"] == 6
+
+
+def test_run_experiment_sci_only_for_whole_dictionary_codes():
+    data = _small_data(seed=4, n_classes=3, n_train=4, n_test=2)
+    rns = run_experiment(ExperimentConfig(classifier="rns_l2"), data)
+    assert [rec["sci"] for rec in rns.per_query] == [None] * 6
+    crc = run_experiment(ExperimentConfig(classifier="crc_rls"), data)
+    assert all(isinstance(rec["sci"], float) for rec in crc.per_query)
 
 
 def test_run_experiment_deterministic_accuracy():

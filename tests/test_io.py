@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,35 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
     res = solve_rls(attached, np.ones(10))
     ref = solve_rls(d.data, np.ones(10), 0.07)
     np.testing.assert_allclose(res.alpha, ref.alpha, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("dictionary", "labels"),
+        ("dictionary", "class_ranges"),
+        ("projector", "lambda"),
+        ("projector", "dictionary_fingerprint"),
+    ],
+)
+def test_sidecar_missing_key_is_malformed(tmp_path, kind, key):
+    d = _dictionary()
+    path = tmp_path / f"{kind}.rpmat"
+    if kind == "dictionary":
+        save_dictionary(d, path)
+        load = load_dictionary
+    else:
+        save_projector(build_projector(d, 0.07), path)
+        load = load_projector
+    sidecar_path = tmp_path / f"{kind}.rpmat.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    del sidecar[key]
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(MalformedMatrix, match=repr(key)):
+        load(path)
+    sidecar_path.write_text("[]")
+    with pytest.raises(MalformedMatrix):
+        load(path)
 
 
 def test_pca_roundtrip(tmp_path):

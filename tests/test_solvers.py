@@ -16,6 +16,7 @@ from repclass.errors import (
 from repclass.solvers import (
     AlmParams,
     FistaParams,
+    _power_iteration_sq,
     shrink,
     solve_alm_l1res,
     solve_constrained_lp,
@@ -202,6 +203,194 @@ def test_fista_agrees_with_alternate_solver():
         a = shrink(a - grad / L, lam / L)
     res = solve_fista_l1(X, y, lam, FistaParams(tol=1e-14, max_iter=10000))
     np.testing.assert_allclose(res.alpha, a, atol=1e-6)
+
+
+# ------------------------------------------------ kernel regression oracles
+#
+# The solver loops carry SVD coordinates (ALM) and cached X @ alpha products
+# (FISTA) to save matrix-vector products. The plain loops below are the
+# reference they must reproduce up to rounding: same iteration counts and
+# convergence flags, iterates within 1e-9 relative.
+
+def _alm_l1res_reference(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
+    """Reference ALM loop in its direct form (three mat-vecs per inner step).
+
+    Augmented-Lagrangian loop for min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
+
+    U, s, Vt is the thin SVD of X; the ridge-projection step
+    a = (X^T X + c I)^{-1} X^T w is applied as Vt^T diag(s/(s^2+c)) U^T w,
+    which realizes the precomputed per-penalty projection family without
+    materializing one matrix per penalty value.
+
+    Each multiplier step minimizes the augmented Lagrangian by alternating
+    (a, e) updates; the inner loop exits once mu*||de|| is small, which
+    bounds the stationarity error 2*lam*a - X^T z of the outer iterate.
+    The penalty is capped so the late iterations retain contraction (an
+    unbounded schedule freezes the primal iterate off the optimum).
+    """
+    m = y.shape[0]
+    n = X.shape[1]
+    alpha = np.zeros(n)
+    e = np.zeros(m)
+    z = np.zeros(m)
+    mu = mu0
+    ynorm = np.sqrt(np.sum(y * y))
+    if ynorm == 0.0:
+        return alpha, e, z, 0, True
+    converged = False
+    it = 0
+    xa = np.zeros(m)
+    change = 0.0
+    while it < max_iter:
+        it += 1
+        for _ in range(inner_max):
+            w = y - e + z / mu
+            t = np.dot(U.T, w)
+            c = 2.0 * lam / mu
+            t = t * (s / (s * s + c))
+            alpha_new = np.dot(Vt.T, t)
+            xa = np.dot(X, alpha_new)
+            v = y - xa + z / mu
+            e_new = np.sign(v) * np.maximum(np.abs(v) - 1.0 / mu, 0.0)
+            da = alpha_new - alpha
+            de = e_new - e
+            change = np.sqrt(np.sum(da * da) + np.sum(de * de))
+            de_norm = np.sqrt(np.sum(de * de))
+            alpha = alpha_new
+            e = e_new
+            anorm = np.sqrt(np.sum(alpha * alpha))
+            if mu * de_norm <= 10.0 * tol * (1.0 + anorm):
+                break
+        gap = y - xa - e
+        z = z + mu * gap
+        grad = 2.0 * lam * alpha - np.dot(X.T, z)
+        stat = np.sqrt(np.sum(grad * grad))
+        anorm = np.sqrt(np.sum(alpha * alpha))
+        scale = np.sqrt(np.sum(alpha * alpha) + np.sum(e * e)) + 1e-30
+        feas = np.sqrt(np.sum(gap * gap))
+        if (
+            feas <= tol * ynorm
+            and change <= tol * scale
+            and stat <= 100.0 * tol * (1.0 + anorm)
+        ):
+            converged = True
+            break
+        mu = min(mu * rho, mu_max)
+    return alpha, e, z, it, converged
+
+
+def _fista_l1_reference(X, Xt, y, lam, step, tol, max_iter):
+    """Reference FISTA loop in its direct form (three mat-vecs per step).
+
+    Accelerated proximal gradient for min ||y - X a||_2^2 + lam*||a||_1.
+
+    Momentum is restarted whenever the objective increases.
+    """
+    n = X.shape[1]
+    alpha = np.zeros(n)
+    v = alpha.copy()
+    tk = 1.0
+    r0 = y - np.dot(X, alpha)
+    obj = np.sum(r0 * r0) + lam * np.sum(np.abs(alpha))
+    converged = False
+    it = 0
+    while it < max_iter:
+        it += 1
+        r = np.dot(X, v) - y
+        grad = 2.0 * np.dot(Xt, r)
+        g = v - step * grad
+        alpha_new = np.sign(g) * np.maximum(np.abs(g) - step * lam, 0.0)
+        res = y - np.dot(X, alpha_new)
+        obj_new = np.sum(res * res) + lam * np.sum(np.abs(alpha_new))
+        if obj_new > obj:
+            # restart momentum from the last accepted iterate
+            v = alpha.copy()
+            tk = 1.0
+            r = np.dot(X, v) - y
+            grad = 2.0 * np.dot(Xt, r)
+            g = v - step * grad
+            alpha_new = np.sign(g) * np.maximum(np.abs(g) - step * lam, 0.0)
+            res = y - np.dot(X, alpha_new)
+            obj_new = np.sum(res * res) + lam * np.sum(np.abs(alpha_new))
+        tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        v = alpha_new + ((tk - 1.0) / tk_new) * (alpha_new - alpha)
+        tk = tk_new
+        rel = abs(obj - obj_new) / (abs(obj) + 1e-30)
+        alpha = alpha_new
+        obj = obj_new
+        if rel <= tol:
+            converged = True
+            break
+    return alpha, obj, it, converged
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _corrupted_problem(seed=31, m=120, n=30, fraction=0.5):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, n))
+    X /= np.linalg.norm(X, axis=0)
+    y = X @ rng.standard_normal(n)
+    idx = rng.choice(m, int(fraction * m), replace=False)
+    y[idx] = rng.uniform(-3.0, 3.0, idx.size)
+    return X, y
+
+
+def _seed77_problem():
+    rng = np.random.default_rng(77)
+    X = rng.standard_normal((12, 20))
+    X /= np.linalg.norm(X, axis=0)
+    return X, rng.standard_normal(12)
+
+
+@pytest.mark.parametrize(
+    "problem, lam, params",
+    [
+        (_seed77_problem, 0.3, AlmParams()),
+        (_corrupted_problem, 0.01, AlmParams(max_iter=30)),
+    ],
+    ids=["seed77-converges", "corrupted-capped"],
+)
+def test_alm_matches_reference_loop(problem, lam, params):
+    X, y = problem()
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    alpha, e, z, it, converged = _alm_l1res_reference(
+        U, s, Vt, X, y, lam, params.mu0, params.rho, params.mu_max, params.tol,
+        params.max_iter, params.inner_max,
+    )
+    res = solve_alm_l1res(X, y, lam, params)
+    assert res.iterations == it
+    assert res.converged == converged
+    assert converged == (params.max_iter == 500)
+    assert _rel(res.alpha, alpha) <= 1e-9
+    assert _rel(res.residual_vec, e) <= 1e-9
+    assert _rel(res.multiplier, z) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, shape, lam",
+    [(5, (40, 120), 0.01), (77, (12, 20), 0.3)],
+    ids=["capped", "seed77-converges"],
+)
+def test_fista_matches_reference_loop(seed, shape, lam):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(shape)
+    X /= np.linalg.norm(X, axis=0)
+    y = rng.standard_normal(shape[0])
+    Xt = np.ascontiguousarray(X.T)
+    step = 1.0 / (2.0 * _power_iteration_sq(X, Xt, 1e-6, 1000))
+    params = FistaParams(max_iter=200)
+    alpha, obj, it, converged = _fista_l1_reference(
+        X, Xt, y, lam, step, params.tol, params.max_iter
+    )
+    res = solve_fista_l1(X, y, lam, params)
+    assert converged == (seed == 77)
+    assert res.converged == converged
+    assert res.iterations == it
+    assert _rel(res.alpha, alpha) <= 1e-9
+    assert res.objective == pytest.approx(obj, rel=1e-9)
 
 
 # ---------------------------------------------------------------- OMP
