@@ -4,11 +4,11 @@ All rules produce a Decision: per-class scores plus the argmin label, with
 ties broken toward the earliest class block in the dictionary.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import class_coefficients
 from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
 from .solvers import (
     AlmParams,
@@ -71,25 +71,37 @@ def _check_query(dictionary, y):
     return y
 
 
+def _check_code(dictionary, alpha):
+    if alpha.shape[0] != dictionary.n:
+        raise DimensionMismatch(
+            f"alpha has length {alpha.shape[0]}, dictionary has {dictionary.n} columns"
+        )
+
+
 def _plain_residuals(dictionary, y, alpha):
+    _check_code(dictionary, alpha)
+    X = dictionary.data
     out = {}
-    for lab in dictionary.classes:
-        ai = class_coefficients(dictionary, alpha, lab)
-        out[lab] = float(np.linalg.norm(y - dictionary.class_block(lab) @ ai))
+    for lab, (lo, hi) in dictionary.class_ranges.items():
+        r = y - X[:, lo:hi] @ alpha[lo:hi]
+        out[lab] = math.sqrt(r @ r)
     return out
 
 
 def _regularized_residuals(dictionary, y, alpha, e=None):
     """Ratio residuals ||y - X_i a_i (- e)||_2 / ||a_i||_2 with a zero guard."""
+    _check_code(dictionary, alpha)
     target = y if e is None else y - e
+    X = dictionary.data
     out = {}
-    for lab in dictionary.classes:
-        ai = class_coefficients(dictionary, alpha, lab)
-        nai = float(np.linalg.norm(ai))
+    for lab, (lo, hi) in dictionary.class_ranges.items():
+        ai = alpha[lo:hi]
+        nai = math.sqrt(ai @ ai)
         if nai < _ZERO_COEF_TOL:
             out[lab] = np.inf
         else:
-            out[lab] = float(np.linalg.norm(target - dictionary.class_block(lab) @ ai)) / nai
+            r = target - X[:, lo:hi] @ ai
+            out[lab] = math.sqrt(r @ r) / nai
     return out
 
 
@@ -193,17 +205,15 @@ def compute_sci(dictionary, coding):
     if dictionary.k < 2:
         raise SingleClass("SCI is undefined for a single-class dictionary")
     alpha = np.asarray(coding.alpha, dtype=np.float64)
-    if alpha.shape[0] != dictionary.n:
-        raise DimensionMismatch(
-            f"alpha has length {alpha.shape[0]}, dictionary has {dictionary.n} columns"
-        )
-    total = float(np.sum(np.abs(alpha)))
+    _check_code(dictionary, alpha)
+    mass = np.abs(alpha)
+    total = float(np.sum(mass))
     if total <= 1e-12:
         return 0.0
-    best = max(
-        float(np.sum(np.abs(class_coefficients(dictionary, alpha, lab)))) / total
-        for lab in dictionary.classes
-    )
+    # the class blocks partition the columns, so the l1 mass of each block is
+    # one segment of a reduceat over the block starts in column order
+    starts = sorted(lo for lo, _ in dictionary.class_ranges.values())
+    best = float(np.max(np.add.reduceat(mass, starts))) / total
     k = dictionary.k
     return float(min(1.0, max(0.0, (k * best - 1.0) / (k - 1.0))))
 

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadDimension, DimensionMismatch, EmptyImage
 
@@ -26,8 +27,14 @@ class PcaModel:
 def fit_pca(training, d):
     """Fit a d-dimensional PCA model on the columns of a D x N matrix.
 
-    Uses the SVD of the centered data (stable when D >> N). Component signs
-    are fixed by making each component's largest-magnitude entry nonnegative.
+    Only the top d eigenvectors of the smaller of the two scatter matrices
+    are computed. When D > N (images with more pixels than training
+    samples) they come from the N x N Gram matrix C^T C of the centered data
+    C and are mapped back through C (Turk & Pentland's eigenface trick); one
+    thin QR of C V keeps the basis orthonormal even for a direction with a
+    zero eigenvalue, which centering always leaves at d = N. Otherwise they
+    come from the D x D scatter matrix C C^T. Component signs are fixed by
+    making each component's largest-magnitude entry nonnegative.
     """
     training = np.asarray(training, dtype=np.float64)
     if training.ndim != 2:
@@ -37,8 +44,12 @@ def fit_pca(training, d):
         raise BadDimension(f"need 1 <= d <= min(D, N) = {min(D, N)}, got {d}")
     mean = training.mean(axis=1)
     centered = training - mean[:, None]
-    U, s, _ = np.linalg.svd(centered, full_matrices=False)
-    basis = U[:, :d].copy()
+    small = min(D, N)
+    scatter = centered.T @ centered if D > N else centered @ centered.T
+    # eigh returns ascending eigenvalues; reverse to descending variance
+    _, V = scipy.linalg.eigh(scatter, subset_by_index=(small - d, small - 1))
+    V = V[:, ::-1]
+    basis = np.linalg.qr(centered @ V)[0] if D > N else V.copy()
     for j in range(d):
         i = int(np.argmax(np.abs(basis[:, j])))
         if basis[i, j] < 0:

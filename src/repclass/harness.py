@@ -1,7 +1,9 @@
 """Batch experiment machinery: dataset ingestion, experiment runs,
 parameter sweeps, ROC evaluation, and timing benchmarks."""
 
+import functools
 import json
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -32,6 +34,9 @@ from .solvers import AlmParams, FistaParams, _thin_svd
 from .synthetic import make_subspace_dataset
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
+# classifiers whose code covers the whole dictionary, so SCI is defined for
+# it; rns_* code each class on its own and nn codes nothing
+SCI_CLASSIFIERS = ("src", "crc_rls", "rcrc", "ns")
 
 
 @dataclass
@@ -169,11 +174,19 @@ def load_dataset(path):
     )
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
 def _environment_stamp():
+    """Interpreter, numpy, BLAS build and thread settings, once per process."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
     }
 
 
@@ -370,13 +383,7 @@ def run_experiment(config, data):
         confusion[str(true)][str(pred)] = confusion[str(true)].get(str(pred), 0) + 1
         coding = decision.coding
         sci = None
-        # SCI is defined on a code over the whole dictionary; the per-class
-        # codes of rns_* have no such code, so their SCI is None
-        if (
-            runner.dictionary.k >= 2
-            and coding is not None
-            and len(coding.alpha) == runner.dictionary.n
-        ):
+        if runner.dictionary.k >= 2 and config.classifier in SCI_CLASSIFIERS:
             sci = compute_sci(runner.dictionary, coding)
         per_query.append(
             {
@@ -426,8 +433,14 @@ def run_roc(config, gallery, customers, imposters, thresholds):
     """SCI-threshold ROC: TPR over customers, FPR over imposters.
 
     A customer query counts as a true positive when it is both accepted at
-    the threshold and correctly identified.
+    the threshold and correctly identified. The classifier must code over
+    the whole dictionary (SCI_CLASSIFIERS).
     """
+    if config.classifier not in SCI_CLASSIFIERS:
+        raise ConfigInvalid(
+            f"run_roc needs SCI, which {config.classifier!r} does not define: it "
+            "gives no code over the whole dictionary"
+        )
     train_feats, train_labels = gallery.columns("train")
     gallery_classes = set(train_labels)
     imposter_feats, imposter_labels = _all_columns(imposters)

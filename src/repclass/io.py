@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import Dictionary, Projector
-from .errors import MalformedMatrix, MissingPath
+from .errors import FingerprintMismatch, MalformedMatrix, MissingPath
 from .features import PcaModel
 
 MAGIC = b"RPMATv1\x00"
+_UNIT_NORM_TOL = 1e-10
 
 
 def write_matrix(path, matrix):
@@ -123,11 +124,42 @@ def save_dictionary(dictionary, path):
 
 
 def load_dictionary(path):
+    """Read a dictionary saved by save_dictionary and check it is one.
+
+    The columns must have unit norm and the class ranges must partition the
+    columns (else MalformedMatrix); the fingerprint recomputed from the
+    loaded data and labels must equal the stored one (else
+    FingerprintMismatch, e.g. for non-string labels, which come back as
+    strings).
+    """
     path = Path(path)
     data = read_matrix(path)
-    sidecar = read_sidecar(path, ("labels", "class_ranges"))
+    sidecar = read_sidecar(path, ("labels", "class_ranges", "fingerprint"))
     ranges = {k: tuple(v) for k, v in sidecar["class_ranges"].items()}
-    return Dictionary(data=data, labels=tuple(sidecar["labels"]), class_ranges=ranges)
+    norms = np.linalg.norm(data, axis=0)
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
+        bad = int(np.argmax(np.abs(norms - 1.0)))
+        raise MalformedMatrix(f"{path}: column {bad} has norm {norms[bad]!r}, not 1")
+    if not _tiles(ranges.values(), data.shape[1]):
+        raise MalformedMatrix(
+            f"{path}: class_ranges do not partition columns 0..{data.shape[1]}"
+        )
+    dictionary = Dictionary(data=data, labels=tuple(sidecar["labels"]), class_ranges=ranges)
+    if dictionary.fingerprint != sidecar["fingerprint"]:
+        raise FingerprintMismatch(
+            f"{path}: stored fingerprint differs from the loaded data and labels"
+        )
+    return dictionary
+
+
+def _tiles(ranges, n):
+    """True when the (start, stop) ranges are nonempty and tile columns 0..n."""
+    pos = 0
+    for lo, hi in sorted(ranges):
+        if lo != pos or hi <= lo:
+            return False
+        pos = hi
+    return pos == n
 
 
 def save_projector(projector, path):

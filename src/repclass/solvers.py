@@ -1,5 +1,6 @@
 """Numerical coders: ridge, l1-residual ALM, l1 proximal gradient, OMP."""
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,36 +120,36 @@ def solve_rls(X, y, lam=None):
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
 
 
-# SVD cache for the ALM ridge-projection family, keyed by matrix identity.
+# Per-matrix caches: the thin SVD for the ALM ridge-projection family and the
+# squared spectral norm for FISTA's step, shared by the queries on one matrix.
+# An entry is keyed by id() and holds only a weak reference to its matrix; it
+# is dropped when the matrix is collected, so a cache never keeps a dead
+# dictionary (or its factors) alive, and it holds at most _CACHE_MAX entries.
 _SVD_CACHE: dict = {}
-_SVD_CACHE_MAX = 8
-
-# spectral-norm cache for repeated FISTA queries on one matrix
 _SIGMA_CACHE: dict = {}
+_CACHE_MAX = 8
 
 
-def _cached_sigma_sq(X, Xt):
+def _cached(cache, X, compute):
     key = id(X)
-    hit = _SIGMA_CACHE.get(key)
-    if hit is not None and hit[0] is X:
+    hit = cache.get(key)
+    if hit is not None and hit[0]() is X:
         return hit[1]
-    val = _power_iteration_sq(X, Xt, 1e-6, 1000)
-    if len(_SIGMA_CACHE) >= _SVD_CACHE_MAX:
-        _SIGMA_CACHE.pop(next(iter(_SIGMA_CACHE)))
-    _SIGMA_CACHE[key] = (X, val)
+    val = compute()
+    if len(cache) >= _CACHE_MAX:
+        cache.pop(next(iter(cache)))
+    cache[key] = (weakref.ref(X), val)
+    # no other live object can take X's id before X's finalizer has run
+    weakref.finalize(X, cache.pop, key, None)
     return val
 
 
+def _cached_sigma_sq(X, Xt):
+    return _cached(_SIGMA_CACHE, X, lambda: _power_iteration_sq(X, Xt, 1e-6, 1000))
+
+
 def _thin_svd(X):
-    key = id(X)
-    hit = _SVD_CACHE.get(key)
-    if hit is not None and hit[0] is X:
-        return hit[1]
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if len(_SVD_CACHE) >= _SVD_CACHE_MAX:
-        _SVD_CACHE.pop(next(iter(_SVD_CACHE)))
-    _SVD_CACHE[key] = (X, (U, s, Vt))
-    return U, s, Vt
+    return _cached(_SVD_CACHE, X, lambda: np.linalg.svd(X, full_matrices=False))
 
 
 def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):

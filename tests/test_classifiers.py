@@ -13,7 +13,13 @@ from repclass.classifiers import (
     compute_sci,
     validate,
 )
-from repclass.dictionary import build_dictionary, build_projector, default_lambda
+from repclass.dictionary import (
+    Dictionary,
+    build_dictionary,
+    build_projector,
+    class_coefficients,
+    default_lambda,
+)
 from repclass.errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
 from repclass.solvers import CodingResult
 from repclass.synthetic import make_subspace_dataset
@@ -211,6 +217,54 @@ def test_src_plain_vs_regularized_variant():
         assert reg.per_class_residuals[lab] == pytest.approx(expect, rel=1e-8)
 
 
+# The per-class residual loops as they stood before they sliced alpha and the
+# dictionary directly; kept verbatim as the oracle the current loops must
+# reproduce bit for bit.
+def _plain_residuals_reference(dictionary, y, alpha):
+    out = {}
+    for lab in dictionary.classes:
+        ai = class_coefficients(dictionary, alpha, lab)
+        out[lab] = float(np.linalg.norm(y - dictionary.class_block(lab) @ ai))
+    return out
+
+
+def _regularized_residuals_reference(dictionary, y, alpha, e=None):
+    target = y if e is None else y - e
+    out = {}
+    for lab in dictionary.classes:
+        ai = class_coefficients(dictionary, alpha, lab)
+        nai = float(np.linalg.norm(ai))
+        if nai < 1e-12:
+            out[lab] = np.inf
+        else:
+            out[lab] = float(np.linalg.norm(target - dictionary.class_block(lab) @ ai)) / nai
+    return out
+
+
+@pytest.mark.parametrize("classifier", ["crc_rls", "src", "rcrc"])
+@pytest.mark.parametrize("variant", ["plain_residual", "regularized_residual"])
+def test_residuals_bit_equal_to_per_class_reference(classifier, variant):
+    d, rng = _toy(20, m=30, per_class=6)
+    lam = default_lambda(d.n)
+    proj = build_projector(d, lam)
+    for _ in range(3):
+        y = rng.standard_normal(d.m)
+        if classifier == "crc_rls":
+            dec = classify_crc_rls(proj, d, y, variant=variant)
+        elif classifier == "src":
+            dec = classify_src(d, y, lam, variant=variant)
+        else:
+            dec = classify_rcrc(d, y, lam, variant=variant)
+        e = dec.coding.residual_vec
+        if variant == "plain_residual":
+            target = y if e is None else y - e
+            ref = _plain_residuals_reference(d, target, dec.coding.alpha)
+        else:
+            ref = _regularized_residuals_reference(d, y, dec.coding.alpha, e=e)
+        assert list(dec.per_class_residuals) == list(ref)
+        assert dec.per_class_residuals == ref
+
+
 # ------------------------------------------------------------------ SCI
 
 def _coding(vec):
@@ -231,6 +285,32 @@ def test_sci_bounds(vals):
     d, _ = _toy(15, per_class=2, classes=("a", "b", "c"))
     sci = compute_sci(d, _coding(vals))
     assert 0.0 <= sci <= 1.0
+
+
+def _sci_reference(dictionary, alpha):
+    total = np.sum(np.abs(alpha))
+    best = max(
+        np.sum(np.abs(alpha[lo:hi])) / total for lo, hi in dictionary.class_ranges.values()
+    )
+    k = dictionary.k
+    return min(1.0, max(0.0, (k * best - 1.0) / (k - 1.0)))
+
+
+def test_sci_matches_per_class_formula():
+    d, rng = _toy(21, per_class=4, classes=("a", "b", "c", "d", "e"))
+    # the same columns with the class ranges listed out of column order, as a
+    # hand-written sidecar may list them
+    shuffled = Dictionary(
+        data=d.data,
+        labels=d.labels,
+        class_ranges={lab: d.class_ranges[lab] for lab in ("c", "a", "e", "b", "d")},
+    )
+    for _ in range(50):
+        alpha = rng.standard_normal(d.n) * rng.uniform(0, 3, size=d.n)
+        alpha[rng.random(d.n) < 0.5] = 0.0
+        for dictionary in (d, shuffled):
+            sci = compute_sci(dictionary, _coding(alpha))
+            assert sci == pytest.approx(_sci_reference(dictionary, alpha), abs=1e-12)
 
 
 def test_sci_single_class_error():

@@ -27,6 +27,34 @@ def test_pca_matches_eigendecomposition_oracle():
         assert dot == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(60, 25), (25, 60), (30, 30)])
+def test_pca_matches_svd_oracle(shape):
+    # D > N takes the Gram eigenproblem, D <= N the scatter matrix; both must
+    # give the leading left singular vectors of the centered data
+    rng = np.random.default_rng(7)
+    data = rng.standard_normal(shape)
+    d = 8
+    model = fit_pca(data, d)
+    U = np.linalg.svd(data - data.mean(axis=1, keepdims=True), full_matrices=False)[0]
+    for j in range(d):
+        assert abs(model.basis[:, j] @ U[:, j]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40), (15, 15)])
+def test_pca_full_rank_request_on_rank_deficient_data(shape):
+    # centering leaves rank min(D, N) - 1 at most, and the low-rank factor
+    # lowers it further; d = min(D, N) still gets an orthonormal basis
+    rng = np.random.default_rng(8)
+    D, N = shape
+    data = rng.standard_normal((D, 5)) @ rng.standard_normal((5, N))
+    d = min(D, N)
+    model = fit_pca(data, d)
+    np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(d), atol=1e-12)
+    for j in range(d):
+        i = int(np.argmax(np.abs(model.basis[:, j])))
+        assert model.basis[i, j] >= 0
+
+
 def test_pca_captures_low_rank_structure_exactly():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((40, 3))

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repclass import harness
 from repclass.degradation import DegradationSpec
 from repclass.errors import ConfigInvalid, MissingPath, MixedImageSizes, OverlappingClasses
 from repclass.harness import (
@@ -156,6 +158,14 @@ def test_run_experiment_report_contents():
     assert total == 16
     # report serializes
     assert json.loads(json.dumps(report.to_json()))["n_not_converged"] == 0
+    env = report.environment
+    assert {"python", "numpy", "platform", "blas", "blas_threads", "cpu_count"} <= set(env)
+    assert set(env["blas_threads"]) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+    }
+    assert env["cpu_count"] == os.cpu_count()
+    # computed once per process
+    assert run_experiment(ExperimentConfig(classifier="nn"), data).environment is env
 
 
 def test_run_experiment_reports_solver_caps():
@@ -265,6 +275,25 @@ def test_run_roc_points_and_auc():
     assert all(0 <= v <= 1 for v in fprs + tprs)
     assert all(b <= a + 1e-12 for a, b in zip(fprs, fprs[1:]))
     assert 0.0 <= roc_auc(points) <= 1.0
+
+
+@pytest.mark.parametrize("classifier", ["rns_l1", "rns_l2", "nn"])
+def test_run_roc_rejects_classifiers_without_sci(classifier, monkeypatch):
+    # rns_* used to crash inside compute_sci and nn scored SCI 0 for every query
+    gallery, customers, imposters = _roc_datasets()
+
+    def no_query(self, y):
+        raise AssertionError("a query ran before the classifier was rejected")
+
+    monkeypatch.setattr(harness._Runner, "classify", no_query)
+    with pytest.raises(ConfigInvalid, match=classifier):
+        run_roc(ExperimentConfig(classifier=classifier), gallery, customers, imposters, [0.5])
+
+
+def test_run_experiment_nn_has_no_sci():
+    data = _small_data(seed=4, n_classes=3, n_train=4, n_test=2)
+    report = run_experiment(ExperimentConfig(classifier="nn"), data)
+    assert [rec["sci"] for rec in report.per_query] == [None] * 6
 
 
 def test_run_roc_rejects_overlapping_classes():

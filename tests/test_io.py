@@ -113,6 +113,55 @@ def test_dictionary_roundtrip(tmp_path):
     assert back.fingerprint == d.fingerprint
 
 
+def _edit_sidecar(path, **changes):
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar.update(changes)
+    sidecar_path.write_text(json.dumps(sidecar))
+
+
+def test_load_dictionary_checks_fingerprint(tmp_path):
+    path = tmp_path / "dict.rpmat"
+    save_dictionary(_dictionary(), path)
+    _edit_sidecar(path, fingerprint="0" * 64)
+    with pytest.raises(FingerprintMismatch, match="dict.rpmat"):
+        load_dictionary(path)
+    # int labels come back as strings, so the fingerprint cannot match
+    rng = np.random.default_rng(2)
+    ints = build_dictionary([(rng.standard_normal(10), i % 3) for i in range(12)])
+    save_dictionary(ints, path)
+    with pytest.raises(FingerprintMismatch, match="dict.rpmat"):
+        load_dictionary(path)
+
+
+def test_load_dictionary_checks_unit_norm_columns(tmp_path):
+    d = _dictionary()
+    path = tmp_path / "dict.rpmat"
+    save_dictionary(d, path)
+    data = d.data.copy()
+    data[:, 4] *= 1.0 + 1e-8
+    write_matrix(path, data)
+    with pytest.raises(MalformedMatrix, match="column 4"):
+        load_dictionary(path)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {"c0": [0, 4], "c1": [5, 8], "c2": [8, 12]},  # gap
+        {"c0": [0, 4], "c1": [3, 8], "c2": [8, 12]},  # overlap
+        {"c0": [0, 4], "c1": [4, 8], "c2": [8, 11]},  # short of n
+        {"c0": [0, 4], "c1": [4, 4], "c2": [4, 12]},  # empty class
+    ],
+)
+def test_load_dictionary_checks_class_ranges_partition(tmp_path, ranges):
+    path = tmp_path / "dict.rpmat"
+    save_dictionary(_dictionary(), path)
+    _edit_sidecar(path, class_ranges=ranges)
+    with pytest.raises(MalformedMatrix, match="partition"):
+        load_dictionary(path)
+
+
 def test_projector_roundtrip_and_reattachment(tmp_path):
     d = _dictionary(3)
     proj = build_projector(d, 0.07)
@@ -137,6 +186,7 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
     [
         ("dictionary", "labels"),
         ("dictionary", "class_ranges"),
+        ("dictionary", "fingerprint"),
         ("projector", "lambda"),
         ("projector", "dictionary_fingerprint"),
     ],

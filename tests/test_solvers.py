@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repclass import solvers
 from repclass.dictionary import build_dictionary, build_projector
 from repclass.errors import (
     BadGrid,
@@ -391,6 +395,41 @@ def test_fista_matches_reference_loop(seed, shape, lam):
     assert res.iterations == it
     assert _rel(res.alpha, alpha) <= 1e-9
     assert res.objective == pytest.approx(obj, rel=1e-9)
+
+
+# ------------------------------------------------------- per-matrix caches
+
+@pytest.mark.parametrize(
+    "cache, solve",
+    [
+        (solvers._SVD_CACHE, lambda X, y: solve_alm_l1res(X, y, 0.1, AlmParams(max_iter=3))),
+        (solvers._SIGMA_CACHE, lambda X, y: solve_fista_l1(X, y, 0.1, FistaParams(max_iter=3))),
+    ],
+    ids=["svd", "sigma"],
+)
+def test_solver_cache_drops_dead_matrices(cache, solve):
+    rng = np.random.default_rng(40)
+    gc.collect()
+    prior = len(cache)
+    X = rng.standard_normal((12, 20))
+    key = id(X)
+    solve(X, rng.standard_normal(12))
+    assert key in cache and len(cache) == min(prior + 1, solvers._CACHE_MAX)
+    alive = weakref.ref(X)
+    del X
+    gc.collect()
+    assert alive() is None
+    assert key not in cache and len(cache) == min(prior, solvers._CACHE_MAX - 1)
+    # the bound holds while the matrices stay alive
+    kept = [rng.standard_normal((12, 20)) for _ in range(solvers._CACHE_MAX + 3)]
+    for X in kept:
+        solve(X, rng.standard_normal(12))
+    assert len(cache) == solvers._CACHE_MAX
+    assert all(id(X) in cache for X in kept[-solvers._CACHE_MAX:])
+    del kept, X
+    gc.collect()
+    # no entry outlives its matrix
+    assert all(ref() is not None for ref, _ in cache.values())
 
 
 # ---------------------------------------------------------------- OMP
