@@ -108,7 +108,7 @@ def _regularized_residuals(dictionary, y, alpha, e=None):
 def classify_src(dictionary, y, lam, params=None, variant="plain_residual"):
     """Sparse-representation classification: l1 coding, per-class residual."""
     y = _check_query(dictionary, y)
-    coding = solve_fista_l1(dictionary.data, y, lam, params or FistaParams())
+    coding = solve_fista_l1(dictionary, y, lam, params or FistaParams())
     if variant == "regularized_residual":
         residuals = _regularized_residuals(dictionary, y, coding.alpha)
     else:
@@ -140,7 +140,7 @@ def classify_rcrc(dictionary, y, lam, params=None, variant="regularized_residual
     ratio residual, so occluded/corrupted pixels do not pollute the fit.
     """
     y = _check_query(dictionary, y)
-    coding = solve_alm_l1res(dictionary.data, y, lam, params or AlmParams())
+    coding = solve_alm_l1res(dictionary, y, lam, params or AlmParams())
     if variant == "plain_residual":
         residuals = _plain_residuals(dictionary, y - coding.residual_vec, coding.alpha)
     else:

@@ -85,7 +85,7 @@ def cmd_classify(args):
     config = ExperimentConfig(classifier=args.classifier, lam=_lambda_arg(args.lam))
     projector = None
     if config.classifier == "crc_rls":
-        projector = io.load_projector(args.dict + ".proj", dictionary)
+        projector = io.load_projector(args.dict + ".proj")
         if projector.lam != config.resolve_lambda(dictionary.n):
             projector = None  # the runner builds one for the requested lambda
     decision = harness._Runner(config, dictionary, projector).classify(y)

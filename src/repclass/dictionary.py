@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +34,24 @@ def normalize_columns(raw):
     return raw / norms
 
 
+def _power_iteration_sq(X, Xt, tol, max_iter):
+    """Largest squared singular value of X, by power iteration on X^T X."""
+    n = X.shape[1]
+    v = np.ones(n) / np.sqrt(n)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = np.dot(Xt, np.dot(X, v))
+        nw = np.sqrt(np.sum(w * w))
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        lam_new = nw
+        if abs(lam_new - lam) <= tol * lam_new:
+            return lam_new
+        lam = lam_new
+    return lam
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """Column-normalized training matrix with contiguous per-class blocks.
@@ -41,6 +60,9 @@ class Dictionary:
     labels: class identifier per column.
     class_ranges: class -> (start, stop) column range; ranges partition the
         columns and classes are stored in first-appearance order.
+
+    data never changes, so the solvers' factors of it (svd, sigma_sq) are
+    computed on first use and kept on the instance, living and dying with it.
     """
 
     data: np.ndarray
@@ -74,6 +96,17 @@ class Dictionary:
     @property
     def fingerprint(self):
         return self._fingerprint
+
+    @cached_property
+    def svd(self):
+        """Thin SVD (U, s, Vt) of data: R-CRC's ridge-projection family."""
+        return np.linalg.svd(self.data, full_matrices=False)
+
+    @cached_property
+    def sigma_sq(self):
+        """Largest squared singular value of data: FISTA's Lipschitz constant."""
+        X = np.ascontiguousarray(self.data)
+        return _power_iteration_sq(X, np.ascontiguousarray(X.T), 1e-6, 1000)
 
     def class_block(self, label):
         if label not in self.class_ranges:
@@ -137,15 +170,12 @@ def class_coefficients(dictionary, alpha, label):
 class Projector:
     """Precomputed ridge projection (X^T X + lambda I)^{-1} X^T.
 
-    source is a convenience back-reference to the dictionary the projector
-    was built from; it is not serialized (the fingerprint ties the two
-    together on disk).
+    dictionary_fingerprint ties it to the dictionary it was built from.
     """
 
     matrix: np.ndarray
     lam: float
     dictionary_fingerprint: str
-    source: "Dictionary | None" = field(default=None, repr=False, compare=False)
 
 
 def build_projector(dictionary, lam):
@@ -161,10 +191,7 @@ def build_projector(dictionary, lam):
     cf = scipy.linalg.cho_factor(gram, lower=True)
     P = scipy.linalg.cho_solve(cf, X.T)
     return Projector(
-        matrix=P,
-        lam=float(lam),
-        dictionary_fingerprint=dictionary.fingerprint,
-        source=dictionary,
+        matrix=P, lam=float(lam), dictionary_fingerprint=dictionary.fingerprint
     )
 
 

@@ -6,7 +6,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .features import fit_pca, project_pca, vectorize_image
 from .io import read_matrix, read_pgm, read_sidecar
-from .solvers import AlmParams, FistaParams, _thin_svd
+from .solvers import AlmParams, FistaParams
 from .synthetic import make_subspace_dataset
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
@@ -95,16 +95,36 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj):
         deg = obj.get("degradation")
+        if deg:
+            deg = degrade_mod.DegradationSpec.from_json(
+                _section(obj, "degradation", degrade_mod.DegradationSpec)
+            )
         return cls(
             classifier=obj.get("classifier", "crc_rls"),
             lam=obj.get("lambda", "auto"),
             feature_dim=obj.get("feature_dim"),
-            degradation=degrade_mod.DegradationSpec.from_json(deg) if deg else None,
+            degradation=deg or None,
             seed=int(obj.get("seed", 0)),
             decision_variant=obj.get("decision_variant", "regularized_residual"),
-            alm=AlmParams(**obj.get("alm", {})),
-            fista=FistaParams(**obj.get("fista", {})),
+            alm=AlmParams(**_section(obj, "alm", AlmParams)),
+            fista=FistaParams(**_section(obj, "fista", FistaParams)),
         )
+
+
+def _section(obj, name, cls):
+    """Nested config object `name`, checked to hold exactly fields of `cls`."""
+    section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigInvalid(f"config section {name!r} is not an object")
+    unknown = set(section) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigInvalid(f"config section {name!r} has unknown key {min(unknown)!r}")
+    missing = {
+        f.name for f in fields(cls) if f.default is f.default_factory is MISSING
+    } - set(section)
+    if missing:
+        raise ConfigInvalid(f"config section {name!r} lacks key {min(missing)!r}")
+    return section
 
 
 @dataclass
@@ -198,22 +218,15 @@ def ingest_dataset(path, layout="class_dirs", train_per_class=None, split_seed=0
     train/test split takes the first train_per_class images per class (all
     "train" when None).
 
-    matrix_file: the harness matrix format with a JSON sidecar holding
-    "labels" and optional "split".
+    matrix_file: a dataset file as save_dataset writes it, read by
+    load_dataset; the provenance names the file.
     """
     path = Path(path)
     if not path.exists():
         raise MissingPath(str(path))
     if layout == "matrix_file":
-        features = read_matrix(path)
-        sidecar = read_sidecar(path, ("labels",))
-        labels = list(sidecar["labels"])
-        split = list(sidecar.get("split", ["train"] * len(labels)))
-        return Dataset(
-            features=features,
-            labels=labels,
-            split=split,
-            provenance={"path": str(path), "layout": "matrix_file"},
+        return replace(
+            load_dataset(path), provenance={"path": str(path), "layout": "matrix_file"}
         )
     if layout != "class_dirs":
         raise ConfigInvalid(f"unknown layout {layout!r}")
@@ -298,9 +311,9 @@ class _Runner:
     """The one map from a classifier name to its decision rule.
 
     Binds the configured classifier to a dictionary and does its offline
-    setup: the CRC-RLS projector (built unless one is passed in) or the
-    R-CRC solver's SVD. build_projector and the classify_* functions are
-    looked up as module globals at call time, so tracing can wrap them.
+    setup: the CRC-RLS projector (built unless one is passed in) or, for
+    R-CRC, the dictionary's SVD. build_projector and the classify_* functions
+    are looked up as module globals at call time, so tracing can wrap them.
     """
 
     def __init__(self, config, dictionary, projector=None):
@@ -311,8 +324,8 @@ class _Runner:
         if config.classifier == "crc_rls" and projector is None:
             self.projector = build_projector(dictionary, self.lam)
         elif config.classifier == "rcrc":
-            # warm the solver's SVD cache: this is the offline projector family
-            _thin_svd(dictionary.data)
+            # the SVD is ALM's projector family: compute it now, as offline time
+            dictionary.svd
 
     def classify(self, y):
         c = self.config
@@ -494,10 +507,15 @@ def bench(configs, data, repetitions=3):
 
     Per-query times exclude dictionary/projector construction, which is
     reported separately as offline time. Accuracy outputs are deterministic
-    across repetitions; timings are averaged over them.
+    across repetitions; timings are averaged over them. Rows are keyed by
+    classifier name, so each config must name a different classifier.
     """
     if repetitions < 3:
         raise ConfigInvalid("need at least 3 repetitions")
+    configs = list(configs)
+    names = [config.classifier for config in configs]
+    if len(set(names)) < len(names):
+        raise ConfigInvalid(f"bench configs must name different classifiers: {names}")
     rows = {}
     for config in configs:
         name = config.classifier
@@ -515,5 +533,5 @@ def bench(configs, data, repetitions=3):
         }
     fastest = min(rows, key=lambda k: rows[k]["mean_query_time"])
     for name, row in rows.items():
-        row["speedup_of_fastest"] = row["mean_query_time"] / rows[fastest]["mean_query_time"]
+        row["slowdown_vs_fastest"] = row["mean_query_time"] / rows[fastest]["mean_query_time"]
     return {"fastest": fastest, "rows": rows}

@@ -6,6 +6,7 @@ CSV.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -33,14 +34,18 @@ def read_matrix(path):
     path = Path(path)
     if not path.exists():
         raise MissingPath(str(path))
-    raw = path.read_bytes()
-    if len(raw) < 24 or raw[:8] != MAGIC:
-        raise MalformedMatrix(f"{path}: bad magic or truncated header")
-    rows, cols = struct.unpack("<QQ", raw[8:24])
-    expected = 24 + rows * cols * 8
-    if len(raw) != expected:
-        raise MalformedMatrix(f"{path}: expected {expected} bytes, got {len(raw)}")
-    return np.frombuffer(raw[24:], dtype="<f8").reshape(rows, cols).copy()
+    with open(path, "rb") as fh:
+        header = fh.read(24)
+        if len(header) < 24 or header[:8] != MAGIC:
+            raise MalformedMatrix(f"{path}: bad magic or truncated header")
+        rows, cols = struct.unpack("<QQ", header[8:])
+        expected = 24 + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise MalformedMatrix(f"{path}: expected {expected} bytes, got {size}")
+        # the payload goes straight into the array, with no bytes copy
+        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    return data.reshape(rows, cols)
 
 
 def read_matrix_csv(path):
@@ -172,7 +177,7 @@ def save_projector(projector, path):
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
 
 
-def load_projector(path, dictionary=None):
+def load_projector(path):
     path = Path(path)
     matrix = read_matrix(path)
     sidecar = read_sidecar(path, ("lambda", "dictionary_fingerprint"))
@@ -180,7 +185,6 @@ def load_projector(path, dictionary=None):
         matrix=matrix,
         lam=float(sidecar["lambda"]),
         dictionary_fingerprint=sidecar["dictionary_fingerprint"],
-        source=dictionary,
     )
 
 

@@ -1,16 +1,14 @@
 """Numerical coders: ridge, l1-residual ALM, l1 proximal gradient, OMP."""
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, Projector
+from .dictionary import Dictionary, _power_iteration_sq
 from .errors import (
     BadGrid,
     BadSparsity,
     DimensionMismatch,
-    FingerprintMismatch,
     NegativeThreshold,
     NonPositiveLambda,
 )
@@ -88,26 +86,8 @@ def _soft_threshold(x, a):
 def solve_rls(X, y, lam=None):
     """Ridge coding: minimize ||y - X a||_2^2 + lam * ||a||_2^2 in closed form.
 
-    X may be a matrix, a Dictionary, or a precomputed Projector (in which
-    case its stored lambda is used and the solve is a single matrix-vector
-    product).
+    X may be a matrix or a Dictionary.
     """
-    if isinstance(X, Projector):
-        P = X.matrix
-        lam = X.lam
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if P.shape[1] != y.shape[0]:
-            raise DimensionMismatch(
-                f"projector expects dimension {P.shape[1]}, got {y.shape[0]}"
-            )
-        alpha = P @ y
-        if X.source is None:
-            raise FingerprintMismatch(
-                "projector carries no source dictionary; pass the matrix instead"
-            )
-        r = y - X.source.data @ alpha
-        obj = float(r @ r + lam * alpha @ alpha)
-        return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
     if lam is None or lam <= 0:
@@ -118,38 +98,6 @@ def solve_rls(X, y, lam=None):
     r = y - Xm @ alpha
     obj = float(r @ r + lam * alpha @ alpha)
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
-
-
-# Per-matrix caches: the thin SVD for the ALM ridge-projection family and the
-# squared spectral norm for FISTA's step, shared by the queries on one matrix.
-# An entry is keyed by id() and holds only a weak reference to its matrix; it
-# is dropped when the matrix is collected, so a cache never keeps a dead
-# dictionary (or its factors) alive, and it holds at most _CACHE_MAX entries.
-_SVD_CACHE: dict = {}
-_SIGMA_CACHE: dict = {}
-_CACHE_MAX = 8
-
-
-def _cached(cache, X, compute):
-    key = id(X)
-    hit = cache.get(key)
-    if hit is not None and hit[0]() is X:
-        return hit[1]
-    val = compute()
-    if len(cache) >= _CACHE_MAX:
-        cache.pop(next(iter(cache)))
-    cache[key] = (weakref.ref(X), val)
-    # no other live object can take X's id before X's finalizer has run
-    weakref.finalize(X, cache.pop, key, None)
-    return val
-
-
-def _cached_sigma_sq(X, Xt):
-    return _cached(_SIGMA_CACHE, X, lambda: _power_iteration_sq(X, Xt, 1e-6, 1000))
-
-
-def _thin_svd(X):
-    return _cached(_SVD_CACHE, X, lambda: np.linalg.svd(X, full_matrices=False))
 
 
 def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
@@ -226,8 +174,8 @@ def solve_alm_l1res(X, y, lam, params=None):
 
     Alternates closed-form ridge updates of a, shrinkage updates of e, and
     multiplier ascent under a geometrically growing penalty. The per-penalty
-    ridge projections are applied through one cached SVD of X, shared across
-    queries on the same matrix.
+    ridge projections are applied through one thin SVD of X: the one a
+    Dictionary keeps (X.svd), or for a bare matrix one computed on this call.
     """
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
@@ -235,7 +183,10 @@ def solve_alm_l1res(X, y, lam, params=None):
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
     if params is None:
         params = AlmParams()
-    U, s, Vt = _thin_svd(Xm)
+    if isinstance(X, Dictionary):
+        U, s, Vt = X.svd
+    else:
+        U, s, Vt = np.linalg.svd(Xm, full_matrices=False)
     alpha, e, z, it, converged = _alm_l1res(
         U, s, Vt, Xm, y, float(lam),
         params.mu0, params.rho, params.mu_max, params.tol,
@@ -298,30 +249,13 @@ def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
     return alpha, obj, it, converged
 
 
-def _power_iteration_sq(X, Xt, tol, max_iter):
-    """Largest squared singular value of X, by power iteration on X^T X."""
-    n = X.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = np.dot(Xt, np.dot(X, v))
-        nw = np.sqrt(np.sum(w * w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = nw
-        if abs(lam_new - lam) <= tol * lam_new:
-            return lam_new
-        lam = lam_new
-    return lam
-
-
 def solve_fista_l1(X, y, lam, params=None):
     """l1-regularized coding: minimize ||y - X a||_2^2 + lam * ||a||_1.
 
     Accelerated proximal gradient with step 1/L (L = Lipschitz constant of
     the smooth gradient, from power iteration) and momentum restart on
-    objective increase.
+    objective increase. A Dictionary keeps its constant (X.sigma_sq); for a
+    bare matrix it is computed on this call.
     """
     Xm = np.ascontiguousarray(_as_matrix(X))
     y = _check_dims(Xm, y)
@@ -330,12 +264,19 @@ def solve_fista_l1(X, y, lam, params=None):
     if params is None:
         params = FistaParams()
     Xt = np.ascontiguousarray(Xm.T)
-    sigma_sq = _cached_sigma_sq(Xm, Xt)
+    if isinstance(X, Dictionary):
+        sigma_sq = X.sigma_sq
+    else:
+        sigma_sq = _power_iteration_sq(Xm, Xt, 1e-6, 1000)
+    return _fista_coding(Xm, Xt, y, lam, sigma_sq, params)
+
+
+def _fista_coding(X, Xt, y, lam, sigma_sq, params):
+    """FISTA's CodingResult given X, its C-contiguous transpose and sigma_sq."""
     if sigma_sq == 0.0:
-        return CodingResult(alpha=np.zeros(Xm.shape[1]), objective=float(y @ y))
-    step = 1.0 / (2.0 * sigma_sq)
+        return CodingResult(alpha=np.zeros(X.shape[1]), objective=float(y @ y))
     alpha, obj, it, converged = _fista_l1(
-        Xm, Xt, y, float(lam), step, params.tol, params.max_iter
+        X, Xt, y, float(lam), 1.0 / (2.0 * sigma_sq), params.tol, params.max_iter
     )
     return CodingResult(
         alpha=alpha, objective=float(obj), iterations=int(it), converged=bool(converged)
@@ -400,11 +341,16 @@ def solve_constrained_lp(X, y, p, grid):
     pairs = [(0.0, ynorm)]
     alpha_ls, *_ = np.linalg.lstsq(Xm, y, rcond=None)
     pairs.append(_pair(Xm, y, alpha_ls, p))
+    if p == 1:
+        # every lambda of the sweep shares one FISTA step
+        Xc = np.ascontiguousarray(Xm)
+        Xt = np.ascontiguousarray(Xc.T)
+        sigma_sq = _power_iteration_sq(Xc, Xt, 1e-6, 1000)
     for lam in np.logspace(-6, 3, 60):
         if p == 2:
             alpha = solve_rls(Xm, y, lam).alpha
         else:
-            alpha = solve_fista_l1(Xm, y, lam).alpha
+            alpha = _fista_coding(Xc, Xt, y, lam, sigma_sq, FistaParams()).alpha
         pairs.append(_pair(Xm, y, alpha, p))
     out = []
     for eps in grid:

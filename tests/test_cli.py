@@ -72,7 +72,7 @@ def test_classify_matches_harness_runner(trained, classifier, capsys):
     out = json.loads(capsys.readouterr().out)
 
     d = load_dictionary(dict_path)
-    proj = load_projector(dict_path + ".proj", d) if classifier == "crc_rls" else None
+    proj = load_projector(dict_path + ".proj") if classifier == "crc_rls" else None
     config = harness.ExperimentConfig(classifier=classifier)
     decision = harness._Runner(config, d, proj).classify(query)
     assert out["predicted"] == str(decision.predicted)
@@ -152,6 +152,27 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
     assert report["config"]["classifier"] == "crc_rls"
     assert report["config"]["lambda"] == 0.5
     assert report["config"]["alm"]["mu0"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "overrides, words",
+    [
+        (["--set", "alm.foo=1"], ("alm", "foo")),
+        (["--set", "degradation.kind=pixel_corruption", "--set", "degradation.seed=1"],
+         ("degradation", "fraction")),
+    ],
+    ids=["unknown-alm-key", "degradation-without-fraction"],
+)
+def test_experiment_malformed_config_section_is_json_error(
+    dataset, overrides, words, capsys
+):
+    rc = main(["experiment", "--data", dataset, *overrides])
+    assert rc == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "ConfigInvalid"
+    assert all(repr(word) in err["message"] for word in words)
 
 
 def test_sweep_csv(dataset, tmp_path):

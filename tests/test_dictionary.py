@@ -116,7 +116,6 @@ def test_projector_matches_direct_inverse():
     direct = np.linalg.inv(X.T @ X + lam * np.eye(d.n)) @ X.T
     np.testing.assert_allclose(proj.matrix, direct, rtol=1e-10, atol=1e-12)
     assert proj.dictionary_fingerprint == d.fingerprint
-    assert proj.source is d
 
 
 def test_projector_rejects_bad_lambda():

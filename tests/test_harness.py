@@ -74,6 +74,18 @@ def test_ingest_matrix_file(tmp_path):
     np.testing.assert_array_equal(data.features, M)
     assert data.labels == sidecar["labels"]
     assert data.split == sidecar["split"]
+    assert data.provenance == {"path": str(p), "layout": "matrix_file"}
+
+
+def test_ingest_matrix_file_keeps_image_shape(tmp_path):
+    data = _small_data(seed=2, ambient_dim=12)
+    data.image_shape = (4, 3)
+    p = tmp_path / "data.rpmat"
+    save_dataset(data, p)
+    back = ingest_dataset(p, layout="matrix_file")
+    assert back.image_shape == (4, 3)
+    np.testing.assert_array_equal(back.features, data.features)
+    assert back.provenance == {"path": str(p), "layout": "matrix_file"}
 
 
 def test_ingest_class_dirs(tmp_path):
@@ -117,6 +129,14 @@ def test_config_validation():
         ExperimentConfig(lam=-0.5)
     with pytest.raises(ConfigInvalid):
         ExperimentConfig(decision_variant="softmax")
+    for obj, match in [
+        ({"alm": {"foo": 1}}, "'alm' has unknown key 'foo'"),
+        ({"fista": 3}, "'fista' is not an object"),
+        ({"degradation": {"kind": "pixel_corruption", "seed": 1}},
+         "'degradation' lacks key 'fraction'"),
+    ]:
+        with pytest.raises(ConfigInvalid, match=match):
+            ExperimentConfig.from_json(obj)
 
 
 def test_config_json_roundtrip():
@@ -318,6 +338,15 @@ def test_bench_table():
     assert set(table["rows"]) == {"crc_rls", "nn"}
     assert table["fastest"] in table["rows"]
     for row in table["rows"].values():
-        assert row["speedup_of_fastest"] >= 1.0 - 1e-12
+        assert row["slowdown_vs_fastest"] >= 1.0 - 1e-12
     with pytest.raises(ConfigInvalid):
         bench(configs, data, repetitions=2)
+
+
+def test_bench_rejects_configs_sharing_a_classifier(monkeypatch):
+    data = _small_data(seed=14, n_classes=3, n_train=4, n_test=2)
+    monkeypatch.setattr(harness, "run_experiment", None)  # no run may start
+    configs = [ExperimentConfig(lam=0.01), ExperimentConfig(classifier="nn"),
+               ExperimentConfig(lam=0.1)]
+    with pytest.raises(ConfigInvalid, match="'crc_rls'"):
+        bench(configs, data, repetitions=3)

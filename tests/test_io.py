@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from repclass.classifiers import classify_crc_rls
 from repclass.dictionary import build_dictionary, build_projector
 from repclass.errors import FingerprintMismatch, MalformedMatrix, MissingPath
 from repclass.features import fit_pca, project_pca
@@ -52,9 +53,11 @@ def test_read_matrix_error_cases(tmp_path):
         read_matrix(bad)
     trunc = tmp_path / "trunc.rpmat"
     write_matrix(trunc, np.ones((4, 4)))
-    trunc.write_bytes(trunc.read_bytes()[:-8])
-    with pytest.raises(MalformedMatrix):
-        read_matrix(trunc)
+    full = trunc.read_bytes()
+    for raw in (full[:-8], full + b"\x00", full[:20]):  # short, trailing, header
+        trunc.write_bytes(raw)
+        with pytest.raises(MalformedMatrix):
+            read_matrix(trunc)
 
 
 def test_read_matrix_csv(tmp_path):
@@ -167,18 +170,17 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
     proj = build_projector(d, 0.07)
     save_projector(proj, tmp_path / "proj.rpmat")
 
-    detached = load_projector(tmp_path / "proj.rpmat")
-    np.testing.assert_array_equal(detached.matrix, proj.matrix)
-    assert detached.lam == proj.lam
-    assert detached.dictionary_fingerprint == d.fingerprint
-    assert detached.source is None
-    with pytest.raises(FingerprintMismatch):
-        solve_rls(detached, np.zeros(10))
+    loaded = load_projector(tmp_path / "proj.rpmat")
+    np.testing.assert_array_equal(loaded.matrix, proj.matrix)
+    assert loaded.lam == proj.lam
+    assert loaded.dictionary_fingerprint == d.fingerprint
 
-    attached = load_projector(tmp_path / "proj.rpmat", dictionary=d)
-    res = solve_rls(attached, np.ones(10))
+    # a loaded projector reattaches to its dictionary by fingerprint only
+    res = classify_crc_rls(loaded, d, np.ones(10))
     ref = solve_rls(d.data, np.ones(10), 0.07)
-    np.testing.assert_allclose(res.alpha, ref.alpha, rtol=1e-12)
+    np.testing.assert_allclose(res.coding.alpha, ref.alpha, rtol=1e-12)
+    with pytest.raises(FingerprintMismatch):
+        classify_crc_rls(loaded, _dictionary(4), np.ones(10))
 
 
 @pytest.mark.parametrize(

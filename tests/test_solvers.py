@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repclass import dictionary as dictionary_mod
 from repclass import solvers
-from repclass.dictionary import build_dictionary, build_projector
+from repclass.classifiers import classify_rcrc, classify_src
+from repclass.dictionary import build_dictionary
 from repclass.errors import (
     BadGrid,
     BadSparsity,
     DimensionMismatch,
-    FingerprintMismatch,
     NegativeThreshold,
     NonPositiveLambda,
 )
@@ -78,31 +79,6 @@ def test_solve_rls_matches_normal_equations():
         np.testing.assert_allclose(res.alpha, ref, rtol=1e-10, atol=1e-12)
         r = y - X @ ref
         assert res.objective == pytest.approx(r @ r + lam * ref @ ref, rel=1e-10)
-
-
-def test_solve_rls_via_projector_matches_matrix_path():
-    rng = np.random.default_rng(12)
-    samples = [(rng.standard_normal(10), f"c{i % 3}") for i in range(9)]
-    d = build_dictionary(samples)
-    proj = build_projector(d, 0.02)
-    y = rng.standard_normal(10)
-    a = solve_rls(proj, y)
-    b = solve_rls(d.data, y, 0.02)
-    np.testing.assert_allclose(a.alpha, b.alpha, rtol=1e-10)
-    assert a.objective == pytest.approx(b.objective, rel=1e-10)
-
-
-def test_solve_rls_projector_without_source():
-    rng = np.random.default_rng(13)
-    samples = [(rng.standard_normal(8), "a") for _ in range(4)]
-    d = build_dictionary(samples)
-    proj = build_projector(d, 0.1)
-    orphan = type(proj)(
-        matrix=proj.matrix, lam=proj.lam,
-        dictionary_fingerprint=proj.dictionary_fingerprint,
-    )
-    with pytest.raises(FingerprintMismatch):
-        solve_rls(orphan, rng.standard_normal(8))
 
 
 def test_solve_rls_validation():
@@ -397,39 +373,76 @@ def test_fista_matches_reference_loop(seed, shape, lam):
     assert res.objective == pytest.approx(obj, rel=1e-9)
 
 
-# ------------------------------------------------------- per-matrix caches
+# ------------------------------------------------- per-dictionary factors
+
+def _factor_counts(monkeypatch):
+    """Count the thin SVDs and power iterations run from here on."""
+    counts = {"svd": 0, "power": 0}
+    svd, power = np.linalg.svd, dictionary_mod._power_iteration_sq
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_power(*args):
+        counts["power"] += 1
+        return power(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(dictionary_mod, "_power_iteration_sq", counted_power)
+    monkeypatch.setattr(solvers, "_power_iteration_sq", counted_power)
+    return counts
+
+
+def _factor_dictionary(seed):
+    rng = np.random.default_rng(seed)
+    d = build_dictionary([(rng.standard_normal(12), f"c{i % 3}") for i in range(9)])
+    return d, [rng.standard_normal(12) for _ in range(2)]
+
+
+def test_dictionary_factors_equal_direct_computation():
+    d, _ = _factor_dictionary(41)
+    for got, ref in zip(d.svd, np.linalg.svd(d.data, full_matrices=False)):
+        np.testing.assert_array_equal(got, ref)
+    Xt = np.ascontiguousarray(d.data.T)
+    assert d.sigma_sq == _power_iteration_sq(d.data, Xt, 1e-6, 1000)
+
 
 @pytest.mark.parametrize(
-    "cache, solve",
+    "classify, factor",
     [
-        (solvers._SVD_CACHE, lambda X, y: solve_alm_l1res(X, y, 0.1, AlmParams(max_iter=3))),
-        (solvers._SIGMA_CACHE, lambda X, y: solve_fista_l1(X, y, 0.1, FistaParams(max_iter=3))),
+        (lambda d, y: classify_rcrc(d, y, 0.1, AlmParams(max_iter=3)), "svd"),
+        (lambda d, y: classify_src(d, y, 0.1, FistaParams(max_iter=3)), "power"),
     ],
-    ids=["svd", "sigma"],
+    ids=["rcrc-svd", "src-sigma"],
 )
-def test_solver_cache_drops_dead_matrices(cache, solve):
-    rng = np.random.default_rng(40)
-    gc.collect()
-    prior = len(cache)
-    X = rng.standard_normal((12, 20))
-    key = id(X)
-    solve(X, rng.standard_normal(12))
-    assert key in cache and len(cache) == min(prior + 1, solvers._CACHE_MAX)
-    alive = weakref.ref(X)
-    del X
+def test_dictionary_factor_computed_once_and_freed(classify, factor, monkeypatch):
+    d, queries = _factor_dictionary(42)
+    counts = _factor_counts(monkeypatch)
+    for y in queries:
+        classify(d, y)
+    assert counts == {"svd": 0, "power": 0, factor: 1}
+    alive = weakref.ref(d)
+    del d
     gc.collect()
     assert alive() is None
-    assert key not in cache and len(cache) == min(prior, solvers._CACHE_MAX - 1)
-    # the bound holds while the matrices stay alive
-    kept = [rng.standard_normal((12, 20)) for _ in range(solvers._CACHE_MAX + 3)]
-    for X in kept:
-        solve(X, rng.standard_normal(12))
-    assert len(cache) == solvers._CACHE_MAX
-    assert all(id(X) in cache for X in kept[-solvers._CACHE_MAX:])
-    del kept, X
-    gc.collect()
-    # no entry outlives its matrix
-    assert all(ref() is not None for ref, _ in cache.values())
+
+
+def test_bare_matrix_factored_on_every_call(monkeypatch):
+    d, queries = _factor_dictionary(43)
+    counts = _factor_counts(monkeypatch)
+    for y in queries:
+        solve_alm_l1res(d.data, y, 0.1, AlmParams(max_iter=3))
+        solve_fista_l1(d.data, y, 0.1, FistaParams(max_iter=3))
+    assert counts == {"svd": 2, "power": 2}
+
+
+def test_constrained_lp_l1_sweep_runs_one_power_iteration(monkeypatch):
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((10, 6))
+    counts = _factor_counts(monkeypatch)
+    solve_constrained_lp(X, rng.standard_normal(10), 1, [0.1, 1.0])
+    assert counts["power"] == 1
 
 
 # ---------------------------------------------------------------- OMP
