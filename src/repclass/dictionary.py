@@ -61,8 +61,8 @@ class Dictionary:
     class_ranges: class -> (start, stop) column range; ranges partition the
         columns and classes are stored in first-appearance order.
 
-    data never changes, so the solvers' factors of it (svd, sigma_sq) are
-    computed on first use and kept on the instance, living and dying with it.
+    data never changes, so FISTA's factor of it (sigma_sq) is computed on
+    first use and kept on the instance, living and dying with it.
     """
 
     data: np.ndarray
@@ -96,11 +96,6 @@ class Dictionary:
     @property
     def fingerprint(self):
         return self._fingerprint
-
-    @cached_property
-    def svd(self):
-        """Thin SVD (U, s, Vt) of data: R-CRC's ridge-projection family."""
-        return np.linalg.svd(self.data, full_matrices=False)
 
     @cached_property
     def sigma_sq(self):

@@ -24,6 +24,7 @@ from .classifiers import (
 from .dictionary import build_dictionary, build_projector, default_lambda
 from .errors import (
     ConfigInvalid,
+    MalformedMatrix,
     MissingPath,
     MixedImageSizes,
     OverlappingClasses,
@@ -181,16 +182,21 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
+    """Read a dataset file; MalformedMatrix names a sidecar list of wrong length."""
     path = Path(path)
     features = read_matrix(path)
     sidecar = read_sidecar(path, ("labels",))
+    n = features.shape[1]
+    lists = {"labels": sidecar["labels"], "split": sidecar.get("split", ["train"] * n)}
+    for key, values in lists.items():
+        if not isinstance(values, list) or len(values) != n:
+            raise MalformedMatrix(f"{path}: sidecar {key!r} needs {n} entries, one per column")
     shape = sidecar.get("image_shape")
     return Dataset(
         features=features,
-        labels=list(sidecar["labels"]),
-        split=list(sidecar.get("split", ["train"] * features.shape[1])),
         provenance=sidecar.get("provenance", {}),
         image_shape=tuple(shape) if shape else None,
+        **lists,
     )
 
 
@@ -210,7 +216,7 @@ def _environment_stamp():
     }
 
 
-def ingest_dataset(path, layout="class_dirs", train_per_class=None, split_seed=0):
+def ingest_dataset(path, layout="class_dirs", train_per_class=None):
     """Load a dataset from class subdirectories of PGM images or a matrix file.
 
     class_dirs: one subdirectory per class of same-size P5 images, vectorized
@@ -311,9 +317,9 @@ class _Runner:
     """The one map from a classifier name to its decision rule.
 
     Binds the configured classifier to a dictionary and does its offline
-    setup: the CRC-RLS projector (built unless one is passed in) or, for
-    R-CRC, the dictionary's SVD. build_projector and the classify_* functions
-    are looked up as module globals at call time, so tracing can wrap them.
+    setup: the CRC-RLS projector, built unless one is passed in.
+    build_projector and the classify_* functions are looked up as module
+    globals at call time, so tracing can wrap them.
     """
 
     def __init__(self, config, dictionary, projector=None):
@@ -323,9 +329,6 @@ class _Runner:
         self.projector = projector
         if config.classifier == "crc_rls" and projector is None:
             self.projector = build_projector(dictionary, self.lam)
-        elif config.classifier == "rcrc":
-            # the SVD is ALM's projector family: compute it now, as offline time
-            dictionary.svd
 
     def classify(self, y):
         c = self.config

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dictionary import Dictionary, _power_iteration_sq
 from .errors import (
@@ -33,6 +34,8 @@ class CodingResult:
 
 @dataclass(frozen=True)
 class AlmParams:
+    """ALM settings; inner_max caps the semismooth Newton steps per multiplier step."""
+
     mu0: float = 1.0
     rho: float = 1.2
     tol: float = 1e-6
@@ -100,30 +103,26 @@ def solve_rls(X, y, lam=None):
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
 
 
-def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
+def _alm_l1res(X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
     """Augmented-Lagrangian loop for min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
 
-    U, s, Vt is the thin SVD of X; the ridge-projection step
-    a = (X^T X + c I)^{-1} X^T w is applied as Vt^T diag(s/(s^2+c)) U^T w,
-    which realizes the precomputed per-penalty projection family without
-    materializing one matrix per penalty value.
-
-    The inner loop carries the SVD coordinates t = diag(s/(s^2+c)) U^T w of
-    the code instead of the code itself: a = Vt^T t, X a = U (s * t), and
-    ||a|| = ||t|| because Vt has orthonormal rows. Each inner step therefore
-    costs two m x r products and no n-vector; a is formed once per
-    multiplier step, for the stationarity test.
-
-    Each multiplier step minimizes the augmented Lagrangian by alternating
-    (a, e) updates; the inner loop exits once mu*||de|| is small, which
-    bounds the stationarity error 2*lam*a - X^T z of the outer iterate.
-    The penalty is capped so the late iterations retain contraction (an
-    unbounded schedule freezes the primal iterate off the optimum).
+    Each multiplier step minimizes the augmented Lagrangian exactly: with
+    w0 = y + z/mu and e = shrink(w0 - X a, 1/mu) minimized out, it is
+    phi(a) = lam*||a||^2 + sum H(r), r = w0 - X a, c = clip(r, +-1/mu) and
+    the Huber function H(r) = mu*c^2/2 + |r - c|. Semismooth Newton (Li, Sun
+    & Toh, SIAM J. Optim. 2018) solves it from the previous step's a, with
+    gradient 2*lam*a - mu*X^T c, Hessian 2*lam*I + mu*X_S^T X_S over the rows
+    S with |r| < 1/mu, and Armijo backtracking, for at most inner_max steps.
+    It stops on a negligible step, or on a full step that leaves every row on
+    its Huber piece (that step solved phi exactly). Then z = mu*c lies in the
+    dual box and 2*lam*a - X^T z is phi's gradient, zero up to rounding. The
+    outer test's change is the move of (a, e) over the multiplier step. The
+    penalty is capped so the late iterations retain contraction (an unbounded
+    schedule freezes the primal iterate off the optimum).
     """
     m = y.shape[0]
     n = X.shape[1]
     alpha = np.zeros(n)
-    t = np.zeros(s.shape[0])
     e = np.zeros(m)
     z = np.zeros(m)
     mu = mu0
@@ -133,24 +132,43 @@ def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
     converged = False
     it = 0
     xa = np.zeros(m)
+    ridge = 2.0 * lam * np.eye(n)
     while it < max_iter:
         it += 1
         inv_mu = 1.0 / mu
         w0 = y + z * inv_mu
-        d = s / (s * s + 2.0 * lam * inv_mu)
+        alpha_prev, e_prev = alpha, e
+        r = w0 - xa
+        c = np.clip(r, -inv_mu, inv_mu)
+        phi = lam * (alpha @ alpha) + 0.5 * mu * (c @ c) + np.sum(np.abs(r - c))
+        piece = np.sign(r) * (np.abs(r) >= inv_mu)  # each row's Huber piece
         for _ in range(inner_max):
-            t_prev, e_prev = t, e
-            t = d * (U.T @ (w0 - e))
-            xa = U @ (s * t)
-            v = w0 - xa
-            e = _soft_threshold(v, inv_mu)
-            de = e - e_prev
-            de_sq = de @ de
-            if mu * np.sqrt(de_sq) <= 10.0 * tol * (1.0 + np.sqrt(t @ t)):
+            g = 2.0 * lam * alpha - mu * (X.T @ c)
+            Xs = X[piece == 0]
+            d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridge + mu * (Xs.T @ Xs)), g)
+            slope = g @ d
+            xd = X @ d
+            step = 1.0
+            while step > 1e-10:
+                a_new = alpha + step * d
+                r_new = r - step * xd
+                c = np.clip(r_new, -inv_mu, inv_mu)
+                phi_new = lam * (a_new @ a_new) + 0.5 * mu * (c @ c) + np.sum(np.abs(r_new - c))
+                if phi_new <= phi + 1e-4 * step * slope:
+                    break
+                step *= 0.5
+            else:
                 break
-        dt = t - t_prev
-        change = np.sqrt(dt @ dt + de_sq)
-        alpha = Vt.T @ t
+            alpha, r, phi = a_new, r_new, phi_new
+            # a full step that keeps every row on its Huber piece solved phi exactly
+            stay, piece = piece, np.sign(r) * (np.abs(r) >= inv_mu)
+            if step == 1.0 and np.array_equal(stay, piece):
+                break
+            if step * np.sqrt(d @ d) <= 1e-4 * tol * (1.0 + np.sqrt(alpha @ alpha)):
+                break
+        xa = X @ alpha
+        e = _soft_threshold(w0 - xa, inv_mu)
+        change = np.sqrt(np.sum((alpha - alpha_prev) ** 2) + np.sum((e - e_prev) ** 2))
         gap = y - xa - e
         z = z + mu * gap
         grad = 2.0 * lam * alpha - X.T @ z
@@ -172,10 +190,10 @@ def _alm_l1res(U, s, Vt, X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
 def solve_alm_l1res(X, y, lam, params=None):
     """l1-residual ridge coding: min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
 
-    Alternates closed-form ridge updates of a, shrinkage updates of e, and
-    multiplier ascent under a geometrically growing penalty. The per-penalty
-    ridge projections are applied through one thin SVD of X: the one a
-    Dictionary keeps (X.svd), or for a bare matrix one computed on this call.
+    Method of multipliers under a geometrically growing penalty; each
+    multiplier step's subproblem in a is solved exactly by semismooth Newton
+    (see _alm_l1res), with shrinkage giving e. No factorization of X is kept:
+    each Newton step factors its own n x n system.
     """
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
@@ -183,12 +201,8 @@ def solve_alm_l1res(X, y, lam, params=None):
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
     if params is None:
         params = AlmParams()
-    if isinstance(X, Dictionary):
-        U, s, Vt = X.svd
-    else:
-        U, s, Vt = np.linalg.svd(Xm, full_matrices=False)
     alpha, e, z, it, converged = _alm_l1res(
-        U, s, Vt, Xm, y, float(lam),
+        Xm, y, float(lam),
         params.mu0, params.rho, params.mu_max, params.tol,
         params.max_iter, params.inner_max,
     )

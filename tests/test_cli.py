@@ -124,6 +124,21 @@ def test_classify_malformed_sidecar_is_json_error(trained, capsys):
     assert "class_ranges" in err["message"]
 
 
+def test_experiment_short_labels_sidecar_is_json_error(dataset, tmp_path, capsys):
+    sidecar_path = Path(dataset + ".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["labels"] = sidecar["labels"][:-1]
+    sidecar_path.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    rc = main(["experiment", "--data", dataset, "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "MalformedMatrix"
+    assert "'labels'" in err["message"]
+
+
 def test_experiment_and_log(dataset, tmp_path):
     out = tmp_path / "report.json"
     log = tmp_path / "queries.jsonl"

@@ -6,7 +6,13 @@ import pytest
 
 from repclass import harness
 from repclass.degradation import DegradationSpec
-from repclass.errors import ConfigInvalid, MissingPath, MixedImageSizes, OverlappingClasses
+from repclass.errors import (
+    ConfigInvalid,
+    MalformedMatrix,
+    MissingPath,
+    MixedImageSizes,
+    OverlappingClasses,
+)
 from repclass.harness import (
     Dataset,
     ExperimentConfig,
@@ -61,6 +67,22 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert back.labels == data.labels
     assert back.split == data.split
     assert back.provenance == data.provenance
+
+
+@pytest.mark.parametrize(
+    "sidecar, key",
+    [
+        ({"labels": ["a"] * 5}, "labels"),
+        ({"labels": ["a"] * 6, "split": ["train"] * 7}, "split"),
+    ],
+    ids=["short-labels", "long-split"],
+)
+def test_load_dataset_rejects_sidecar_list_length(tmp_path, sidecar, key):
+    p = tmp_path / "feats.rpmat"
+    write_matrix(p, np.ones((4, 6)))
+    p.with_suffix(p.suffix + ".json").write_text(json.dumps(sidecar))
+    with pytest.raises(MalformedMatrix, match=repr(key)):
+        load_dataset(p)
 
 
 def test_ingest_matrix_file(tmp_path):
