@@ -6,15 +6,13 @@ baselines, plus the supporting analyses and a batch experiment harness.
 """
 
 from .classifiers import (
+    CLASSIFIERS,
+    SCI_CLASSIFIERS,
     Decision,
+    Model,
     ValidationOutcome,
-    classify_crc_rls,
-    classify_nn,
-    classify_ns,
-    classify_rcrc,
-    classify_rns,
-    classify_src,
     compute_sci,
+    fit,
     validate,
 )
 from .dictionary import (
@@ -41,26 +39,24 @@ from .solvers import (
 )
 
 __all__ = [
+    "CLASSIFIERS",
+    "SCI_CLASSIFIERS",
     "AlmParams",
     "CodingResult",
     "Decision",
     "Dictionary",
     "FistaParams",
+    "Model",
     "PcaModel",
     "Projector",
     "ValidationOutcome",
     "build_dictionary",
     "build_projector",
     "class_coefficients",
-    "classify_crc_rls",
-    "classify_nn",
-    "classify_ns",
-    "classify_rcrc",
-    "classify_rns",
-    "classify_src",
     "compute_sci",
     "default_lambda",
     "enroll",
+    "fit",
     "fit_pca",
     "normalize_columns",
     "project_pca",

@@ -1,7 +1,8 @@
 """Classification rules built on the coders.
 
-All rules produce a Decision: per-class scores plus the argmin label, with
-ties broken toward the earliest class block in the dictionary.
+fit(dictionary, config) binds one of CLASSIFIERS to a dictionary; its
+Model.decide(y) produces a Decision: per-class scores plus the argmin label,
+with ties broken toward the earliest class block in the dictionary.
 """
 
 import math
@@ -9,17 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dictionary import Dictionary, Projector, build_projector
 from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
-from .solvers import (
-    AlmParams,
-    CodingResult,
-    FistaParams,
-    solve_alm_l1res,
-    solve_fista_l1,
-    solve_rls,
-)
+from .solvers import CodingResult, solve_alm_l1res, solve_fista_l1, solve_rls
 
 _ZERO_COEF_TOL = 1e-12
+
+
+CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
+# classifiers whose code covers the whole dictionary, so SCI is defined for
+# it; rns_* code each class on its own and nn codes nothing
+SCI_CLASSIFIERS = ("src", "crc_rls", "rcrc", "ns")
 
 
 @dataclass
@@ -27,7 +28,6 @@ class Decision:
     predicted: object
     per_class_residuals: dict
     coding: CodingResult
-    sci: float | None = None
     degenerate: bool = False
 
 
@@ -38,7 +38,7 @@ class ValidationOutcome:
     threshold: float
 
 
-def _argmin_decision(dictionary, residuals, coding, sci=None, degenerate=False):
+def _argmin_decision(dictionary, residuals, coding):
     # dict preserves class-range order, so min() on items keeps the earliest
     # class on ties only if we scan explicitly.
     best = None
@@ -48,16 +48,9 @@ def _argmin_decision(dictionary, residuals, coding, sci=None, degenerate=False):
         if r < best_r:
             best_r = r
             best = lab
-    if best is None:
-        best = dictionary.classes[0]
-        degenerate = True
-    return Decision(
-        predicted=best,
-        per_class_residuals=residuals,
-        coding=coding,
-        sci=sci,
-        degenerate=degenerate,
-    )
+    if best is None:  # no finite score: every class block coded to zero
+        return Decision(dictionary.classes[0], residuals, coding, degenerate=True)
+    return Decision(best, residuals, coding)
 
 
 def _check_query(dictionary, y):
@@ -71,129 +64,104 @@ def _check_query(dictionary, y):
     return y
 
 
-def _check_code(dictionary, alpha):
-    if alpha.shape[0] != dictionary.n:
-        raise DimensionMismatch(
-            f"alpha has length {alpha.shape[0]}, dictionary has {dictionary.n} columns"
-        )
-
-
-def _plain_residuals(dictionary, y, alpha):
-    _check_code(dictionary, alpha)
-    X = dictionary.data
-    out = {}
-    for lab, (lo, hi) in dictionary.class_ranges.items():
-        r = y - X[:, lo:hi] @ alpha[lo:hi]
-        out[lab] = math.sqrt(r @ r)
-    return out
-
-
-def _regularized_residuals(dictionary, y, alpha, e=None):
-    """Ratio residuals ||y - X_i a_i (- e)||_2 / ||a_i||_2 with a zero guard."""
-    _check_code(dictionary, alpha)
-    target = y if e is None else y - e
+def _class_residuals(dictionary, target, alpha, variant):
+    """Per-class ||target - X_i a_i||_2; the regularized variant divides it by
+    ||a_i||_2, with inf for an (almost) zero a_i."""
     X = dictionary.data
     out = {}
     for lab, (lo, hi) in dictionary.class_ranges.items():
         ai = alpha[lo:hi]
-        nai = math.sqrt(ai @ ai)
-        if nai < _ZERO_COEF_TOL:
-            out[lab] = np.inf
-        else:
-            r = target - X[:, lo:hi] @ ai
-            out[lab] = math.sqrt(r @ r) / nai
+        scale = 1.0
+        if variant == "regularized_residual":
+            scale = math.sqrt(ai @ ai)
+            if scale < _ZERO_COEF_TOL:
+                out[lab] = np.inf
+                continue
+        r = target - X[:, lo:hi] @ ai
+        out[lab] = math.sqrt(r @ r) / scale
     return out
 
 
-def classify_src(dictionary, y, lam, params=None, variant="plain_residual"):
-    """Sparse-representation classification: l1 coding, per-class residual."""
-    y = _check_query(dictionary, y)
-    coding = solve_fista_l1(dictionary, y, lam, params or FistaParams())
-    if variant == "regularized_residual":
-        residuals = _regularized_residuals(dictionary, y, coding.alpha)
-    else:
-        residuals = _plain_residuals(dictionary, y, coding.alpha)
-    return _argmin_decision(dictionary, residuals, coding)
+@dataclass(frozen=True)
+class Model:
+    """A classifier bound to its dictionary, with its offline work done.
 
-
-def classify_crc_rls(projector, dictionary, y, variant="regularized_residual"):
-    """Collaborative representation with ridge coding and ratio residuals."""
-    if projector.dictionary_fingerprint != dictionary.fingerprint:
-        raise FingerprintMismatch("projector was built from a different dictionary")
-    y = _check_query(dictionary, y)
-    alpha = projector.matrix @ y
-    r = y - dictionary.data @ alpha
-    obj = float(r @ r + projector.lam * alpha @ alpha)
-    coding = CodingResult(alpha=alpha, objective=obj)
-    if variant == "plain_residual":
-        residuals = _plain_residuals(dictionary, y, alpha)
-    else:
-        residuals = _regularized_residuals(dictionary, y, alpha)
-    degenerate = all(not np.isfinite(v) for v in residuals.values())
-    return _argmin_decision(dictionary, residuals, coding, degenerate=degenerate)
-
-
-def classify_rcrc(dictionary, y, lam, params=None, variant="regularized_residual"):
-    """Robust collaborative representation: l1 residual coding via ALM.
-
-    The per-class score subtracts the estimated outlier vector before the
-    ratio residual, so occluded/corrupted pixels do not pollute the fit.
+    config is an ExperimentConfig: the classifier name, decision variant and
+    solver settings are read from it. lam is the resolved ridge/l1 weight;
+    projector is the CRC-RLS ridge projector (None for the other rules).
     """
-    y = _check_query(dictionary, y)
-    coding = solve_alm_l1res(dictionary, y, lam, params or AlmParams())
-    if variant == "plain_residual":
-        residuals = _plain_residuals(dictionary, y - coding.residual_vec, coding.alpha)
-    else:
-        residuals = _regularized_residuals(dictionary, y, coding.alpha, e=coding.residual_vec)
-    degenerate = all(not np.isfinite(v) for v in residuals.values())
-    return _argmin_decision(dictionary, residuals, coding, degenerate=degenerate)
 
+    dictionary: Dictionary
+    config: object
+    lam: float
+    projector: Projector | None = None
 
-def classify_rns(dictionary, y, lam, p=2, params=None):
-    """Regularized nearest subspace: per-class coding, regularized objective."""
-    y = _check_query(dictionary, y)
-    residuals = {}
-    codings = {}
-    for lab in dictionary.classes:
-        block = dictionary.class_block(lab)
-        if p == 2:
-            res = solve_rls(block, y, lam)
-        elif p == 1:
-            res = solve_fista_l1(block, y, lam, params or FistaParams())
+    def decide(self, y):
+        """Classify one query: per-class scores and the argmin class.
+
+        crc_rls, src and rcrc code y over the whole dictionary and score each
+        class by its residual, less R-CRC's outlier estimate. The solvers are
+        looked up as module globals at call time, so tracing can wrap them.
+        """
+        d, c = self.dictionary, self.config
+        y = _check_query(d, y)
+        ranges = d.class_ranges.items()
+        if c.classifier in ("rns_l1", "rns_l2"):  # code each class block alone
+            residuals, codings = {}, {}
+            for lab, (lo, hi) in ranges:
+                block = d.data[:, lo:hi]
+                if c.classifier == "rns_l2":
+                    res = solve_rls(block, y, self.lam)
+                else:
+                    res = solve_fista_l1(block, y, self.lam, c.fista)
+                residuals[lab] = float(res.objective)
+                codings[lab] = res
+            decision = _argmin_decision(d, residuals, None)
+            decision.coding = codings[decision.predicted]
+            return decision
+        if c.classifier == "nn":  # distance to the nearest column of each class
+            dist = np.linalg.norm(d.data - y[:, None], axis=0)
+            residuals = {lab: float(np.min(dist[lo:hi])) for lab, (lo, hi) in ranges}
+            coding = CodingResult(alpha=np.zeros(d.n), objective=float(min(residuals.values())))
+        elif c.classifier == "ns":  # least-squares residual of each class block
+            residuals = {}
+            alpha = np.zeros(d.n)
+            for lab, (lo, hi) in ranges:
+                block = d.data[:, lo:hi]
+                coef, *_ = np.linalg.lstsq(block, y, rcond=1e-10)
+                residuals[lab] = float(np.linalg.norm(y - block @ coef))
+                alpha[lo:hi] = coef
+            coding = CodingResult(alpha=alpha, objective=float(min(residuals.values())) ** 2)
         else:
-            raise ValueError(f"p must be 1 or 2, got {p}")
-        residuals[lab] = float(res.objective)
-        codings[lab] = res
-    decision = _argmin_decision(dictionary, residuals, None)
-    decision.coding = codings[decision.predicted]
-    return decision
+            if c.classifier == "crc_rls":
+                alpha = self.projector.matrix @ y
+                r = y - d.data @ alpha
+                obj = float(r @ r + self.lam * alpha @ alpha)
+                coding = CodingResult(alpha=alpha, objective=obj)
+            elif c.classifier == "src":
+                coding = solve_fista_l1(d, y, self.lam, c.fista)
+            else:
+                coding = solve_alm_l1res(d, y, self.lam, c.alm)
+            target = y if coding.residual_vec is None else y - coding.residual_vec
+            residuals = _class_residuals(d, target, coding.alpha, c.decision_variant)
+        return _argmin_decision(d, residuals, coding)
 
 
-def classify_nn(dictionary, y):
-    """Nearest neighbor over all training columns."""
-    y = _check_query(dictionary, y)
-    d = np.linalg.norm(dictionary.data - y[:, None], axis=0)
-    residuals = {}
-    for lab in dictionary.classes:
-        lo, hi = dictionary.class_ranges[lab]
-        residuals[lab] = float(np.min(d[lo:hi]))
-    coding = CodingResult(alpha=np.zeros(dictionary.n), objective=float(min(residuals.values())))
-    return _argmin_decision(dictionary, residuals, coding)
+def fit(dictionary, config, projector=None):
+    """Bind the configured classifier to a dictionary and do its offline work.
 
-
-def classify_ns(dictionary, y, rcond=1e-10):
-    """Nearest subspace: unregularized per-class least squares residual."""
-    y = _check_query(dictionary, y)
-    residuals = {}
-    alpha = np.zeros(dictionary.n)
-    for lab in dictionary.classes:
-        block = dictionary.class_block(lab)
-        coef, *_ = np.linalg.lstsq(block, y, rcond=rcond)
-        residuals[lab] = float(np.linalg.norm(y - block @ coef))
-        lo, hi = dictionary.class_ranges[lab]
-        alpha[lo:hi] = coef
-    coding = CodingResult(alpha=alpha, objective=float(min(residuals.values())) ** 2)
-    return _argmin_decision(dictionary, residuals, coding)
+    For crc_rls that is the ridge projector at the resolved lambda: a given
+    projector is reused when it was built at that lambda, else a new one is
+    built. A projector from another dictionary raises FingerprintMismatch.
+    """
+    if projector is not None and projector.dictionary_fingerprint != dictionary.fingerprint:
+        raise FingerprintMismatch("projector was built from a different dictionary")
+    lam = config.resolve_lambda(dictionary.n)
+    if config.classifier != "crc_rls":
+        projector = None
+    elif projector is None or projector.lam != lam:
+        projector = build_projector(dictionary, lam)
+    return Model(dictionary, config, lam, projector)
 
 
 def compute_sci(dictionary, coding):
@@ -205,7 +173,10 @@ def compute_sci(dictionary, coding):
     if dictionary.k < 2:
         raise SingleClass("SCI is undefined for a single-class dictionary")
     alpha = np.asarray(coding.alpha, dtype=np.float64)
-    _check_code(dictionary, alpha)
+    if alpha.shape[0] != dictionary.n:
+        raise DimensionMismatch(
+            f"alpha has length {alpha.shape[0]}, dictionary has {dictionary.n} columns"
+        )
     mass = np.abs(alpha)
     total = float(np.sum(mass))
     if total <= 1e-12:

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, io
+from .classifiers import CLASSIFIERS, fit
 from .dictionary import build_dictionary, build_projector
 from .errors import RepclassError
 from .harness import ExperimentConfig
@@ -83,12 +84,9 @@ def cmd_classify(args):
     dictionary = io.load_dictionary(args.dict)
     y = io.read_matrix(args.query).ravel()
     config = ExperimentConfig(classifier=args.classifier, lam=_lambda_arg(args.lam))
-    projector = None
-    if config.classifier == "crc_rls":
-        projector = io.load_projector(args.dict + ".proj")
-        if projector.lam != config.resolve_lambda(dictionary.n):
-            projector = None  # the runner builds one for the requested lambda
-    decision = harness._Runner(config, dictionary, projector).classify(y)
+    # fit reuses the trained projector when it was built at the requested lambda
+    projector = io.load_projector(args.dict + ".proj") if args.classifier == "crc_rls" else None
+    decision = fit(dictionary, config, projector).decide(y)
     residuals = {
         str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
     }
@@ -212,7 +210,7 @@ def build_parser():
     p = sub.add_parser("classify", help="classify one query vector")
     p.add_argument("--dict", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--classifier", default="crc_rls", choices=harness.CLASSIFIERS)
+    p.add_argument("--classifier", default="crc_rls", choices=CLASSIFIERS)
     p.add_argument("--lambda", dest="lam", default="auto")
     p.set_defaults(func=cmd_classify)
 

@@ -3,25 +3,18 @@ parameter sweeps, ROC evaluation, and timing benchmarks."""
 
 import functools
 import json
+import math
 import os
 import platform
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import degradation as degrade_mod
-from .classifiers import (
-    classify_crc_rls,
-    classify_nn,
-    classify_ns,
-    classify_rcrc,
-    classify_rns,
-    classify_src,
-    compute_sci,
-)
-from .dictionary import build_dictionary, build_projector, default_lambda
+from .classifiers import CLASSIFIERS, SCI_CLASSIFIERS, compute_sci, fit
+from .dictionary import build_dictionary, default_lambda
 from .errors import (
     ConfigInvalid,
     MalformedMatrix,
@@ -33,12 +26,6 @@ from .features import fit_pca, project_pca, vectorize_image
 from .io import read_matrix, read_pgm, read_sidecar
 from .solvers import AlmParams, FistaParams
 from .synthetic import make_subspace_dataset
-
-CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
-# classifiers whose code covers the whole dictionary, so SCI is defined for
-# it; rns_* code each class on its own and nn codes nothing
-SCI_CLASSIFIERS = ("src", "crc_rls", "rcrc", "ns")
-
 
 @dataclass
 class Dataset:
@@ -80,36 +67,33 @@ class ExperimentConfig:
         return default_lambda(n_train) if self.lam == "auto" else float(self.lam)
 
     def to_json(self):
-        out = {
-            "classifier": self.classifier,
-            "lambda": self.lam,
-            "feature_dim": self.feature_dim,
-            "seed": self.seed,
-            "decision_variant": self.decision_variant,
-            "alm": asdict(self.alm),
-            "fista": asdict(self.fista),
-        }
-        if self.degradation is not None:
-            out["degradation"] = self.degradation.to_json()
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[_JSON_KEYS.get(f.name, f.name)] = asdict(v) if is_dataclass(v) else v
         return out
 
     @classmethod
     def from_json(cls, obj):
-        deg = obj.get("degradation")
-        if deg:
-            deg = degrade_mod.DegradationSpec.from_json(
-                _section(obj, "degradation", degrade_mod.DegradationSpec)
-            )
-        return cls(
-            classifier=obj.get("classifier", "crc_rls"),
-            lam=obj.get("lambda", "auto"),
-            feature_dim=obj.get("feature_dim"),
-            degradation=deg or None,
-            seed=int(obj.get("seed", 0)),
-            decision_variant=obj.get("decision_variant", "regularized_residual"),
-            alm=AlmParams(**_section(obj, "alm", AlmParams)),
-            fista=FistaParams(**_section(obj, "fista", FistaParams)),
-        )
+        """Inverse of to_json; an absent key takes its field's default."""
+        known = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        unknown = set(obj) - set(known)
+        if unknown:
+            raise ConfigInvalid(f"config has unknown key {min(unknown)!r}")
+        kwargs = {}
+        for key, value in obj.items():
+            f = known[key]
+            if f.name == "degradation":
+                spec = degrade_mod.DegradationSpec
+                value = spec.from_json(_section(obj, key, spec)) if value else None
+            elif f.default_factory is not MISSING:  # a nested solver-params section
+                value = f.default_factory(**_section(obj, key, f.default_factory))
+            kwargs[f.name] = value
+        return cls(**kwargs)
+
+
+# JSON key of each config field whose key differs from its name
+_JSON_KEYS = {"lam": "lambda"}
 
 
 def _section(obj, name, cls):
@@ -140,6 +124,7 @@ class Report:
     config: dict
     environment: dict
     per_query: list  # JSON-ready per-query records
+    stages: dict = field(default_factory=dict)  # seconds spent per stage of the run
 
     @property
     def n_not_converged(self):
@@ -158,6 +143,7 @@ class Report:
             "offline_time": self.offline_time,
             "config": self.config,
             "environment": self.environment,
+            "stages": self.stages,
         }
 
     def write_query_log(self, path):
@@ -182,16 +168,25 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Read a dataset file; MalformedMatrix names a sidecar list of wrong length."""
+    """Read a dataset file; MalformedMatrix names a sidecar list of wrong
+    length, or an image_shape whose pixel count is not the row count."""
     path = Path(path)
     features = read_matrix(path)
     sidecar = read_sidecar(path, ("labels",))
-    n = features.shape[1]
+    m, n = features.shape
     lists = {"labels": sidecar["labels"], "split": sidecar.get("split", ["train"] * n)}
     for key, values in lists.items():
         if not isinstance(values, list) or len(values) != n:
             raise MalformedMatrix(f"{path}: sidecar {key!r} needs {n} entries, one per column")
-    shape = sidecar.get("image_shape")
+    shape = sidecar.get("image_shape") or None
+    if shape is not None and not (
+        isinstance(shape, list)
+        and all(isinstance(s, int) and s > 0 for s in shape)
+        and math.prod(shape) == m
+    ):
+        raise MalformedMatrix(
+            f"{path}: sidecar 'image_shape' {shape} needs positive sizes whose product is {m}"
+        )
     return Dataset(
         features=features,
         provenance=sidecar.get("provenance", {}),
@@ -313,46 +308,6 @@ def _degrade_queries(queries, spec, image_shape):
     return out
 
 
-class _Runner:
-    """The one map from a classifier name to its decision rule.
-
-    Binds the configured classifier to a dictionary and does its offline
-    setup: the CRC-RLS projector, built unless one is passed in.
-    build_projector and the classify_* functions are looked up as module
-    globals at call time, so tracing can wrap them.
-    """
-
-    def __init__(self, config, dictionary, projector=None):
-        self.config = config
-        self.dictionary = dictionary
-        self.lam = config.resolve_lambda(dictionary.n)
-        self.projector = projector
-        if config.classifier == "crc_rls" and projector is None:
-            self.projector = build_projector(dictionary, self.lam)
-
-    def classify(self, y):
-        c = self.config
-        if c.classifier == "crc_rls":
-            return classify_crc_rls(
-                self.projector, self.dictionary, y, variant=c.decision_variant
-            )
-        if c.classifier == "src":
-            return classify_src(
-                self.dictionary, y, self.lam, c.fista, variant=c.decision_variant
-            )
-        if c.classifier == "rcrc":
-            return classify_rcrc(
-                self.dictionary, y, self.lam, c.alm, variant=c.decision_variant
-            )
-        if c.classifier == "rns_l1":
-            return classify_rns(self.dictionary, y, self.lam, p=1, params=c.fista)
-        if c.classifier == "rns_l2":
-            return classify_rns(self.dictionary, y, self.lam, p=2)
-        if c.classifier == "nn":
-            return classify_nn(self.dictionary, y)
-        return classify_ns(self.dictionary, y)
-
-
 def run_experiment(config, data):
     """Train on the train split, classify the test split, return a Report."""
     train_raw, train_labels = data.columns("train")
@@ -360,22 +315,35 @@ def run_experiment(config, data):
     if test_raw.shape[1] == 0:
         raise ConfigInvalid("dataset has no test split")
 
+    clock = time.perf_counter
+    stages = dict.fromkeys(
+        ("degrade", "pca_fit", "pca_project", "dictionary", "fit", "decide", "sci"), 0.0
+    )
+    t0 = clock()
     if config.degradation is not None and config.degradation.fraction > 0:
         test_raw = _degrade_queries(test_raw, config.degradation, data.image_shape)
+    stages["degrade"] = clock() - t0
 
     offline_extra = 0.0
     if config.feature_dim is not None:
-        t0 = time.perf_counter()
+        t0 = clock()
         pca = fit_pca(train_raw, config.feature_dim)
+        t1 = clock()
         train_feats = project_pca(pca, train_raw)
-        offline_extra = time.perf_counter() - t0
+        t2 = clock()
         test_feats = project_pca(pca, test_raw)
+        stages["pca_fit"], stages["pca_project"] = t1 - t0, clock() - t1
+        offline_extra = t2 - t0
     else:
         train_feats, test_feats = train_raw, test_raw
 
-    t0 = time.perf_counter()
-    runner = _Runner(config, build_dictionary(zip(train_feats.T, train_labels)))
-    offline_time = time.perf_counter() - t0 + offline_extra
+    t0 = clock()
+    dictionary = build_dictionary(zip(train_feats.T, train_labels))
+    t1 = clock()
+    model = fit(dictionary, config)
+    t2 = clock()
+    stages["dictionary"], stages["fit"] = t1 - t0, t2 - t1
+    offline_time = t2 - t0 + offline_extra
 
     per_query = []
     times = []
@@ -385,9 +353,9 @@ def run_experiment(config, data):
     n_correct = 0
     for j in range(test_feats.shape[1]):
         y = test_feats[:, j]
-        t0 = time.perf_counter()
-        decision = runner.classify(y)
-        dt = time.perf_counter() - t0
+        t0 = clock()
+        decision = model.decide(y)
+        dt = clock() - t0
         times.append(dt)
         true = test_labels[j]
         pred = decision.predicted
@@ -399,8 +367,10 @@ def run_experiment(config, data):
         confusion[str(true)][str(pred)] = confusion[str(true)].get(str(pred), 0) + 1
         coding = decision.coding
         sci = None
-        if runner.dictionary.k >= 2 and config.classifier in SCI_CLASSIFIERS:
-            sci = compute_sci(runner.dictionary, coding)
+        if dictionary.k >= 2 and config.classifier in SCI_CLASSIFIERS:
+            t0 = clock()
+            sci = compute_sci(dictionary, coding)
+            stages["sci"] += clock() - t0
         per_query.append(
             {
                 "query": j,
@@ -415,6 +385,7 @@ def run_experiment(config, data):
             }
         )
     n = test_feats.shape[1]
+    stages["decide"] = sum(times)
     return Report(
         recognition_rate=n_correct / n,
         per_class_rates={
@@ -428,6 +399,7 @@ def run_experiment(config, data):
         config=config.to_json(),
         environment=_environment_stamp(),
         per_query=per_query,
+        stages=stages,
     )
 
 
@@ -459,16 +431,16 @@ def run_roc(config, gallery, customers, imposters, thresholds):
         )
     train_feats, train_labels = gallery.columns("train")
     gallery_classes = set(train_labels)
-    imposter_feats, imposter_labels = _all_columns(imposters)
+    imposter_feats, imposter_labels = imposters.features, imposters.labels
     if gallery_classes & set(imposter_labels):
         raise OverlappingClasses("imposter classes must be disjoint from the gallery")
-    customer_feats, customer_labels = _all_columns(customers)
+    customer_feats, customer_labels = customers.features, customers.labels
 
-    runner = _Runner(config, build_dictionary(zip(train_feats.T, train_labels)))
+    model = fit(build_dictionary(zip(train_feats.T, train_labels)), config)
 
     def score(y):
-        decision = runner.classify(y)
-        return compute_sci(runner.dictionary, decision.coding), decision.predicted
+        decision = model.decide(y)
+        return compute_sci(model.dictionary, decision.coding), decision.predicted
 
     customer_scores = [score(customer_feats[:, j]) for j in range(customer_feats.shape[1])]
     imposter_scores = [score(imposter_feats[:, j])[0] for j in range(imposter_feats.shape[1])]
@@ -489,10 +461,6 @@ def run_roc(config, gallery, customers, imposters, thresholds):
             }
         )
     return points
-
-
-def _all_columns(dataset):
-    return dataset.features, list(dataset.labels)
 
 
 def roc_auc(points):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repclass.analysis import coef_distribution_fit, geometry_check
-from repclass.classifiers import classify_crc_rls
 from repclass.degradation import DegradationSpec
 from repclass.dictionary import build_dictionary, build_projector, default_lambda
 from repclass.features import fit_pca, project_pca

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repclass.classifiers import (
-    classify_crc_rls,
-    classify_nn,
-    classify_ns,
-    classify_rcrc,
-    classify_rns,
-    classify_src,
-    compute_sci,
-    validate,
-)
+import repclass.classifiers
+from repclass.classifiers import CLASSIFIERS, Model, compute_sci, fit, validate
 from repclass.dictionary import (
     Dictionary,
     build_dictionary,
@@ -21,7 +13,8 @@ from repclass.dictionary import (
     default_lambda,
 )
 from repclass.errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
-from repclass.solvers import CodingResult
+from repclass.harness import ExperimentConfig
+from repclass.solvers import AlmParams, CodingResult, FistaParams
 from repclass.synthetic import make_subspace_dataset
 
 
@@ -35,12 +28,20 @@ def _toy(seed=0, m=20, per_class=5, classes=("a", "b", "c", "d")):
     return build_dictionary(samples), rng
 
 
+def _decide(d, y, classifier="crc_rls", lam="auto", projector=None, **config):
+    """fit(...).decide(y) for one query; a given projector fixes lambda."""
+    if projector is not None:
+        lam = projector.lam
+    model = fit(d, ExperimentConfig(classifier=classifier, lam=lam, **config), projector)
+    return model.decide(y)
+
+
 def test_crc_rls_matches_manual_computation():
     d, rng = _toy(1)
     lam = default_lambda(d.n)
     proj = build_projector(d, lam)
     y = rng.standard_normal(d.m)
-    dec = classify_crc_rls(proj, d, y)
+    dec = _decide(d, y, projector=proj)
     alpha = np.linalg.solve(d.data.T @ d.data + lam * np.eye(d.n), d.data.T @ y)
     for lab in d.classes:
         lo, hi = d.class_ranges[lab]
@@ -56,7 +57,7 @@ def test_crc_rls_classifies_clean_subspace_data():
     d = build_dictionary([(train[:, i], trl[i]) for i in range(train.shape[1])])
     proj = build_projector(d, default_lambda(d.n))
     hits = sum(
-        classify_crc_rls(proj, d, test[:, j]).predicted == tel[j]
+        _decide(d, test[:, j], projector=proj).predicted == tel[j]
         for j in range(test.shape[1])
     )
     assert hits == test.shape[1]
@@ -67,14 +68,14 @@ def test_crc_rls_fingerprint_guard():
     d2, _ = _toy(3)
     proj = build_projector(d1, 0.01)
     with pytest.raises(FingerprintMismatch):
-        classify_crc_rls(proj, d2, rng.standard_normal(d1.m))
+        _decide(d2, rng.standard_normal(d1.m), projector=proj)
 
 
 def test_crc_rls_query_dimension_guard():
     d, rng = _toy(4)
     proj = build_projector(d, 0.01)
     with pytest.raises(DimensionMismatch):
-        classify_crc_rls(proj, d, rng.standard_normal(d.m + 1))
+        _decide(d, rng.standard_normal(d.m + 1), projector=proj)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -85,12 +86,12 @@ def test_non_finite_query_rejected(bad):
     y = rng.standard_normal(d.m)
     y[3] = bad
     for classify in (
-        lambda q: classify_crc_rls(proj, d, q),
-        lambda q: classify_src(d, q, 0.01),
-        lambda q: classify_rcrc(d, q, 0.01),
-        lambda q: classify_rns(d, q, 0.01),
-        lambda q: classify_nn(d, q),
-        lambda q: classify_ns(d, q),
+        lambda q: _decide(d, q, projector=proj),
+        lambda q: _decide(d, q, "src", 0.01, decision_variant="plain_residual"),
+        lambda q: _decide(d, q, "rcrc", 0.01),
+        lambda q: _decide(d, q, "rns_l2", 0.01),
+        lambda q: _decide(d, q, "nn"),
+        lambda q: _decide(d, q, "ns"),
     ):
         with pytest.raises(NonFiniteInput):
             classify(y)
@@ -101,14 +102,20 @@ def test_scale_invariance_of_argmin():
     proj = build_projector(d, default_lambda(d.n))
     lam = default_lambda(d.n)
     y = rng.standard_normal(d.m)
+    src = fit(d, ExperimentConfig(classifier="src", lam=lam, decision_variant="plain_residual"))
+    nn = fit(d, ExperimentConfig(classifier="nn"))
+    ns = fit(d, ExperimentConfig(classifier="ns"))
     for c in (0.5, 3.0, 250.0):
-        assert classify_crc_rls(proj, d, c * y).predicted == classify_crc_rls(proj, d, y).predicted
-        assert classify_src(d, c * y, lam).predicted == classify_src(d, y, lam).predicted
-        assert classify_nn(d, c * y / c).predicted == classify_nn(d, y).predicted
-        assert classify_ns(d, c * y).predicted == classify_ns(d, y).predicted
+        assert _decide(d, c * y, projector=proj).predicted == _decide(d, y, projector=proj).predicted
+        assert src.decide(c * y).predicted == src.decide(y).predicted
+        assert nn.decide(c * y / c).predicted == nn.decide(y).predicted
+        assert ns.decide(c * y).predicted == ns.decide(y).predicted
 
 
-def test_class_permutation_equivariance():
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_class_permutation_equivariance(classifier):
+    # reordering the class blocks permutes the scores and keeps the argmin;
+    # the iterative coders agree to their stopping tolerance, not to rounding
     rng = np.random.default_rng(6)
     m = 15
     blocks = {lab: rng.standard_normal((m, 4)) for lab in ("a", "b", "c")}
@@ -117,16 +124,15 @@ def test_class_permutation_equivariance():
 
     def residuals(order):
         samples = [(blocks[lab][:, j], lab) for lab in order for j in range(4)]
-        d = build_dictionary(samples)
-        proj = build_projector(d, lam)
-        return classify_crc_rls(proj, d, y)
+        return _decide(build_dictionary(samples), y, classifier, lam)
 
     d1 = residuals(("a", "b", "c"))
     d2 = residuals(("c", "a", "b"))
     assert d1.predicted == d2.predicted
+    rel = 1e-10 if classifier == "crc_rls" else 1e-6
     for lab in ("a", "b", "c"):
         assert d1.per_class_residuals[lab] == pytest.approx(
-            d2.per_class_residuals[lab], rel=1e-10
+            d2.per_class_residuals[lab], rel=rel
         )
 
 
@@ -136,7 +142,7 @@ def test_tie_break_earliest_class():
     d = build_dictionary([(X[:, 0], "p"), (X[:, 1], "q")])
     proj = build_projector(d, 0.1)
     y = np.array([1.0, 1.0, 0.0])
-    dec = classify_crc_rls(proj, d, y)
+    dec = _decide(d, y, projector=proj)
     assert dec.per_class_residuals["p"] == pytest.approx(dec.per_class_residuals["q"])
     assert dec.predicted == "p"
 
@@ -144,7 +150,7 @@ def test_tie_break_earliest_class():
 def test_degenerate_zero_query():
     d, _ = _toy(7)
     proj = build_projector(d, 0.01)
-    dec = classify_crc_rls(proj, d, np.zeros(d.m))
+    dec = _decide(d, np.zeros(d.m), projector=proj)
     assert dec.degenerate
     assert all(np.isinf(v) for v in dec.per_class_residuals.values())
 
@@ -157,7 +163,7 @@ def test_rcrc_ignores_gross_corruption():
     rng = np.random.default_rng(9)
     idx = rng.choice(60, size=15, replace=False)
     y[idx] = rng.uniform(1.0, 2.0, size=15) * rng.choice([-1.0, 1.0], size=15)
-    dec = classify_rcrc(d, y, lam)
+    dec = _decide(d, y, "rcrc", lam)
     assert dec.predicted == tel[0]
     # most of the outlier-estimate mass lands on the corrupted coordinates
     e = dec.coding.residual_vec
@@ -169,7 +175,7 @@ def test_rns_l2_matches_per_class_ridge_objective():
     d, rng = _toy(10)
     y = rng.standard_normal(d.m)
     lam = 0.05
-    dec = classify_rns(d, y, lam, p=2)
+    dec = _decide(d, y, "rns_l2", lam)
     for lab in d.classes:
         B = d.class_block(lab)
         coef = np.linalg.solve(B.T @ B + lam * np.eye(B.shape[1]), B.T @ y)
@@ -182,7 +188,7 @@ def test_rns_l2_matches_per_class_ridge_objective():
 def test_nn_matches_brute_force():
     d, rng = _toy(11)
     y = rng.standard_normal(d.m)
-    dec = classify_nn(d, y)
+    dec = _decide(d, y, "nn")
     dists = np.linalg.norm(d.data - y[:, None], axis=0)
     best_col = int(np.argmin(dists))
     assert dec.predicted == d.labels[best_col]
@@ -194,7 +200,7 @@ def test_nn_matches_brute_force():
 def test_ns_matches_pseudoinverse():
     d, rng = _toy(12, per_class=3)
     y = rng.standard_normal(d.m)
-    dec = classify_ns(d, y)
+    dec = _decide(d, y, "ns")
     for lab in d.classes:
         B = d.class_block(lab)
         ref = np.linalg.norm(y - B @ np.linalg.pinv(B) @ y)
@@ -205,8 +211,8 @@ def test_src_plain_vs_regularized_variant():
     d, rng = _toy(13)
     y = rng.standard_normal(d.m)
     lam = 0.05
-    plain = classify_src(d, y, lam)
-    reg = classify_src(d, y, lam, variant="regularized_residual")
+    plain = _decide(d, y, "src", lam, decision_variant="plain_residual")
+    reg = _decide(d, y, "src", lam, decision_variant="regularized_residual")
     a = plain.coding.alpha
     for lab in d.classes:
         lo, hi = d.class_ranges[lab]
@@ -250,11 +256,9 @@ def test_residuals_bit_equal_to_per_class_reference(classifier, variant):
     for _ in range(3):
         y = rng.standard_normal(d.m)
         if classifier == "crc_rls":
-            dec = classify_crc_rls(proj, d, y, variant=variant)
-        elif classifier == "src":
-            dec = classify_src(d, y, lam, variant=variant)
+            dec = _decide(d, y, projector=proj, decision_variant=variant)
         else:
-            dec = classify_rcrc(d, y, lam, variant=variant)
+            dec = _decide(d, y, classifier, lam, decision_variant=variant)
         e = dec.coding.residual_vec
         if variant == "plain_residual":
             target = y if e is None else y - e
@@ -341,9 +345,38 @@ def test_validate_acceptance_monotone_in_threshold():
     d, rng = _toy(19)
     y = rng.standard_normal(d.m)
     proj = build_projector(d, 0.01)
-    dec = classify_crc_rls(proj, d, y)
+    dec = _decide(d, y, projector=proj)
     accepted = [
         validate(d, dec.coding, t).accepted for t in np.linspace(0, 1, 11)
     ]
     # once rejected, stays rejected
     assert all(a >= b for a, b in zip(accepted, accepted[1:]))
+
+
+def test_decide_calls_the_module_solvers(monkeypatch):
+    # the solvers are looked up at call time, so a wrapper (a tracer) sees them
+    d, rng = _toy(22)
+    y = rng.standard_normal(d.m)
+    calls = []
+    for name in ("solve_alm_l1res", "solve_fista_l1"):
+        orig = getattr(repclass.classifiers, name)
+
+        def spy(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(repclass.classifiers, name, spy)
+    _decide(d, y, "rcrc", 0.1, alm=AlmParams(max_iter=3))
+    _decide(d, y, "src", 0.1, fista=FistaParams(max_iter=3))
+    _decide(d, y, "rns_l1", 0.1, fista=FistaParams(max_iter=3))
+    assert calls == ["solve_alm_l1res", "solve_fista_l1"] + ["solve_fista_l1"] * d.k
+
+
+def test_fit_reuses_a_projector_only_at_its_lambda():
+    d, _ = _toy(23)
+    proj = build_projector(d, 0.01)
+    assert fit(d, ExperimentConfig(lam=0.01), proj).projector is proj
+    other = fit(d, ExperimentConfig(lam=0.02), proj)
+    assert other.projector.lam == 0.02
+    assert isinstance(other, Model)
+    assert fit(d, ExperimentConfig(classifier="src"), proj).projector is None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repclass import harness
+from repclass.classifiers import fit
 from repclass.cli import main
 from repclass.io import load_dictionary, load_projector, write_matrix
 
@@ -74,7 +75,7 @@ def test_classify_matches_harness_runner(trained, classifier, capsys):
     d = load_dictionary(dict_path)
     proj = load_projector(dict_path + ".proj") if classifier == "crc_rls" else None
     config = harness.ExperimentConfig(classifier=classifier)
-    decision = harness._Runner(config, d, proj).classify(query)
+    decision = fit(d, config, proj).decide(query)
     assert out["predicted"] == str(decision.predicted)
     assert out["residuals"] == {
         str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
@@ -103,7 +104,7 @@ def test_classify_lambda_option_is_used(trained, capsys):
 
     d = load_dictionary(dict_path)
     config = harness.ExperimentConfig(classifier="crc_rls", lam=5.0)
-    decision = harness._Runner(config, d).classify(query)
+    decision = fit(d, config).decide(query)
     assert out["residuals"] == {
         str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
     }
@@ -175,8 +176,9 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
         (["--set", "alm.foo=1"], ("alm", "foo")),
         (["--set", "degradation.kind=pixel_corruption", "--set", "degradation.seed=1"],
          ("degradation", "fraction")),
+        (["--set", "lamda=5"], ("lamda",)),
     ],
-    ids=["unknown-alm-key", "degradation-without-fraction"],
+    ids=["unknown-alm-key", "degradation-without-fraction", "unknown-top-level-key"],
 )
 def test_experiment_malformed_config_section_is_json_error(
     dataset, overrides, words, capsys

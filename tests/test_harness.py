@@ -1,10 +1,12 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repclass import harness
+from repclass.classifiers import Model
 from repclass.degradation import DegradationSpec
 from repclass.errors import (
     ConfigInvalid,
@@ -74,8 +76,10 @@ def test_dataset_save_load_roundtrip(tmp_path):
     [
         ({"labels": ["a"] * 5}, "labels"),
         ({"labels": ["a"] * 6, "split": ["train"] * 7}, "split"),
+        ({"labels": ["a"] * 6, "image_shape": [5, 5]}, "image_shape"),
+        ({"labels": ["a"] * 6, "image_shape": [2, "2"]}, "image_shape"),
     ],
-    ids=["short-labels", "long-split"],
+    ids=["short-labels", "long-split", "image-shape-product", "image-shape-not-int"],
 )
 def test_load_dataset_rejects_sidecar_list_length(tmp_path, sidecar, key):
     p = tmp_path / "feats.rpmat"
@@ -156,6 +160,7 @@ def test_config_validation():
         ({"fista": 3}, "'fista' is not an object"),
         ({"degradation": {"kind": "pixel_corruption", "seed": 1}},
          "'degradation' lacks key 'fraction'"),
+        ({"lamda": 5}, "unknown key 'lamda'"),
     ]:
         with pytest.raises(ConfigInvalid, match=match):
             ExperimentConfig.from_json(obj)
@@ -178,6 +183,22 @@ def test_config_json_roundtrip():
 
 
 # ------------------------------------------------------------ experiments
+
+def test_run_experiment_stage_timings():
+    data = _small_data(seed=4, ambient_dim=40)
+    spec = DegradationSpec("pixel_corruption", 0.2, seed=1, low=-1.0, high=1.0)
+    config = ExperimentConfig(classifier="src", feature_dim=12, degradation=spec)
+    t0 = time.perf_counter()
+    report = run_experiment(config, data)
+    wall = time.perf_counter() - t0
+    stages = report.to_json()["stages"]
+    assert list(stages) == [
+        "degrade", "pca_fit", "pca_project", "dictionary", "fit", "decide", "sci",
+    ]
+    assert all(v >= 0.0 for v in stages.values())
+    assert stages["decide"] == sum(rec["wall_time"] for rec in report.per_query)
+    assert sum(stages.values()) <= wall
+
 
 def test_run_experiment_report_contents():
     data = _small_data(seed=4)
@@ -327,7 +348,7 @@ def test_run_roc_rejects_classifiers_without_sci(classifier, monkeypatch):
     def no_query(self, y):
         raise AssertionError("a query ran before the classifier was rejected")
 
-    monkeypatch.setattr(harness._Runner, "classify", no_query)
+    monkeypatch.setattr(Model, "decide", no_query)
     with pytest.raises(ConfigInvalid, match=classifier):
         run_roc(ExperimentConfig(classifier=classifier), gallery, customers, imposters, [0.5])
 

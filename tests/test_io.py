@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from repclass.classifiers import classify_crc_rls
+from repclass.classifiers import fit
 from repclass.dictionary import build_dictionary, build_projector
 from repclass.errors import FingerprintMismatch, MalformedMatrix, MissingPath
 from repclass.features import fit_pca, project_pca
+from repclass.harness import ExperimentConfig
 from repclass.io import (
     MAGIC,
     load_dictionary,
@@ -176,11 +177,12 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
     assert loaded.dictionary_fingerprint == d.fingerprint
 
     # a loaded projector reattaches to its dictionary by fingerprint only
-    res = classify_crc_rls(loaded, d, np.ones(10))
+    config = ExperimentConfig(lam=loaded.lam)
+    res = fit(d, config, loaded).decide(np.ones(10))
     ref = solve_rls(d.data, np.ones(10), 0.07)
     np.testing.assert_allclose(res.coding.alpha, ref.alpha, rtol=1e-12)
     with pytest.raises(FingerprintMismatch):
-        classify_crc_rls(loaded, _dictionary(4), np.ones(10))
+        fit(_dictionary(4), config, loaded).decide(np.ones(10))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from repclass import dictionary as dictionary_mod
 from repclass import solvers
-from repclass.classifiers import classify_rcrc, classify_src
+from repclass.classifiers import fit
 from repclass.dictionary import build_dictionary, default_lambda
 from repclass.errors import (
     BadGrid,
@@ -19,7 +19,7 @@ from repclass.errors import (
     NegativeThreshold,
     NonPositiveLambda,
 )
-from repclass.harness import synthetic_dataset
+from repclass.harness import ExperimentConfig, synthetic_dataset
 from repclass.solvers import (
     AlmParams,
     FistaParams,
@@ -392,8 +392,11 @@ def test_dictionary_factors_equal_direct_computation():
 @pytest.mark.parametrize(
     "classify, factors",
     [
-        (lambda d, y: classify_rcrc(d, y, 0.1, AlmParams(max_iter=3)), {}),
-        (lambda d, y: classify_src(d, y, 0.1, FistaParams(max_iter=3)), {"power": 1}),
+        (lambda d, y: fit(d, ExperimentConfig(
+            classifier="rcrc", lam=0.1, alm=AlmParams(max_iter=3))).decide(y), {}),
+        (lambda d, y: fit(d, ExperimentConfig(
+            classifier="src", lam=0.1, fista=FistaParams(max_iter=3),
+            decision_variant="plain_residual")).decide(y), {"power": 1}),
     ],
     ids=["rcrc-no-factor", "src-sigma"],
 )
