@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary, Projector, build_projector
-from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
-from .solvers import CodingResult, solve_alm_l1res, solve_fista_l1, solve_rls
+from .errors import DimensionMismatch, FingerprintMismatch, SingleClass
+from .solvers import CodingResult, _check_dims, solve_alm_l1res, solve_fista_l1, solve_rls
 
 _ZERO_COEF_TOL = 1e-12
 
@@ -38,30 +38,10 @@ class ValidationOutcome:
     threshold: float
 
 
-def _argmin_decision(dictionary, residuals, coding):
-    # dict preserves class-range order, so min() on items keeps the earliest
-    # class on ties only if we scan explicitly.
-    best = None
-    best_r = np.inf
-    for lab in dictionary.classes:
-        r = residuals[lab]
-        if r < best_r:
-            best_r = r
-            best = lab
-    if best is None:  # no finite score: every class block coded to zero
-        return Decision(dictionary.classes[0], residuals, coding, degenerate=True)
-    return Decision(best, residuals, coding)
-
-
-def _check_query(dictionary, y):
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape[0] != dictionary.m:
-        raise DimensionMismatch(
-            f"query has dimension {y.shape[0]}, dictionary has {dictionary.m}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("query contains NaN or inf")
-    return y
+def _argmin_decision(residuals, coding):
+    # min keeps the first of equal scores, and residuals follow class order
+    best = min(residuals, key=residuals.get)
+    return Decision(best, residuals, coding, degenerate=residuals[best] == np.inf)
 
 
 def _class_residuals(dictionary, target, alpha, variant):
@@ -104,7 +84,7 @@ class Model:
         looked up as module globals at call time, so tracing can wrap them.
         """
         d, c = self.dictionary, self.config
-        y = _check_query(d, y)
+        y = _check_dims(d.data, y)
         ranges = d.class_ranges.items()
         if c.classifier in ("rns_l1", "rns_l2"):  # code each class block alone
             residuals, codings = {}, {}
@@ -116,7 +96,7 @@ class Model:
                     res = solve_fista_l1(block, y, self.lam, c.fista)
                 residuals[lab] = float(res.objective)
                 codings[lab] = res
-            decision = _argmin_decision(d, residuals, None)
+            decision = _argmin_decision(residuals, None)
             decision.coding = codings[decision.predicted]
             return decision
         if c.classifier == "nn":  # distance to the nearest column of each class
@@ -144,7 +124,7 @@ class Model:
                 coding = solve_alm_l1res(d, y, self.lam, c.alm)
             target = y if coding.residual_vec is None else y - coding.residual_vec
             residuals = _class_residuals(d, target, coding.alpha, c.decision_variant)
-        return _argmin_decision(d, residuals, coding)
+        return _argmin_decision(residuals, coding)
 
 
 def fit(dictionary, config, projector=None):

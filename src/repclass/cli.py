@@ -14,7 +14,7 @@ from pathlib import Path
 from . import analysis, harness, io
 from .classifiers import CLASSIFIERS, fit
 from .dictionary import build_dictionary, build_projector
-from .errors import RepclassError
+from .errors import ConfigInvalid, RepclassError
 from .harness import ExperimentConfig
 
 
@@ -32,6 +32,8 @@ def _load_config(args):
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigInvalid(f"cannot set {key!r}: {part!r} is not an object")
         node[parts[-1]] = val
     if getattr(args, "seed", None) is not None:
         obj["seed"] = args.seed

@@ -1,7 +1,7 @@
 """Multi-class training dictionaries and precomputed ridge projectors."""
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +34,10 @@ def normalize_columns(raw):
     return raw / norms
 
 
-def _power_iteration_sq(X, Xt, tol, max_iter):
-    """Largest squared singular value of X, by power iteration on X^T X."""
+def _power_iteration_sq(X, Xt):
+    """Largest squared singular value of X, by power iteration on X^T X; Xt is
+    X's transpose. Stops at relative change 1e-6, or after 1000 steps."""
+    tol, max_iter = 1e-6, 1000
     n = X.shape[1]
     v = np.ones(n) / np.sqrt(n)
     lam = 0.0
@@ -61,21 +63,14 @@ class Dictionary:
     class_ranges: class -> (start, stop) column range; ranges partition the
         columns and classes are stored in first-appearance order.
 
-    data never changes, so FISTA's factor of it (sigma_sq) is computed on
-    first use and kept on the instance, living and dying with it.
+    data never changes, so its fingerprint and FISTA's factor of it
+    (sigma_sq) are computed on first use and kept on the instance, living
+    and dying with it.
     """
 
     data: np.ndarray
     labels: tuple
     class_ranges: dict
-    _fingerprint: str = field(default="", repr=False)
-
-    def __post_init__(self):
-        if not self._fingerprint:
-            h = hashlib.sha256()
-            h.update(self.data.tobytes())
-            h.update(repr(self.labels).encode())
-            object.__setattr__(self, "_fingerprint", h.hexdigest())
 
     @property
     def m(self):
@@ -93,15 +88,18 @@ class Dictionary:
     def classes(self):
         return list(self.class_ranges.keys())
 
-    @property
+    @cached_property
     def fingerprint(self):
-        return self._fingerprint
+        """sha256 over data and labels; ties projectors and saved files to it."""
+        h = hashlib.sha256(self.data.tobytes())
+        h.update(repr(self.labels).encode())
+        return h.hexdigest()
 
     @cached_property
     def sigma_sq(self):
         """Largest squared singular value of data: FISTA's Lipschitz constant."""
         X = np.ascontiguousarray(self.data)
-        return _power_iteration_sq(X, np.ascontiguousarray(X.T), 1e-6, 1000)
+        return _power_iteration_sq(X, np.ascontiguousarray(X.T))
 
     def class_block(self, label):
         if label not in self.class_ranges:

@@ -77,6 +77,10 @@ class MalformedMatrix(RepclassError):
     pass
 
 
+class BadLabel(RepclassError):
+    pass
+
+
 class ConfigInvalid(RepclassError):
     pass
 

@@ -422,13 +422,17 @@ def run_roc(config, gallery, customers, imposters, thresholds):
 
     A customer query counts as a true positive when it is both accepted at
     the threshold and correctly identified. The classifier must code over
-    the whole dictionary (SCI_CLASSIFIERS).
+    the whole dictionary (SCI_CLASSIFIERS). Queries are used as given, so a
+    config that asks for features or degradation is rejected.
     """
     if config.classifier not in SCI_CLASSIFIERS:
         raise ConfigInvalid(
             f"run_roc needs SCI, which {config.classifier!r} does not define: it "
             "gives no code over the whole dictionary"
         )
+    for name in ("feature_dim", "degradation"):
+        if getattr(config, name) is not None:
+            raise ConfigInvalid(f"run_roc does not apply {name!r}; leave it unset")
     train_feats, train_labels = gallery.columns("train")
     gallery_classes = set(train_labels)
     imposter_feats, imposter_labels = imposters.features, imposters.labels

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import Dictionary, Projector
-from .errors import FingerprintMismatch, MalformedMatrix, MissingPath
+from .errors import BadLabel, FingerprintMismatch, MalformedMatrix, MissingPath
 from .features import PcaModel
 
 MAGIC = b"RPMATv1\x00"
@@ -117,12 +117,18 @@ def read_sidecar(path, required):
 
 
 def save_dictionary(dictionary, path):
-    """Write a dictionary as matrix file + JSON sidecar (labels, ranges)."""
+    """Write a dictionary as matrix file + JSON sidecar (labels, ranges).
+
+    Labels must be strings, the only type the sidecar keeps (else BadLabel).
+    """
+    bad = [lab for lab in dictionary.labels if not isinstance(lab, str)]
+    if bad:
+        raise BadLabel(f"cannot save non-string label {bad[0]!r}; labels must be strings")
     path = Path(path)
     write_matrix(path, dictionary.data)
     sidecar = {
-        "labels": [str(lab) for lab in dictionary.labels],
-        "class_ranges": {str(k): list(v) for k, v in dictionary.class_ranges.items()},
+        "labels": list(dictionary.labels),
+        "class_ranges": {k: list(v) for k, v in dictionary.class_ranges.items()},
         "fingerprint": dictionary.fingerprint,
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
@@ -134,8 +140,7 @@ def load_dictionary(path):
     The columns must have unit norm and the class ranges must partition the
     columns (else MalformedMatrix); the fingerprint recomputed from the
     loaded data and labels must equal the stored one (else
-    FingerprintMismatch, e.g. for non-string labels, which come back as
-    strings).
+    FingerprintMismatch).
     """
     path = Path(path)
     data = read_matrix(path)

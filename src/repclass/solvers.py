@@ -11,6 +11,7 @@ from .errors import (
     BadSparsity,
     DimensionMismatch,
     NegativeThreshold,
+    NonFiniteInput,
     NonPositiveLambda,
 )
 
@@ -32,22 +33,20 @@ class CodingResult:
     multiplier: np.ndarray | None = None
 
 
+# ALM penalty schedule: mu starts at _MU0 and grows by _RHO per multiplier step
+# up to _MU_MAX; each multiplier step takes at most _INNER_MAX Newton steps.
+# R-CRC is convex, so these set the path to the optimum, not the optimum.
+_MU0, _RHO, _MU_MAX, _INNER_MAX = 1.0, 1.2, 1e4, 30
+
+
 @dataclass(frozen=True)
 class AlmParams:
-    """ALM settings; inner_max caps the semismooth Newton steps per multiplier step."""
-
-    mu0: float = 1.0
-    rho: float = 1.2
     tol: float = 1e-6
     max_iter: int = 500
-    mu_max: float = 1e4
-    inner_max: int = 30
 
     def __post_init__(self):
-        if self.mu0 <= 0 or self.rho <= 1 or self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("need mu0 > 0, rho > 1, tol > 0, max_iter >= 1")
-        if self.mu_max < self.mu0 or self.inner_max < 1:
-            raise ValueError("need mu_max >= mu0 and inner_max >= 1")
+        if self.tol <= 0 or self.max_iter < 1:
+            raise ValueError("need tol > 0, max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,12 @@ def _as_matrix(X):
 
 
 def _check_dims(X, y):
+    """y as a flat float vector, checked to match X's rows and to be finite."""
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"X has {X.shape[0]} rows but y has length {y.shape[0]}")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("query contains NaN or inf")
     return y
 
 
@@ -103,37 +105,45 @@ def solve_rls(X, y, lam=None):
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
 
 
-def _alm_l1res(X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
-    """Augmented-Lagrangian loop for min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
+def solve_alm_l1res(X, y, lam, params=None):
+    """l1-residual ridge coding: min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
 
-    Each multiplier step minimizes the augmented Lagrangian exactly: with
+    Method of multipliers under a geometrically growing penalty. Each
+    multiplier step minimizes the augmented Lagrangian exactly: with
     w0 = y + z/mu and e = shrink(w0 - X a, 1/mu) minimized out, it is
     phi(a) = lam*||a||^2 + sum H(r), r = w0 - X a, c = clip(r, +-1/mu) and
     the Huber function H(r) = mu*c^2/2 + |r - c|. Semismooth Newton (Li, Sun
     & Toh, SIAM J. Optim. 2018) solves it from the previous step's a, with
     gradient 2*lam*a - mu*X^T c, Hessian 2*lam*I + mu*X_S^T X_S over the rows
-    S with |r| < 1/mu, and Armijo backtracking, for at most inner_max steps.
+    S with |r| < 1/mu, and Armijo backtracking, for at most _INNER_MAX steps.
     It stops on a negligible step, or on a full step that leaves every row on
     its Huber piece (that step solved phi exactly). Then z = mu*c lies in the
     dual box and 2*lam*a - X^T z is phi's gradient, zero up to rounding. The
     outer test's change is the move of (a, e) over the multiplier step. The
     penalty is capped so the late iterations retain contraction (an unbounded
-    schedule freezes the primal iterate off the optimum).
+    schedule freezes the primal iterate off the optimum). No factorization of
+    X is kept: each Newton step factors its own n x n system.
     """
+    X = _as_matrix(X)
+    y = _check_dims(X, y)
+    if lam <= 0:
+        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    params = params or AlmParams()
+    lam, tol = float(lam), params.tol
     m = y.shape[0]
     n = X.shape[1]
     alpha = np.zeros(n)
     e = np.zeros(m)
     z = np.zeros(m)
-    mu = mu0
+    mu = _MU0
     ynorm = np.sqrt(y @ y)
     if ynorm == 0.0:
-        return alpha, e, z, 0, True
+        return CodingResult(alpha=alpha, objective=0.0, residual_vec=e, multiplier=z)
     converged = False
     it = 0
     xa = np.zeros(m)
     ridge = 2.0 * lam * np.eye(n)
-    while it < max_iter:
+    while it < params.max_iter:
         it += 1
         inv_mu = 1.0 / mu
         w0 = y + z * inv_mu
@@ -142,7 +152,7 @@ def _alm_l1res(X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
         c = np.clip(r, -inv_mu, inv_mu)
         phi = lam * (alpha @ alpha) + 0.5 * mu * (c @ c) + np.sum(np.abs(r - c))
         piece = np.sign(r) * (np.abs(r) >= inv_mu)  # each row's Huber piece
-        for _ in range(inner_max):
+        for _ in range(_INNER_MAX):
             g = 2.0 * lam * alpha - mu * (X.T @ c)
             Xs = X[piece == 0]
             d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridge + mu * (Xs.T @ Xs)), g)
@@ -183,42 +193,38 @@ def _alm_l1res(X, y, lam, mu0, rho, mu_max, tol, max_iter, inner_max):
         ):
             converged = True
             break
-        mu = min(mu * rho, mu_max)
-    return alpha, e, z, it, converged
-
-
-def solve_alm_l1res(X, y, lam, params=None):
-    """l1-residual ridge coding: min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
-
-    Method of multipliers under a geometrically growing penalty; each
-    multiplier step's subproblem in a is solved exactly by semismooth Newton
-    (see _alm_l1res), with shrinkage giving e. No factorization of X is kept:
-    each Newton step factors its own n x n system.
-    """
-    Xm = _as_matrix(X)
-    y = _check_dims(Xm, y)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
-    if params is None:
-        params = AlmParams()
-    alpha, e, z, it, converged = _alm_l1res(
-        Xm, y, float(lam),
-        params.mu0, params.rho, params.mu_max, params.tol,
-        params.max_iter, params.inner_max,
-    )
+        mu = min(mu * _RHO, _MU_MAX)
     obj = float(np.sum(np.abs(e)) + lam * alpha @ alpha)
     return CodingResult(
         alpha=alpha,
         objective=obj,
-        iterations=int(it),
-        converged=bool(converged),
+        iterations=it,
+        converged=converged,
         residual_vec=e,
         multiplier=z,
     )
 
 
-def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
-    """Accelerated proximal gradient for min ||y - X a||_2^2 + lam*||a||_1.
+def solve_fista_l1(X, y, lam, params=None):
+    """l1-regularized coding: minimize ||y - X a||_2^2 + lam * ||a||_1.
+
+    Accelerated proximal gradient with step 1/L (L = Lipschitz constant of
+    the smooth gradient, from power iteration) and momentum restart on
+    objective increase. A Dictionary keeps its constant (X.sigma_sq); for a
+    bare matrix it is computed on this call.
+    """
+    Xm = np.ascontiguousarray(_as_matrix(X))
+    y = _check_dims(Xm, y)
+    if lam <= 0:
+        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    Xt = np.ascontiguousarray(Xm.T)
+    sigma_sq = X.sigma_sq if isinstance(X, Dictionary) else _power_iteration_sq(Xm, Xt)
+    return _fista_l1(Xm, Xt, y, lam, sigma_sq, params or FistaParams())
+
+
+def _fista_l1(X, Xt, y, lam, sigma_sq, params):
+    """FISTA for min ||y - X a||_2^2 + lam*||a||_1, given X, its C-contiguous
+    transpose Xt and sigma_sq = ||X||_2^2 (the step is 1 / (2 sigma_sq)).
 
     Momentum is restarted whenever the objective increases. The products
     X a of the accepted iterate and X v of the momentum point are carried
@@ -226,6 +232,10 @@ def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
     each iteration costs two matrix-vector products.
     """
     n = X.shape[1]
+    if sigma_sq == 0.0:
+        return CodingResult(alpha=np.zeros(n), objective=float(y @ y))
+    lam = float(lam)
+    step = 1.0 / (2.0 * sigma_sq)
     thr = step * lam
 
     def prox_step(point, x_point):
@@ -242,7 +252,7 @@ def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
     obj = y @ y
     converged = False
     it = 0
-    while it < max_iter:
+    while it < params.max_iter:
         it += 1
         alpha_new, xa_new, obj_new = prox_step(v, xv)
         if obj_new > obj:
@@ -257,44 +267,10 @@ def _fista_l1(X, Xt, y, lam, step, tol, max_iter):
         rel = abs(obj - obj_new) / (abs(obj) + 1e-30)
         alpha, xa = alpha_new, xa_new
         obj = obj_new
-        if rel <= tol:
+        if rel <= params.tol:
             converged = True
             break
-    return alpha, obj, it, converged
-
-
-def solve_fista_l1(X, y, lam, params=None):
-    """l1-regularized coding: minimize ||y - X a||_2^2 + lam * ||a||_1.
-
-    Accelerated proximal gradient with step 1/L (L = Lipschitz constant of
-    the smooth gradient, from power iteration) and momentum restart on
-    objective increase. A Dictionary keeps its constant (X.sigma_sq); for a
-    bare matrix it is computed on this call.
-    """
-    Xm = np.ascontiguousarray(_as_matrix(X))
-    y = _check_dims(Xm, y)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
-    if params is None:
-        params = FistaParams()
-    Xt = np.ascontiguousarray(Xm.T)
-    if isinstance(X, Dictionary):
-        sigma_sq = X.sigma_sq
-    else:
-        sigma_sq = _power_iteration_sq(Xm, Xt, 1e-6, 1000)
-    return _fista_coding(Xm, Xt, y, lam, sigma_sq, params)
-
-
-def _fista_coding(X, Xt, y, lam, sigma_sq, params):
-    """FISTA's CodingResult given X, its C-contiguous transpose and sigma_sq."""
-    if sigma_sq == 0.0:
-        return CodingResult(alpha=np.zeros(X.shape[1]), objective=float(y @ y))
-    alpha, obj, it, converged = _fista_l1(
-        X, Xt, y, float(lam), 1.0 / (2.0 * sigma_sq), params.tol, params.max_iter
-    )
-    return CodingResult(
-        alpha=alpha, objective=float(obj), iterations=int(it), converged=bool(converged)
-    )
+    return CodingResult(alpha=alpha, objective=float(obj), iterations=it, converged=converged)
 
 
 def solve_omp(X, y, k):
@@ -359,12 +335,12 @@ def solve_constrained_lp(X, y, p, grid):
         # every lambda of the sweep shares one FISTA step
         Xc = np.ascontiguousarray(Xm)
         Xt = np.ascontiguousarray(Xc.T)
-        sigma_sq = _power_iteration_sq(Xc, Xt, 1e-6, 1000)
+        sigma_sq = _power_iteration_sq(Xc, Xt)
     for lam in np.logspace(-6, 3, 60):
         if p == 2:
             alpha = solve_rls(Xm, y, lam).alpha
         else:
-            alpha = _fista_coding(Xc, Xt, y, lam, sigma_sq, FistaParams()).alpha
+            alpha = _fista_l1(Xc, Xt, y, lam, sigma_sq, FistaParams()).alpha
         pairs.append(_pair(Xm, y, alpha, p))
     out = []
     for eps in grid:

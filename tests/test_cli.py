@@ -160,14 +160,14 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
     out = tmp_path / "report.json"
     rc = main([
         "experiment", "--data", dataset, "--config", str(cfg),
-        "--set", "classifier=crc_rls", "--set", "alm.mu0=2.0",
+        "--set", "classifier=crc_rls", "--set", "alm.tol=1e-5",
         "--out", str(out),
     ])
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["config"]["classifier"] == "crc_rls"
     assert report["config"]["lambda"] == 0.5
-    assert report["config"]["alm"]["mu0"] == 2.0
+    assert report["config"]["alm"]["tol"] == 1e-5
 
 
 @pytest.mark.parametrize(
@@ -177,8 +177,14 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
         (["--set", "degradation.kind=pixel_corruption", "--set", "degradation.seed=1"],
          ("degradation", "fraction")),
         (["--set", "lamda=5"], ("lamda",)),
+        (["--set", "alm=3", "--set", "alm.tol=1e-5"], ("alm.tol", "alm")),
+        (["--set", "degradation=null", "--set", "degradation.kind=x"],
+         ("degradation.kind", "degradation")),
     ],
-    ids=["unknown-alm-key", "degradation-without-fraction", "unknown-top-level-key"],
+    ids=[
+        "unknown-alm-key", "degradation-without-fraction", "unknown-top-level-key",
+        "dotted-key-through-number", "dotted-key-through-null",
+    ],
 )
 def test_experiment_malformed_config_section_is_json_error(
     dataset, overrides, words, capsys

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -166,6 +167,13 @@ def test_config_validation():
             ExperimentConfig.from_json(obj)
 
 
+def test_config_alm_keeps_only_tol_and_max_iter():
+    # the penalty schedule is fixed, so a config naming one of its old knobs is invalid
+    assert tuple(f.name for f in fields(AlmParams)) == ("tol", "max_iter")
+    with pytest.raises(ConfigInvalid, match="'alm' has unknown key 'mu0'"):
+        ExperimentConfig.from_json({"alm": {"mu0": 2.0}})
+
+
 def test_config_json_roundtrip():
     cfg = ExperimentConfig(
         classifier="rcrc",
@@ -173,7 +181,7 @@ def test_config_json_roundtrip():
         feature_dim=12,
         degradation=DegradationSpec("pixel_corruption", 0.3, seed=4, low=-1, high=1),
         seed=9,
-        alm=AlmParams(mu0=2.0, rho=1.5),
+        alm=AlmParams(tol=1e-5, max_iter=50),
         fista=FistaParams(tol=1e-8, max_iter=100),
     )
     back = ExperimentConfig.from_json(cfg.to_json())
@@ -351,6 +359,24 @@ def test_run_roc_rejects_classifiers_without_sci(classifier, monkeypatch):
     monkeypatch.setattr(Model, "decide", no_query)
     with pytest.raises(ConfigInvalid, match=classifier):
         run_roc(ExperimentConfig(classifier=classifier), gallery, customers, imposters, [0.5])
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("feature_dim", 3),
+     ("degradation", DegradationSpec("pixel_corruption", 0.9, seed=1, low=-1.0, high=1.0))],
+)
+def test_run_roc_rejects_features_and_degradation(name, value, monkeypatch):
+    # both used to be ignored: the ROC equalled the default config's
+    gallery, customers, imposters = _roc_datasets()
+
+    def no_query(self, y):
+        raise AssertionError("a query ran before the config was rejected")
+
+    monkeypatch.setattr(Model, "decide", no_query)
+    config = ExperimentConfig(**{name: value})
+    with pytest.raises(ConfigInvalid, match=name):
+        run_roc(config, gallery, customers, imposters, [0.5])
 
 
 def test_run_experiment_nn_has_no_sci():

@@ -5,7 +5,7 @@ import pytest
 
 from repclass.classifiers import fit
 from repclass.dictionary import build_dictionary, build_projector
-from repclass.errors import FingerprintMismatch, MalformedMatrix, MissingPath
+from repclass.errors import BadLabel, FingerprintMismatch, MalformedMatrix, MissingPath
 from repclass.features import fit_pca, project_pca
 from repclass.harness import ExperimentConfig
 from repclass.io import (
@@ -130,12 +130,13 @@ def test_load_dictionary_checks_fingerprint(tmp_path):
     _edit_sidecar(path, fingerprint="0" * 64)
     with pytest.raises(FingerprintMismatch, match="dict.rpmat"):
         load_dictionary(path)
-    # int labels come back as strings, so the fingerprint cannot match
+    # the sidecar keeps only string labels, so an int label is refused at
+    # save time, before any file is written
     rng = np.random.default_rng(2)
     ints = build_dictionary([(rng.standard_normal(10), i % 3) for i in range(12)])
-    save_dictionary(ints, path)
-    with pytest.raises(FingerprintMismatch, match="dict.rpmat"):
-        load_dictionary(path)
+    with pytest.raises(BadLabel, match="label 0"):
+        save_dictionary(ints, tmp_path / "ints.rpmat")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dict.rpmat", "dict.rpmat.json"]
 
 
 def test_load_dictionary_checks_unit_norm_columns(tmp_path):

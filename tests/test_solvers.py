@@ -17,6 +17,7 @@ from repclass.errors import (
     BadSparsity,
     DimensionMismatch,
     NegativeThreshold,
+    NonFiniteInput,
     NonPositiveLambda,
 )
 from repclass.harness import ExperimentConfig, synthetic_dataset
@@ -91,6 +92,28 @@ def test_solve_rls_validation():
         solve_rls(X, np.ones(4), 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda X, y: solve_rls(X, y, 0.1),
+        lambda X, y: solve_alm_l1res(X, y, 0.1),
+        lambda X, y: solve_fista_l1(X, y, 0.1),
+        lambda X, y: solve_omp(X, y, 3),
+    ],
+    ids=["rls", "alm", "fista", "omp"],
+)
+def test_solvers_reject_non_finite_query(solve, bad):
+    # such a query used to give a NaN code (rls, fista, omp; fista after
+    # running to its cap) or an untyped scipy ValueError (alm)
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((30, 60))
+    y = rng.standard_normal(30)
+    y[4] = bad
+    with pytest.raises(NonFiniteInput):
+        solve(X, y)
+
+
 # ---------------------------------------------------------------- ALM
 
 def test_alm_scalar_against_grid_oracle():
@@ -134,11 +157,9 @@ def test_alm_zero_query():
 
 def test_alm_params_validation():
     with pytest.raises(ValueError):
-        AlmParams(rho=1.0)
+        AlmParams(tol=0)
     with pytest.raises(ValueError):
-        AlmParams(mu0=-1.0)
-    with pytest.raises(ValueError):
-        AlmParams(mu_max=0.5, mu0=1.0)
+        AlmParams(max_iter=0)
     with pytest.raises(NonPositiveLambda):
         solve_alm_l1res(np.eye(2), np.ones(2), 0.0)
 
@@ -343,7 +364,7 @@ def test_fista_matches_reference_loop(seed, shape, lam):
     X /= np.linalg.norm(X, axis=0)
     y = rng.standard_normal(shape[0])
     Xt = np.ascontiguousarray(X.T)
-    step = 1.0 / (2.0 * _power_iteration_sq(X, Xt, 1e-6, 1000))
+    step = 1.0 / (2.0 * _power_iteration_sq(X, Xt))
     params = FistaParams(max_iter=200)
     alpha, obj, it, converged = _fista_l1_reference(
         X, Xt, y, lam, step, params.tol, params.max_iter
@@ -386,7 +407,7 @@ def _factor_dictionary(seed):
 def test_dictionary_factors_equal_direct_computation():
     d, _ = _factor_dictionary(41)
     Xt = np.ascontiguousarray(d.data.T)
-    assert d.sigma_sq == _power_iteration_sq(d.data, Xt, 1e-6, 1000)
+    assert d.sigma_sq == _power_iteration_sq(d.data, Xt)
 
 
 @pytest.mark.parametrize(
