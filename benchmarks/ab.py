@@ -1,0 +1,109 @@
+"""Parent/change A/B of one perfbench workload, written as a BENCH_*.json file.
+
+Usage (from the repository root):
+
+    python3 benchmarks/ab.py --parent ../parent-checkout --change . \
+        --workload sparse_src --seeds 1,2,3,4,5,6,7,8,9,10 --seconds 30 \
+        --out BENCH_sparse_src.json
+
+Each seed is one pair: `perfbench/run.py --workload W --seed S --seconds T`
+runs once in each checkout, one after the other, parent first on odd pairs
+and change first on even ones, so a drift of the machine's speed does not
+favour one side. The output holds every pair's end-to-end metrics and
+checks, each side's environment stamp (git SHA, whether `src/` is at it,
+source digest, nproc, BLAS build and thread count), and per metric the
+median and quartiles of each side plus the number of pairs the change wins.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_side(checkout, workload, seed, seconds):
+    """One perfbench run in `checkout`: (detail line, result line)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise SystemExit(f"{checkout}: perfbench printed no result (exit {proc.returncode})\n{proc.stderr}")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def src_at_git_sha(checkout):
+    """Whether `src/` equals the checkout's commit (None outside a git checkout).
+
+    perfbench stamps the commit's SHA; an uncommitted change to `src/` is
+    told apart by this flag and by the stamp's `src_sha256` digest."""
+    proc = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=no", "--", "src"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    return proc.stdout == "" if proc.returncode == 0 else None
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated; one pair per seed")
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    pairs, stamps = [], {}
+    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "order": list(order)}
+        for side in order:
+            detail, result = run_side(sides[side], args.workload, seed, args.seconds)
+            stamp = dict(detail["environment"], src_at_git_sha=src_at_git_sha(sides[side]))
+            stamps.setdefault(side, stamp)
+            pair[side] = {
+                "correct": result["correct"],
+                "failed": result["failed"],
+                "digest": detail["digest"],
+                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            }
+        pairs.append(pair)
+        print(json.dumps(pair), file=sys.stderr, flush=True)
+
+    summary = {}
+    for name, direction in better.items():
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        summary[name] = {
+            "better": direction,
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_wins": wins,
+            "pairs": len(pairs),
+        }
+    out = {
+        "workload": args.workload,
+        "command": f"perfbench/run.py --workload {args.workload} --seed SEED --seconds {args.seconds:g}",
+        "environment": stamps,
+        "summary": summary,
+        "pairs": pairs,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -36,6 +36,7 @@ from .solvers import (
     solve_fista_l1,
     solve_omp,
     solve_rls,
+    solve_ssnal_l1,
 )
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "solve_fista_l1",
     "solve_omp",
     "solve_rls",
+    "solve_ssnal_l1",
     "validate",
     "vectorize_image",
 ]

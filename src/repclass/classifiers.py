@@ -13,6 +13,7 @@ import numpy as np
 from .dictionary import Dictionary, Projector, build_projector
 from .errors import DimensionMismatch, FingerprintMismatch, SingleClass
 from .solvers import CodingResult, _check_dims, solve_alm_l1res, solve_fista_l1, solve_rls
+from .solvers import solve_ssnal_l1
 
 _ZERO_COEF_TOL = 1e-12
 
@@ -80,8 +81,10 @@ class Model:
         """Classify one query: per-class scores and the argmin class.
 
         crc_rls, src and rcrc code y over the whole dictionary and score each
-        class by its residual, less R-CRC's outlier estimate. The solvers are
-        looked up as module globals at call time, so tracing can wrap them.
+        class by its residual, less R-CRC's outlier estimate. src and rns_l1
+        run the semismooth-Newton lasso coder under the alm settings, or FISTA
+        when the config gives fista settings. The solvers are looked up as
+        module globals at call time, so tracing can wrap them.
         """
         d, c = self.dictionary, self.config
         y = _check_dims(d.data, y)
@@ -93,7 +96,7 @@ class Model:
                 if c.classifier == "rns_l2":
                     res = solve_rls(block, y, self.lam)
                 else:
-                    res = solve_fista_l1(block, y, self.lam, c.fista)
+                    res = self._lasso(block, y)
                 residuals[lab] = float(res.objective)
                 codings[lab] = res
             decision = _argmin_decision(residuals, None)
@@ -119,12 +122,18 @@ class Model:
                 obj = float(r @ r + self.lam * alpha @ alpha)
                 coding = CodingResult(alpha=alpha, objective=obj)
             elif c.classifier == "src":
-                coding = solve_fista_l1(d, y, self.lam, c.fista)
+                coding = self._lasso(d, y)
             else:
                 coding = solve_alm_l1res(d, y, self.lam, c.alm)
             target = y if coding.residual_vec is None else y - coding.residual_vec
             residuals = _class_residuals(d, target, coding.alpha, c.decision_variant)
         return _argmin_decision(residuals, coding)
+
+    def _lasso(self, X, y):
+        c = self.config
+        if c.fista is None:
+            return solve_ssnal_l1(X, y, self.lam, c.alm)
+        return solve_fista_l1(X, y, self.lam, c.fista)
 
 
 def fit(dictionary, config, projector=None):

@@ -22,6 +22,8 @@ def _load_config(args):
     obj = {}
     if getattr(args, "config", None):
         obj = json.loads(Path(args.config).read_text())
+        if not isinstance(obj, dict):
+            raise ConfigInvalid(f"{args.config}: config is not an object")
     for item in getattr(args, "set", None) or []:
         key, _, val = item.partition("=")
         try:

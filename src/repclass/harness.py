@@ -53,7 +53,7 @@ class ExperimentConfig:
     seed: int = 0
     decision_variant: str = "regularized_residual"
     alm: AlmParams = field(default_factory=AlmParams)
-    fista: FistaParams = field(default_factory=FistaParams)
+    fista: FistaParams | None = None  # None: src and rns_l1 run SSNAL under alm
 
     def __post_init__(self):
         if self.classifier not in CLASSIFIERS:
@@ -76,6 +76,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj):
         """Inverse of to_json; an absent key takes its field's default."""
+        if not isinstance(obj, dict):
+            raise ConfigInvalid(f"config is not an object: got {type(obj).__name__}")
         known = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
         unknown = set(obj) - set(known)
         if unknown:
@@ -86,8 +88,10 @@ class ExperimentConfig:
             if f.name == "degradation":
                 spec = degrade_mod.DegradationSpec
                 value = spec.from_json(_section(obj, key, spec)) if value else None
-            elif f.default_factory is not MISSING:  # a nested solver-params section
-                value = f.default_factory(**_section(obj, key, f.default_factory))
+            elif f.name == "alm":
+                value = AlmParams(**_section(obj, key, AlmParams))
+            elif f.name == "fista" and value is not None:
+                value = FistaParams(**_section(obj, key, FistaParams))
             kwargs[f.name] = value
         return cls(**kwargs)
 
@@ -382,6 +386,7 @@ def run_experiment(config, data):
                 "iterations": None if coding is None else int(coding.iterations),
                 "converged": None if coding is None else bool(coding.converged),
                 "objective": None if coding is None else _jsonable(float(coding.objective)),
+                "gap": None if coding is None or coding.gap is None else float(coding.gap),
             }
         )
     n = test_feats.shape[1]

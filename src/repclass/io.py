@@ -1,8 +1,7 @@
 """On-disk interchange: binary matrix files, JSON sidecars, PGM images.
 
 Matrix format: 8-byte magic "RPMATv1\\0", little-endian u64 rows, u64 cols,
-then row-major IEEE-754 doubles. Small matrices may also be imported from
-CSV.
+then row-major IEEE-754 doubles.
 """
 
 import json
@@ -46,16 +45,6 @@ def read_matrix(path):
         # the payload goes straight into the array, with no bytes copy
         data = np.fromfile(fh, dtype="<f8", count=rows * cols)
     return data.reshape(rows, cols)
-
-
-def read_matrix_csv(path):
-    path = Path(path)
-    if not path.exists():
-        raise MissingPath(str(path))
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        raise MalformedMatrix(f"{path}: {exc}") from None
 
 
 def read_pgm(path):

@@ -1,4 +1,5 @@
-"""Numerical coders: ridge, l1-residual ALM, l1 proximal gradient, OMP."""
+"""Numerical coders: ridge, l1-residual ALM, l1 semismooth-Newton ALM, l1
+proximal gradient, OMP."""
 
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ from .dictionary import Dictionary, _power_iteration_sq
 from .errors import (
     BadGrid,
     BadSparsity,
+    ConfigInvalid,
     DimensionMismatch,
     NegativeThreshold,
     NonFiniteInput,
@@ -22,7 +24,9 @@ class CodingResult:
 
     residual_vec is the explicit outlier vector e of l1-residual coding and
     is None for the other solvers; multiplier is the final Lagrange
-    multiplier of the ALM solver (diagnostic, used by optimality checks).
+    multiplier of the ALM solver (diagnostic, used by optimality checks);
+    gap is the relative duality gap of alpha for the coders that certify
+    their result by one (None for the others).
     """
 
     alpha: np.ndarray
@@ -31,22 +35,36 @@ class CodingResult:
     converged: bool = True
     residual_vec: np.ndarray | None = None
     multiplier: np.ndarray | None = None
+    gap: float | None = None
 
 
 # ALM penalty schedule: mu starts at _MU0 and grows by _RHO per multiplier step
 # up to _MU_MAX; each multiplier step takes at most _INNER_MAX Newton steps.
 # R-CRC is convex, so these set the path to the optimum, not the optimum.
 _MU0, _RHO, _MU_MAX, _INNER_MAX = 1.0, 1.2, 1e4, 30
+# SSNAL penalty schedule: sigma, in units of 1 / (mean squared column norm
+# of X), starts at _SIGMA0 and grows by _SIGMA_RHO per outer step up to
+# _SIGMA_MAX; each outer step takes at most _INNER_MAX Newton steps. The
+# coder stops on a duality gap, so these set its cost, not its answer.
+_SIGMA0, _SIGMA_RHO, _SIGMA_MAX = 1e3, 3.0, 1e6
+
+
+def _check_stopping(params):
+    if not params.tol > 0:
+        raise ConfigInvalid(f"stopping setting 'tol' must be positive, got {params.tol!r}")
+    if params.max_iter < 1:
+        raise ConfigInvalid(f"stopping setting 'max_iter' must be >= 1, got {params.max_iter!r}")
 
 
 @dataclass(frozen=True)
 class AlmParams:
+    """Stopping settings of the ALM coders (R-CRC's and SRC's default)."""
+
     tol: float = 1e-6
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("need tol > 0, max_iter >= 1")
+        _check_stopping(self)
 
 
 @dataclass(frozen=True)
@@ -55,8 +73,7 @@ class FistaParams:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("need tol > 0, max_iter >= 1")
+        _check_stopping(self)
 
 
 def _as_matrix(X):
@@ -202,6 +219,104 @@ def solve_alm_l1res(X, y, lam, params=None):
         converged=converged,
         residual_vec=e,
         multiplier=z,
+    )
+
+
+def solve_ssnal_l1(X, y, lam, params=None):
+    """l1-regularized coding: minimize ||y - X a||_2^2 + lam * ||a||_1.
+
+    Dual semismooth-Newton augmented Lagrangian (SSNAL; Li, Sun & Toh, SIAM
+    J. Optim. 2018). With t = lam/2 the problem is twice
+    min ||y - X a||^2/2 + t*||a||_1, whose dual is
+    max y^T u - ||u||^2/2 s.t. ||X^T u||_inf <= t. The method of multipliers
+    on the dual, with a the multiplier of the box constraint and sigma the
+    penalty, minimizes in each outer step (the box variable minimized out)
+    psi(u) = ||u||^2/2 - y^T u + sigma/2 * ||S(w)||^2, w = X^T u + a/sigma,
+    S the soft threshold at t, and then sets a = sigma * S(w). psi is
+    strongly convex and piecewise quadratic, with gradient
+    u - y + sigma * X S(w) and generalized Hessian I + sigma * X_J X_J^T over
+    the free set J = {j : |w_j| > t}. Newton steps with Armijo backtracking
+    minimize it from the previous u; a full step that keeps every w_j on its
+    piece solved psi exactly and ends the outer step. The Newton system is
+    solved through the |J| x |J| Woodbury system I/sigma + X_J^T X_J when
+    |J| < m, else as the m x m system. sigma grows geometrically up to a cap:
+    a = sigma * S(w) multiplies the rounding of w by sigma, so an unbounded
+    sigma would put a floor under the gap that the coder can reach.
+
+    After each outer step the residual r = y - X a, scaled into the dual box
+    (by min(1, t / ||X^T r||_inf)), is a dual point; the coder stops when the
+    relative duality gap of a is at most params.tol (converged) or after
+    params.max_iter outer steps. iterations counts outer steps, and
+    objective is the primal value at a.
+    """
+    X = _as_matrix(X)
+    y = _check_dims(X, y)
+    if lam <= 0:
+        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    params = params or AlmParams()
+    lam = float(lam)
+    t = 0.5 * lam
+    m, n = X.shape
+    alpha = np.zeros(n)
+    if not y.any():
+        return CodingResult(alpha=alpha, objective=0.0, gap=0.0)
+    unit = n / max(float(np.vdot(X, X)), 1e-300)  # 1 / mean squared column norm
+    sigma = _SIGMA0 * unit
+    u = np.zeros(m)
+    xtu = np.zeros(n)
+    converged = False
+    it = 0
+    while it < params.max_iter:
+        it += 1
+        w0 = alpha / sigma
+        w = xtu + w0
+        s = _soft_threshold(w, t)
+        piece = np.sign(s)  # each w_j's piece: above t, below -t, or inside
+        for _ in range(_INNER_MAX):
+            u_y = u - y
+            g = u_y + sigma * (X @ s)
+            Xf = X[:, piece != 0]
+            k = Xf.shape[1]
+            if k < m:
+                small = Xf.T @ Xf
+                small.flat[:: k + 1] += 1.0 / sigma
+                d = Xf @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(small), Xf.T @ g) - g
+            else:
+                big = sigma * (Xf @ Xf.T)
+                big.flat[:: m + 1] += 1.0
+                d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(big), g)
+            slope, lin, quad = g @ d, u_y @ d, 0.5 * (d @ d)
+            xtd = X.T @ d
+            step = 1.0
+            while step > 1e-10:
+                w_new = w + step * xtd
+                s_new = _soft_threshold(w_new, t)
+                # psi(u + step d) - psi(u), summed from small terms so that
+                # rounding does not stall the search near the minimum
+                drop = step * (lin + step * quad) + 0.5 * sigma * ((s_new - s) @ (s_new + s))
+                if drop <= 1e-4 * step * slope:
+                    break
+                step *= 0.5
+            else:
+                break
+            u, w, s = u + step * d, w_new, s_new
+            # a full step that keeps every w_j on its piece solved psi exactly
+            stay, piece = piece, np.sign(s)
+            if step == 1.0 and np.array_equal(stay, piece):
+                break
+        alpha = sigma * s
+        xtu = w - w0
+        r = y - X @ alpha
+        obj = r @ r + lam * np.sum(np.abs(alpha))
+        top = np.max(np.abs(X.T @ r))
+        c = min(1.0, t / top) if top > 0 else 1.0
+        gap = (obj - c * (2.0 * (r @ y) - c * (r @ r))) / obj
+        if gap <= params.tol:
+            converged = True
+            break
+        sigma = min(sigma * _SIGMA_RHO, _SIGMA_MAX * unit)
+    return CodingResult(
+        alpha=alpha, objective=float(obj), iterations=it, converged=converged, gap=float(gap)
     )
 
 

@@ -358,7 +358,7 @@ def test_decide_calls_the_module_solvers(monkeypatch):
     d, rng = _toy(22)
     y = rng.standard_normal(d.m)
     calls = []
-    for name in ("solve_alm_l1res", "solve_fista_l1"):
+    for name in ("solve_alm_l1res", "solve_fista_l1", "solve_ssnal_l1"):
         orig = getattr(repclass.classifiers, name)
 
         def spy(*args, _orig=orig, _name=name, **kwargs):
@@ -370,6 +370,11 @@ def test_decide_calls_the_module_solvers(monkeypatch):
     _decide(d, y, "src", 0.1, fista=FistaParams(max_iter=3))
     _decide(d, y, "rns_l1", 0.1, fista=FistaParams(max_iter=3))
     assert calls == ["solve_alm_l1res", "solve_fista_l1"] + ["solve_fista_l1"] * d.k
+    # without fista settings, src and rns_l1 run the Newton coder
+    calls.clear()
+    _decide(d, y, "src", 0.1, alm=AlmParams(max_iter=3))
+    _decide(d, y, "rns_l1", 0.1)
+    assert calls == ["solve_ssnal_l1"] * (1 + d.k)
 
 
 def test_fit_reuses_a_projector_only_at_its_lambda():

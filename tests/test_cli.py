@@ -180,10 +180,13 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
         (["--set", "alm=3", "--set", "alm.tol=1e-5"], ("alm.tol", "alm")),
         (["--set", "degradation=null", "--set", "degradation.kind=x"],
          ("degradation.kind", "degradation")),
+        (["--set", "alm.tol=0"], ("tol",)),
+        (["--set", "fista.max_iter=0"], ("max_iter",)),
     ],
     ids=[
         "unknown-alm-key", "degradation-without-fraction", "unknown-top-level-key",
-        "dotted-key-through-number", "dotted-key-through-null",
+        "dotted-key-through-number", "dotted-key-through-null", "alm-tol-zero",
+        "fista-max-iter-zero",
     ],
 )
 def test_experiment_malformed_config_section_is_json_error(
@@ -196,6 +199,22 @@ def test_experiment_malformed_config_section_is_json_error(
     err = json.loads(err_text)
     assert err["error"] == "ConfigInvalid"
     assert all(repr(word) in err["message"] for word in words)
+
+
+@pytest.mark.parametrize(
+    "overrides", [[], ["--set", "classifier=src"]], ids=["config-alone", "config-and-set"]
+)
+def test_experiment_config_not_an_object_is_json_error(dataset, tmp_path, overrides, capsys):
+    # a top-level list used to end in an AttributeError traceback
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[]")
+    rc = main(["experiment", "--data", dataset, "--config", str(cfg), *overrides])
+    assert rc == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "ConfigInvalid"
+    assert "not an object" in err["message"]
 
 
 def test_sweep_csv(dataset, tmp_path):

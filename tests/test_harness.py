@@ -162,6 +162,11 @@ def test_config_validation():
         ({"degradation": {"kind": "pixel_corruption", "seed": 1}},
          "'degradation' lacks key 'fraction'"),
         ({"lamda": 5}, "unknown key 'lamda'"),
+        ({"alm": {"tol": 0}}, "'tol' must be positive"),
+        ({"fista": {"max_iter": 0}}, "'max_iter' must be >= 1"),
+        # a top-level list used to end in AttributeError: 'list' object has no attribute 'items'
+        ([], "config is not an object"),
+        ("src", "config is not an object"),
     ]:
         with pytest.raises(ConfigInvalid, match=match):
             ExperimentConfig.from_json(obj)
@@ -188,6 +193,11 @@ def test_config_json_roundtrip():
     assert back == cfg
     assert back.resolve_lambda(700) == 0.01
     assert ExperimentConfig(lam="auto").resolve_lambda(700) == pytest.approx(0.001)
+    # fista round-trips as null too, the default, which codes SRC by SSNAL
+    default = ExperimentConfig(classifier="src")
+    assert default.fista is None and default.to_json()["fista"] is None
+    assert ExperimentConfig.from_json(json.loads(json.dumps(default.to_json()))) == default
+    assert ExperimentConfig.from_json({"fista": {}}).fista == FistaParams()
 
 
 # ------------------------------------------------------------ experiments
@@ -220,9 +230,9 @@ def test_run_experiment_report_contents():
     rec = report.per_query[0]
     assert {
         "query", "true", "predicted", "residuals", "sci", "wall_time",
-        "iterations", "converged", "objective",
+        "iterations", "converged", "objective", "gap",
     } <= set(rec)
-    assert rec["iterations"] == 0 and rec["converged"] is True
+    assert rec["iterations"] == 0 and rec["converged"] is True and rec["gap"] is None
     assert rec["objective"] > 0
     # confusion row sums match per-class query counts
     total = sum(sum(row.values()) for row in report.confusion.values())
@@ -246,6 +256,19 @@ def test_run_experiment_reports_solver_caps():
     assert [rec["iterations"] for rec in report.per_query] == [1] * 6
     assert [rec["converged"] for rec in report.per_query] == [False] * 6
     assert report.to_json()["n_not_converged"] == 6
+
+
+def test_run_experiment_logs_the_duality_gap():
+    data = _small_data(seed=4, n_classes=3, n_train=4, n_test=2)
+    for cap in (1, 500):
+        cfg = ExperimentConfig(classifier="src", alm=AlmParams(max_iter=cap))
+        report = run_experiment(cfg, data)
+        for rec in report.per_query:
+            assert isinstance(rec["gap"], float)
+            assert rec["converged"] == (rec["gap"] <= cfg.alm.tol)
+        assert report.to_json()["n_not_converged"] == (6 if cap == 1 else 0)
+    fista = ExperimentConfig(classifier="src", fista=FistaParams(max_iter=3))
+    assert [rec["gap"] for rec in run_experiment(fista, data).per_query] == [None] * 6
 
 
 def test_run_experiment_sci_only_for_whole_dictionary_codes():

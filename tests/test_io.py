@@ -14,7 +14,6 @@ from repclass.io import (
     load_pca,
     load_projector,
     read_matrix,
-    read_matrix_csv,
     read_pgm,
     save_dictionary,
     save_pca,
@@ -59,16 +58,6 @@ def test_read_matrix_error_cases(tmp_path):
         trunc.write_bytes(raw)
         with pytest.raises(MalformedMatrix):
             read_matrix(trunc)
-
-
-def test_read_matrix_csv(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("1.0,2.0\n3.5,-4.0\n")
-    np.testing.assert_array_equal(read_matrix_csv(p), [[1.0, 2.0], [3.5, -4.0]])
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,garbage\n")
-    with pytest.raises(MalformedMatrix):
-        read_matrix_csv(bad)
 
 
 def test_pgm_roundtrip(tmp_path):

@@ -15,6 +15,7 @@ from repclass.dictionary import build_dictionary, default_lambda
 from repclass.errors import (
     BadGrid,
     BadSparsity,
+    ConfigInvalid,
     DimensionMismatch,
     NegativeThreshold,
     NonFiniteInput,
@@ -31,6 +32,7 @@ from repclass.solvers import (
     solve_fista_l1,
     solve_omp,
     solve_rls,
+    solve_ssnal_l1,
 )
 
 finite_vec = arrays(
@@ -99,9 +101,10 @@ def test_solve_rls_validation():
         lambda X, y: solve_rls(X, y, 0.1),
         lambda X, y: solve_alm_l1res(X, y, 0.1),
         lambda X, y: solve_fista_l1(X, y, 0.1),
+        lambda X, y: solve_ssnal_l1(X, y, 0.1),
         lambda X, y: solve_omp(X, y, 3),
     ],
-    ids=["rls", "alm", "fista", "omp"],
+    ids=["rls", "alm", "fista", "ssnal", "omp"],
 )
 def test_solvers_reject_non_finite_query(solve, bad):
     # such a query used to give a NaN code (rls, fista, omp; fista after
@@ -156,10 +159,11 @@ def test_alm_zero_query():
 
 
 def test_alm_params_validation():
-    with pytest.raises(ValueError):
-        AlmParams(tol=0)
-    with pytest.raises(ValueError):
-        AlmParams(max_iter=0)
+    # a bad stopping setting is a config error, typed like every other one
+    for params in (AlmParams, FistaParams):
+        for kwargs in ({"tol": 0}, {"tol": -1e-6}, {"tol": float("nan")}, {"max_iter": 0}):
+            with pytest.raises(ConfigInvalid):
+                params(**kwargs)
     with pytest.raises(NonPositiveLambda):
         solve_alm_l1res(np.eye(2), np.ones(2), 0.0)
 
@@ -377,6 +381,91 @@ def test_fista_matches_reference_loop(seed, shape, lam):
     assert res.objective == pytest.approx(obj, rel=1e-9)
 
 
+# ------------------------------------------------ SSNAL lasso oracles
+#
+# The semismooth-Newton lasso coder is checked against the optimum that
+# L-BFGS-B finds for the same problem, and its converged flag against the
+# duality gap it reports.
+
+def _lasso_objective(X, y, lam, a):
+    r = y - X @ a
+    return r @ r + lam * np.sum(np.abs(a))
+
+
+def _lasso_reference_optimum(X, y, lam):
+    """min ||y - X a||^2 + lam*||a||_1 by L-BFGS-B over a = p - q, p, q >= 0."""
+    n = X.shape[1]
+
+    def f(pq):
+        r = y - X @ (pq[:n] - pq[n:])
+        g = -2.0 * X.T @ r
+        return r @ r + lam * np.sum(pq), np.concatenate([g + lam, lam - g])
+
+    out = scipy.optimize.minimize(
+        f, np.zeros(2 * n), jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * (2 * n),
+        options={"ftol": 1e-16, "gtol": 1e-14, "maxiter": 100000, "maxfun": 100000},
+    )
+    return float(out.fun)
+
+
+def _wide_problem():
+    """30 x 90 with a small lam: the code fills m, so the m x m Newton form runs."""
+    rng = np.random.default_rng(78)
+    X = rng.standard_normal((30, 90))
+    X /= np.linalg.norm(X, axis=0)
+    return X, rng.standard_normal(30)
+
+
+@pytest.mark.parametrize(
+    "problem, lam",
+    [(_seed77_problem, 0.3), (_corrupted_problem, 0.01), (_wide_problem, 1e-3)],
+    ids=["seed77", "tall", "wide"],
+)
+def test_ssnal_reaches_lasso_reference_optimum(problem, lam):
+    X, y = problem()
+    best = _lasso_reference_optimum(X, y, lam)
+    for tol in (1e-6, 1e-9):
+        res = solve_ssnal_l1(X, y, lam, AlmParams(tol=tol))
+        assert res.converged and res.gap <= tol
+        assert res.objective == pytest.approx(_lasso_objective(X, y, lam, res.alpha), rel=1e-12)
+        # the gap bounds the distance to the optimum; rounding may put the
+        # oracle's own value a little above it
+        assert best * (1.0 - 1e-9) <= res.objective <= best * (1.0 + tol) + 1e-12
+    assert res.objective == pytest.approx(best, rel=1e-9)
+
+
+def test_ssnal_converged_only_when_gap_within_tol():
+    X, y = _wide_problem()
+    lam, tol = 1e-3, 1e-6
+    best = _lasso_reference_optimum(X, y, lam)
+    flags = []
+    for cap in range(1, 12):
+        res = solve_ssnal_l1(X, y, lam, AlmParams(tol=tol, max_iter=cap))
+        assert res.iterations <= cap
+        assert res.converged == (res.gap <= tol)
+        # the certificate is a real bound: the true relative gap is below it
+        assert (res.objective - best) / res.objective <= res.gap + 1e-12
+        flags.append(res.converged)
+    assert flags[0] is False and flags[-1] is True  # a capped run is not certified
+
+
+def test_ssnal_zero_query_and_identity():
+    X = np.random.default_rng(15).standard_normal((6, 4))
+    res = solve_ssnal_l1(X, np.zeros(6), 0.5)
+    assert res.converged and res.gap == 0.0 and res.objective == 0.0
+    np.testing.assert_array_equal(res.alpha, 0.0)
+    # with X = I the lasso separates into soft thresholds at lam/2
+    # with X = I the lasso separates into soft thresholds at lam/2, and the
+    # objective is 2-strongly convex, so the gap bounds ||a - a*||^2
+    y = np.random.default_rng(16).standard_normal(12)
+    for lam in (0.1, 0.5, 2.0):
+        res = solve_ssnal_l1(np.eye(12), y, lam, AlmParams(tol=1e-9))
+        err = res.alpha - shrink(y, lam / 2.0)
+        assert res.converged and err @ err <= res.gap * res.objective + 1e-30
+    with pytest.raises(NonPositiveLambda):
+        solve_ssnal_l1(np.eye(2), np.ones(2), 0.0)
+
+
 # ------------------------------------------------- per-dictionary factors
 
 def _factor_counts(monkeypatch):
@@ -418,8 +507,10 @@ def test_dictionary_factors_equal_direct_computation():
         (lambda d, y: fit(d, ExperimentConfig(
             classifier="src", lam=0.1, fista=FistaParams(max_iter=3),
             decision_variant="plain_residual")).decide(y), {"power": 1}),
+        (lambda d, y: fit(d, ExperimentConfig(
+            classifier="src", lam=0.1, alm=AlmParams(max_iter=3))).decide(y), {}),
     ],
-    ids=["rcrc-no-factor", "src-sigma"],
+    ids=["rcrc-no-factor", "src-sigma", "src-ssnal-no-factor"],
 )
 def test_dictionary_factor_computed_once_and_freed(classify, factors, monkeypatch):
     d, queries = _factor_dictionary(42)
