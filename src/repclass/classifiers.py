@@ -1,18 +1,19 @@
 """Classification rules built on the coders.
 
 fit(dictionary, config) binds one of CLASSIFIERS to a dictionary; its
-Model.decide(y) produces a Decision: per-class scores plus the argmin label,
-with ties broken toward the earliest class block in the dictionary.
+Model.decide_block(Y) scores each class for each query of a block and picks
+the argmin, ties going to the earliest class block; decide(y) is q = 1.
 """
 
-import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dictionary import Dictionary, Projector, build_projector
 from .errors import DimensionMismatch, FingerprintMismatch, SingleClass
-from .solvers import CodingResult, _check_dims, solve_alm_l1res, solve_fista_l1, solve_rls
+from .solvers import CodingResult, _check_block, solve_alm_l1res, solve_fista_l1
 from .solvers import solve_ssnal_l1
 
 _ZERO_COEF_TOL = 1e-12
@@ -33,33 +34,49 @@ class Decision:
 
 
 @dataclass
+class Decisions:
+    """Decisions on a block of q queries; column (or entry) j is query j.
+
+    scores is K x q with rows in class order; predicted the row of each
+    column's least score. alpha is the n x q code (for rns_* each class
+    block's code of the query alone, zeros for nn), residual rcrc's m x q
+    outlier estimate and gap SSNAL's duality gaps (None for other coders).
+    seconds is each query's own coding time plus an equal share of the rest.
+    """
+
+    scores: np.ndarray
+    predicted: np.ndarray
+    alpha: np.ndarray
+    residual: np.ndarray | None
+    iterations: np.ndarray
+    converged: np.ndarray
+    objective: np.ndarray
+    gap: np.ndarray | None
+    seconds: np.ndarray
+
+
+@dataclass
 class ValidationOutcome:
     accepted: bool
     sci: float
     threshold: float
 
 
-def _argmin_decision(residuals, coding):
-    # min keeps the first of equal scores, and residuals follow class order
-    best = min(residuals, key=residuals.get)
-    return Decision(best, residuals, coding, degenerate=residuals[best] == np.inf)
+def _residual_sq(T, A, B):
+    """||t - B a||^2 for each row t of T and a of A. np.vecdot is one BLAS dot
+    per row, so a one-row block rounds as r @ r does for one vector."""
+    R = A @ B.T
+    np.subtract(T, R, out=R)
+    return np.vecdot(R, R)
 
 
-def _class_residuals(dictionary, target, alpha, variant):
-    """Per-class ||target - X_i a_i||_2; the regularized variant divides it by
-    ||a_i||_2, with inf for an (almost) zero a_i."""
-    X = dictionary.data
-    out = {}
-    for lab, (lo, hi) in dictionary.class_ranges.items():
-        ai = alpha[lo:hi]
-        scale = 1.0
-        if variant == "regularized_residual":
-            scale = math.sqrt(ai @ ai)
-            if scale < _ZERO_COEF_TOL:
-                out[lab] = np.inf
-                continue
-        r = target - X[:, lo:hi] @ ai
-        out[lab] = math.sqrt(r @ r) / scale
+def _timed_rows(coder, rows, seconds):
+    """coder(r) for each row r, adding each call's wall time to seconds."""
+    out = []
+    for j, r in enumerate(rows):
+        t0 = time.perf_counter()
+        out.append(coder(r))
+        seconds[j] += time.perf_counter() - t0
     return out
 
 
@@ -69,65 +86,102 @@ class Model:
 
     config is an ExperimentConfig: the classifier name, decision variant and
     solver settings are read from it. lam is the resolved ridge/l1 weight;
-    projector is the CRC-RLS ridge projector (None for the other rules).
+    projector is the CRC-RLS ridge projector and class_factors the rns_l2
+    Cholesky factors of X_i^T X_i + lam I (None for the other rules).
     """
 
     dictionary: Dictionary
     config: object
     lam: float
     projector: Projector | None = None
+    class_factors: tuple | None = None
 
     def decide(self, y):
-        """Classify one query: per-class scores and the argmin class.
+        """Classify one query: decide_block on the one-column block."""
+        b = self.decide_block(np.reshape(y, (-1, 1)))
+        best, classes = int(b.predicted[0]), self.dictionary.classes
+        coding = CodingResult(
+            b.alpha[:, 0], float(b.objective[0]), int(b.iterations[0]), bool(b.converged[0]),
+            None if b.residual is None else b.residual[:, 0],
+            gap=None if b.gap is None else float(b.gap[0]),
+        )
+        scores = b.scores[:, 0].tolist()
+        return Decision(classes[best], dict(zip(classes, scores)), coding, scores[best] == np.inf)
 
-        crc_rls, src and rcrc code y over the whole dictionary and score each
-        class by its residual, less R-CRC's outlier estimate. src and rns_l1
-        run the semismooth-Newton lasso coder under the alm settings, or FISTA
-        when the config gives fista settings. The solvers are looked up as
+    def decide_block(self, Y):
+        """Classify the m x q block Y of queries at once, as Decisions.
+
+        crc_rls (one projector product), src and rcrc code over the whole
+        dictionary and score class i by ||t - X_i a_i|| (over ||a_i|| under
+        regularized_residual); rns_* by the objective of coding with block i
+        alone, nn by the nearest column, ns by the least-squares residual.
+        src, rcrc and rns_l1 code query by query, by solvers looked up as
         module globals at call time, so tracing can wrap them.
         """
-        d, c = self.dictionary, self.config
-        y = _check_dims(d.data, y)
-        ranges = d.class_ranges.items()
-        if c.classifier in ("rns_l1", "rns_l2"):  # code each class block alone
-            residuals, codings = {}, {}
-            for lab, (lo, hi) in ranges:
-                block = d.data[:, lo:hi]
-                if c.classifier == "rns_l2":
-                    res = solve_rls(block, y, self.lam)
-                else:
-                    res = self._lasso(block, y)
-                residuals[lab] = float(res.objective)
-                codings[lab] = res
-            decision = _argmin_decision(residuals, None)
-            decision.coding = codings[decision.predicted]
-            return decision
-        if c.classifier == "nn":  # distance to the nearest column of each class
-            dist = np.linalg.norm(d.data - y[:, None], axis=0)
-            residuals = {lab: float(np.min(dist[lo:hi])) for lab, (lo, hi) in ranges}
-            coding = CodingResult(alpha=np.zeros(d.n), objective=float(min(residuals.values())))
-        elif c.classifier == "ns":  # least-squares residual of each class block
-            residuals = {}
-            alpha = np.zeros(d.n)
-            for lab, (lo, hi) in ranges:
-                block = d.data[:, lo:hi]
-                coef, *_ = np.linalg.lstsq(block, y, rcond=1e-10)
-                residuals[lab] = float(np.linalg.norm(y - block @ coef))
-                alpha[lo:hi] = coef
-            coding = CodingResult(alpha=alpha, objective=float(min(residuals.values())) ** 2)
-        else:
-            if c.classifier == "crc_rls":
-                alpha = self.projector.matrix @ y
-                r = y - d.data @ alpha
-                obj = float(r @ r + self.lam * alpha @ alpha)
-                coding = CodingResult(alpha=alpha, objective=obj)
-            elif c.classifier == "src":
-                coding = self._lasso(d, y)
-            else:
-                coding = solve_alm_l1res(d, y, self.lam, c.alm)
-            target = y if coding.residual_vec is None else y - coding.residual_vec
-            residuals = _class_residuals(d, target, coding.alpha, c.decision_variant)
-        return _argmin_decision(residuals, coding)
+        d, c, rule = self.dictionary, self.config, self.config.classifier
+        X = d.data
+        Y = _check_block(X, Y)
+        t_start = time.perf_counter()
+        Yt = np.ascontiguousarray(Y.T)  # one query per row
+        q = Yt.shape[0]
+        At, Et, codings, per_class = np.zeros((q, d.n)), None, None, []
+        seconds, scores = np.zeros(q), np.empty((d.k, q))
+        if rule == "crc_rls":
+            At = Y.T @ self.projector.matrix.T
+            objective = _residual_sq(Yt, At, X) + self.lam * np.vecdot(At, At)
+        elif rule in ("src", "rcrc"):
+            coder = self._lasso if rule == "src" else self._l1_residual
+            codings = _timed_rows(lambda y: coder(d, y), Yt, seconds)
+            At = np.array([r.alpha for r in codings])
+            if rule == "rcrc":
+                Et = np.array([r.residual_vec for r in codings])
+        T = Yt if Et is None else Yt - Et  # the query less rcrc's outlier estimate
+        code_sq = np.empty((d.k, q))  # squared norm of each class's code
+        for i, (lo, hi) in enumerate(d.class_ranges.values()):
+            B = X[:, lo:hi]
+            if rule == "nn":
+                # imported here: scipy.spatial adds about 10 MB to every process
+                from scipy.spatial.distance import cdist
+
+                scores[i] = cdist(Yt, B.T).min(axis=1)
+                continue
+            if rule == "rns_l1":
+                per_class.append(_timed_rows(lambda y: self._lasso(B, y), Yt, seconds))
+                At[:, lo:hi] = [r.alpha for r in per_class[i]]
+                scores[i] = [r.objective for r in per_class[i]]
+                continue
+            if rule == "ns":
+                At[:, lo:hi] = np.linalg.lstsq(B, Y, rcond=1e-10)[0].T
+            elif rule == "rns_l2":
+                At[:, lo:hi] = scipy.linalg.cho_solve(self.class_factors[i], B.T @ Y).T
+            Ai = At[:, lo:hi]
+            scores[i], code_sq[i] = _residual_sq(T, Ai, B), np.vecdot(Ai, Ai)
+        if rule == "rns_l2":
+            scores += self.lam * code_sq
+        elif rule in ("crc_rls", "src", "rcrc", "ns"):
+            scores = np.sqrt(scores)
+            if rule != "ns" and c.decision_variant == "regularized_residual":
+                norm = np.sqrt(code_sq)
+                big = norm >= _ZERO_COEF_TOL
+                scores = np.divide(scores, norm, out=np.full_like(scores, np.inf), where=big)
+        predicted = np.argmin(scores, axis=0)
+        if rule in ("nn", "ns", "rns_l2"):
+            objective = scores.min(axis=0) ** (2 if rule == "ns" else 1)
+        elif rule == "rns_l1":
+            codings = [per_class[i][j] for j, i in enumerate(predicted)]
+        iterations, converged, gap = np.zeros(q, int), np.ones(q, bool), None
+        if codings is not None:
+            iterations, converged, objective, gap = (
+                np.array([getattr(r, k) for r in codings])
+                for k in ("iterations", "converged", "objective", "gap")
+            )
+            gap = None if gap.dtype == object else gap  # a coder without a gap
+        seconds += (time.perf_counter() - t_start - seconds.sum()) / max(q, 1)
+        E = None if Et is None else Et.T
+        return Decisions(scores, predicted, At.T, E, iterations, converged, objective, gap, seconds)
+
+    def _l1_residual(self, X, y):
+        return solve_alm_l1res(X, y, self.lam, self.config.alm)
 
     def _lasso(self, X, y):
         c = self.config
@@ -142,6 +196,7 @@ def fit(dictionary, config, projector=None):
     For crc_rls that is the ridge projector at the resolved lambda: a given
     projector is reused when it was built at that lambda, else a new one is
     built. A projector from another dictionary raises FingerprintMismatch.
+    For rns_l2 it is one Cholesky factor of X_i^T X_i + lam I per class.
     """
     if projector is not None and projector.dictionary_fingerprint != dictionary.fingerprint:
         raise FingerprintMismatch("projector was built from a different dictionary")
@@ -150,32 +205,38 @@ def fit(dictionary, config, projector=None):
         projector = None
     elif projector is None or projector.lam != lam:
         projector = build_projector(dictionary, lam)
-    return Model(dictionary, config, lam, projector)
+    factors = None
+    if config.classifier == "rns_l2":
+        blocks = (dictionary.data[:, lo:hi] for lo, hi in dictionary.class_ranges.values())
+        factors = tuple(scipy.linalg.cho_factor(B.T @ B + lam * np.eye(B.shape[1])) for B in blocks)
+    return Model(dictionary, config, lam, projector, factors)
 
 
 def compute_sci(dictionary, coding):
-    """Sparsity concentration index of a coding vector, in [0, 1].
+    """Sparsity concentration index of one coding vector: block_sci of it."""
+    return float(block_sci(dictionary, np.reshape(coding.alpha, (-1, 1)))[0])
 
-    (K * max_i ||a_i||_1 / ||a||_1 - 1) / (K - 1); 0 for an (almost) zero
-    vector, 1 when all l1 mass sits in a single class block.
+
+def block_sci(dictionary, A):
+    """Sparsity concentration index of each column of the n x q code block A.
+
+    (K * max_i ||a_i||_1 / ||a||_1 - 1) / (K - 1), clipped to [0, 1]; 0 for
+    an (almost) zero column, 1 when all l1 mass sits in one class block.
     """
     if dictionary.k < 2:
         raise SingleClass("SCI is undefined for a single-class dictionary")
-    alpha = np.asarray(coding.alpha, dtype=np.float64)
-    if alpha.shape[0] != dictionary.n:
-        raise DimensionMismatch(
-            f"alpha has length {alpha.shape[0]}, dictionary has {dictionary.n} columns"
-        )
-    mass = np.abs(alpha)
-    total = float(np.sum(mass))
-    if total <= 1e-12:
-        return 0.0
-    # the class blocks partition the columns, so the l1 mass of each block is
+    mass = np.abs(np.asarray(A, dtype=np.float64))
+    if mass.shape[0] != dictionary.n:
+        raise DimensionMismatch(f"codes have {mass.shape[0]} rows, dictionary has {dictionary.n} columns")
+    total = mass.sum(axis=0)
+    # the class blocks partition the rows, so the l1 mass of each block is
     # one segment of a reduceat over the block starts in column order
     starts = sorted(lo for lo, _ in dictionary.class_ranges.values())
-    best = float(np.max(np.add.reduceat(mass, starts))) / total
+    best = np.add.reduceat(mass, starts, axis=0).max(axis=0)
+    live = total > 1e-12
     k = dictionary.k
-    return float(min(1.0, max(0.0, (k * best - 1.0) / (k - 1.0))))
+    sci = (k * (best / np.where(live, total, 1.0)) - 1.0) / (k - 1.0)
+    return np.where(live, np.clip(sci, 0.0, 1.0), 0.0)
 
 
 def validate(dictionary, coding, threshold):

@@ -7,13 +7,14 @@ import math
 import os
 import platform
 import time
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import degradation as degrade_mod
-from .classifiers import CLASSIFIERS, SCI_CLASSIFIERS, compute_sci, fit
+from .classifiers import CLASSIFIERS, SCI_CLASSIFIERS, block_sci, fit
 from .dictionary import build_dictionary, default_lambda
 from .errors import (
     ConfigInvalid,
@@ -349,52 +350,36 @@ def run_experiment(config, data):
     stages["dictionary"], stages["fit"] = t1 - t0, t2 - t1
     offline_time = t2 - t0 + offline_extra
 
-    per_query = []
-    times = []
-    correct_by_class = {}
-    total_by_class = {}
-    confusion = {}
-    n_correct = 0
-    for j in range(test_feats.shape[1]):
-        y = test_feats[:, j]
-        t0 = clock()
-        decision = model.decide(y)
-        dt = clock() - t0
-        times.append(dt)
-        true = test_labels[j]
-        pred = decision.predicted
-        ok = pred == true
-        n_correct += ok
-        total_by_class[true] = total_by_class.get(true, 0) + 1
-        correct_by_class[true] = correct_by_class.get(true, 0) + ok
-        confusion.setdefault(str(true), {})
-        confusion[str(true)][str(pred)] = confusion[str(true)].get(str(pred), 0) + 1
-        coding = decision.coding
-        sci = None
-        if dictionary.k >= 2 and config.classifier in SCI_CLASSIFIERS:
-            t0 = clock()
-            sci = compute_sci(dictionary, coding)
-            stages["sci"] += clock() - t0
-        per_query.append(
-            {
-                "query": j,
-                "true": str(true),
-                "predicted": str(pred),
-                "residuals": {str(k): _jsonable(v) for k, v in decision.per_class_residuals.items()},
-                "sci": sci,
-                "wall_time": dt,
-                "iterations": None if coding is None else int(coding.iterations),
-                "converged": None if coding is None else bool(coding.converged),
-                "objective": None if coding is None else _jsonable(float(coding.objective)),
-                "gap": None if coding is None or coding.gap is None else float(coding.gap),
-            }
-        )
-    n = test_feats.shape[1]
+    block = model.decide_block(test_feats)
+    classes = dictionary.classes
+    predicted = [classes[i] for i in block.predicted]
+    times = block.seconds.tolist()
     stages["decide"] = sum(times)
+    n = len(times)
+    sci = [None] * n
+    gap = [None] * n if block.gap is None else block.gap.tolist()
+    if dictionary.k >= 2 and config.classifier in SCI_CLASSIFIERS:
+        t0 = clock()
+        sci = block_sci(dictionary, block.alpha).tolist()
+        stages["sci"] = clock() - t0
+    names = [str(lab) for lab in classes]
+    keys = ("query", "true", "predicted", "residuals", "sci", "wall_time",
+            "iterations", "converged", "objective", "gap")
+    columns = (
+        range(n), map(str, test_labels), map(str, predicted),
+        (dict(zip(names, row)) for row in _jsonable(block.scores.T)), sci, times,
+        block.iterations.tolist(), block.converged.tolist(), _jsonable(block.objective), gap,
+    )
+    per_query = [dict(zip(keys, row)) for row in zip(*columns)]
+    total_by_class = Counter(test_labels)
+    correct_by_class = Counter(t for t, p in zip(test_labels, predicted) if p == t)
+    confusion = {}
+    for (true, pred), count in Counter(zip(map(str, test_labels), map(str, predicted))).items():
+        confusion.setdefault(true, {})[pred] = count
     return Report(
-        recognition_rate=n_correct / n,
+        recognition_rate=sum(correct_by_class.values()) / n,
         per_class_rates={
-            str(lab): correct_by_class.get(lab, 0) / cnt for lab, cnt in total_by_class.items()
+            str(lab): correct_by_class[lab] / cnt for lab, cnt in total_by_class.items()
         },
         confusion=confusion,
         n_queries=n,
@@ -409,7 +394,8 @@ def run_experiment(config, data):
 
 
 def _jsonable(v):
-    return v if np.isfinite(v) else "inf"
+    """A number, or an array as a list, with "inf" for each non-finite entry."""
+    return np.where(np.isfinite(v), np.asarray(v, dtype=object), "inf").tolist()
 
 
 def lambda_sweep(config, data, lambdas):
@@ -447,29 +433,19 @@ def run_roc(config, gallery, customers, imposters, thresholds):
 
     model = fit(build_dictionary(zip(train_feats.T, train_labels)), config)
 
-    def score(y):
-        decision = model.decide(y)
-        return compute_sci(model.dictionary, decision.coding), decision.predicted
-
-    customer_scores = [score(customer_feats[:, j]) for j in range(customer_feats.shape[1])]
-    imposter_scores = [score(imposter_feats[:, j])[0] for j in range(imposter_feats.shape[1])]
-
-    points = []
-    for thr in thresholds:
-        tp = sum(
-            1
-            for (sci, pred), true in zip(customer_scores, customer_labels)
-            if sci >= thr and pred == true
-        )
-        fp = sum(1 for sci in imposter_scores if sci >= thr)
-        points.append(
-            {
-                "threshold": float(thr),
-                "tpr": tp / len(customer_labels),
-                "fpr": fp / len(imposter_labels),
-            }
-        )
-    return points
+    d = model.dictionary
+    customer = model.decide_block(customer_feats)
+    known = block_sci(d, customer.alpha)
+    hit = np.array([d.classes[i] == lab for i, lab in zip(customer.predicted, customer_labels)])
+    imposter = block_sci(d, model.decide_block(imposter_feats).alpha)
+    return [
+        {
+            "threshold": float(thr),
+            "tpr": int(np.count_nonzero((known >= thr) & hit)) / len(customer_labels),
+            "fpr": int(np.count_nonzero(imposter >= thr)) / len(imposter_labels),
+        }
+        for thr in thresholds
+    ]
 
 
 def roc_auc(points):

@@ -47,6 +47,10 @@ _MU0, _RHO, _MU_MAX, _INNER_MAX = 1.0, 1.2, 1e4, 30
 # _SIGMA_MAX; each outer step takes at most _INNER_MAX Newton steps. The
 # coder stops on a duality gap, so these set its cost, not its answer.
 _SIGMA0, _SIGMA_RHO, _SIGMA_MAX = 1e3, 3.0, 1e6
+# At the sigma cap the gap falls until rounding floors it; SSNAL stops, not
+# converged, after _STALL_STEPS outer steps there without halving it. Runs
+# that do converge plateau there for at most 10 steps on the SRC workloads.
+_STALL_STEPS = 20
 
 
 def _check_stopping(params):
@@ -83,13 +87,19 @@ def _as_matrix(X):
 
 
 def _check_dims(X, y):
-    """y as a flat float vector, checked to match X's rows and to be finite."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows but y has length {y.shape[0]}")
-    if not np.all(np.isfinite(y)):
+    """y as a flat float vector, checked as a one-column block."""
+    return _check_block(X, np.reshape(y, (-1, 1))).ravel()
+
+
+def _check_block(X, Y):
+    """Y as an m x q float block of queries, checked to match X's rows and to
+    be finite."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise DimensionMismatch(f"X has {X.shape[0]} rows but the queries have shape {Y.shape}")
+    if not np.all(np.isfinite(Y)):
         raise NonFiniteInput("query contains NaN or inf")
-    return y
+    return Y
 
 
 def shrink(x, a):
@@ -246,8 +256,10 @@ def solve_ssnal_l1(X, y, lam, params=None):
     After each outer step the residual r = y - X a, scaled into the dual box
     (by min(1, t / ||X^T r||_inf)), is a dual point; the coder stops when the
     relative duality gap of a is at most params.tol (converged) or after
-    params.max_iter outer steps. iterations counts outer steps, and
-    objective is the primal value at a.
+    params.max_iter outer steps, or once sigma is at its cap and the gap
+    has not halved over _STALL_STEPS outer steps (a tol below the gap that
+    rounding lets it reach). iterations counts outer steps, and objective is
+    the primal value at a.
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
@@ -261,7 +273,8 @@ def solve_ssnal_l1(X, y, lam, params=None):
     if not y.any():
         return CodingResult(alpha=alpha, objective=0.0, gap=0.0)
     unit = n / max(float(np.vdot(X, X)), 1e-300)  # 1 / mean squared column norm
-    sigma = _SIGMA0 * unit
+    sigma, cap = _SIGMA0 * unit, _SIGMA_MAX * unit
+    best, stalled = np.inf, 0
     u = np.zeros(m)
     xtu = np.zeros(n)
     converged = False
@@ -314,7 +327,13 @@ def solve_ssnal_l1(X, y, lam, params=None):
         if gap <= params.tol:
             converged = True
             break
-        sigma = min(sigma * _SIGMA_RHO, _SIGMA_MAX * unit)
+        if gap < 0.5 * best:
+            best, stalled = gap, 0
+        elif sigma == cap:
+            stalled += 1
+            if stalled == _STALL_STEPS:
+                break
+        sigma = min(sigma * _SIGMA_RHO, cap)
     return CodingResult(
         alpha=alpha, objective=float(obj), iterations=it, converged=converged, gap=float(gap)
     )

@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repclass.classifiers
-from repclass.classifiers import CLASSIFIERS, Model, compute_sci, fit, validate
+from repclass.classifiers import CLASSIFIERS, Model, block_sci, compute_sci, fit, validate
 from repclass.dictionary import (
     Dictionary,
     build_dictionary,
@@ -134,6 +137,102 @@ def test_class_permutation_equivariance(classifier):
         assert d1.per_class_residuals[lab] == pytest.approx(
             d2.per_class_residuals[lab], rel=rel
         )
+
+
+# decision variants each classifier reads; the others score without one
+_VARIANT_CASES = [
+    (clf, variant)
+    for clf in CLASSIFIERS
+    for variant in (
+        ("plain_residual", "regularized_residual")
+        if clf in ("crc_rls", "src", "rcrc") else ("regularized_residual",)
+    )
+]
+
+
+def _rel_equal(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=0.0)  # inf equals inf
+
+
+@pytest.mark.parametrize("classifier, variant", _VARIANT_CASES)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 5), zero_col=st.integers(0, 5))
+def test_block_decide_equals_single_decide(classifier, variant, seed, q, zero_col):
+    # one block call over q queries gives the q one-query decisions; an
+    # all-zero column sits among them
+    d, _ = _toy(seed % 97)
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((d.m, q + 1))
+    zero_col %= q + 1
+    Y[:, zero_col] = 0.0
+    model = fit(d, ExperimentConfig(classifier=classifier, lam=0.05, decision_variant=variant))
+    block = model.decide_block(Y)
+    assert block.scores.shape == (d.k, q + 1)
+    for j in range(q + 1):
+        one = model.decide(Y[:, j])
+        assert d.classes[block.predicted[j]] == one.predicted
+        assert _rel_equal(block.scores[:, j], list(one.per_class_residuals.values()))
+        # a solve over q right-hand sides rounds apart from one over a single
+        # one, by the conditioning of the class block
+        scale = 1e-10 * (1.0 + np.max(np.abs(one.coding.alpha)))
+        assert np.allclose(block.alpha[:, j], one.coding.alpha, rtol=0.0, atol=scale)
+        assert _rel_equal(block.objective[j], one.coding.objective)
+        assert block.iterations[j] == one.coding.iterations
+        assert block.converged[j] == one.coding.converged
+    if variant == "regularized_residual" and classifier in ("crc_rls", "src", "rcrc"):
+        assert np.all(np.isinf(block.scores[:, zero_col]))
+        assert model.decide(Y[:, zero_col]).degenerate
+
+
+def test_block_decide_times_each_query():
+    # src codes query by query: each query's seconds hold its own coding
+    # time, and the shares add up to the block's wall time
+    d, rng = _toy(24)
+    Y = rng.standard_normal((d.m, 4))
+    model = fit(d, ExperimentConfig(classifier="src", lam=0.05))
+    t0 = time.perf_counter()
+    block = model.decide_block(Y)
+    wall = time.perf_counter() - t0
+    assert np.all(block.seconds > 0)
+    assert block.seconds.sum() <= wall
+    assert block.gap is not None and np.all(block.gap <= 1e-6)
+
+
+def test_rns_l2_factors_each_class_once_at_fit(monkeypatch):
+    d, rng = _toy(25)
+    calls = []
+    orig = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: calls.append(1) or orig(*a, **k))
+    model = fit(d, ExperimentConfig(classifier="rns_l2", lam=0.05))
+    assert len(calls) == d.k
+    block = model.decide_block(rng.standard_normal((d.m, 7)))
+    model.decide(rng.standard_normal(d.m))
+    assert len(calls) == d.k
+    assert block.scores.shape == (d.k, 7)
+
+
+def test_block_sci_equals_compute_sci_per_column():
+    d, rng = _toy(26)
+    A = rng.standard_normal((d.n, 5))
+    A[:, 1] = 0.0
+    A[5:, 2] = 0.0  # all mass in the first class block
+    sci = block_sci(d, A)
+    for j in range(5):
+        assert sci[j] == pytest.approx(compute_sci(d, _coding(A[:, j])), rel=1e-12, abs=1e-15)
+    assert sci[1] == 0.0 and sci[2] == pytest.approx(1.0)
+    with pytest.raises(DimensionMismatch):
+        block_sci(d, A[1:])
+
+
+def test_block_decide_rejects_bad_blocks():
+    d, rng = _toy(27)
+    model = fit(d, ExperimentConfig(classifier="nn"))
+    with pytest.raises(DimensionMismatch):
+        model.decide_block(rng.standard_normal((d.m + 1, 3)))
+    Y = rng.standard_normal((d.m, 3))
+    Y[2, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        model.decide_block(Y)
 
 
 def test_tie_break_earliest_class():

@@ -402,6 +402,40 @@ def test_run_roc_rejects_features_and_degradation(name, value, monkeypatch):
         run_roc(config, gallery, customers, imposters, [0.5])
 
 
+def test_experiment_and_roc_decide_each_query_set_in_one_block(monkeypatch):
+    calls = []
+    block = Model.decide_block
+
+    def spy(self, Y):
+        calls.append(Y.shape[1])
+        return block(self, Y)
+
+    def no_query(self, y):
+        raise AssertionError("a one-query decide ran")
+
+    monkeypatch.setattr(Model, "decide_block", spy)
+    monkeypatch.setattr(Model, "decide", no_query)
+    run_experiment(ExperimentConfig(classifier="src"), _small_data(seed=4))
+    assert calls == [16]
+    calls.clear()
+    gallery, customers, imposters = _roc_datasets()
+    run_roc(ExperimentConfig(), gallery, customers, imposters, [0.5])
+    assert calls == [customers.n_columns, imposters.n_columns]
+
+
+def test_query_log_of_a_degenerate_query():
+    # an all-zero query codes to zero: every regularized score is inf, which
+    # the log writes as "inf"
+    data = _small_data(seed=5)
+    first_test = data.split.index("test")
+    data.features[:, first_test] = 0.0
+    report = run_experiment(ExperimentConfig(), data)
+    rec = json.loads(json.dumps(report.per_query[0]))
+    assert set(rec["residuals"].values()) == {"inf"}
+    assert rec["sci"] == 0.0 and rec["objective"] == 0.0
+    assert all("inf" not in r["residuals"].values() for r in report.per_query[1:])
+
+
 def test_run_experiment_nn_has_no_sci():
     data = _small_data(seed=4, n_classes=3, n_train=4, n_test=2)
     report = run_experiment(ExperimentConfig(classifier="nn"), data)

@@ -449,6 +449,26 @@ def test_ssnal_converged_only_when_gap_within_tol():
     assert flags[0] is False and flags[-1] is True  # a capped run is not certified
 
 
+def test_ssnal_stops_when_the_gap_stalls():
+    # sparse_src seed 1, query 0: rounding floors the gap near 2e-10, so a
+    # tol of 1e-12 used to run all 500 outer steps without progress
+    data = synthetic_dataset(
+        n_classes=20, subspace_dim=5, ambient_dim=100, n_train=20, n_test=1,
+        noise_sigma=0.05, seed=1,
+    )
+    train, labels = data.columns("train")
+    d = build_dictionary(zip(train.T, labels))
+    y, lam = data.columns("test")[0][:, 0], default_lambda(d.n)
+    res = solve_ssnal_l1(d, y, lam, AlmParams(tol=1e-12))
+    assert res.converged is False
+    assert res.iterations <= 50  # of max_iter=500
+    assert 1e-12 < res.gap < 1e-8
+    assert res.objective == pytest.approx(_lasso_objective(d.data, y, lam, res.alpha), rel=1e-12)
+    # a tol above the floor is still certified, in the same steps as before
+    ok = solve_ssnal_l1(d, y, lam)
+    assert ok.converged and ok.gap <= 1e-6 and ok.iterations == 7
+
+
 def test_ssnal_zero_query_and_identity():
     X = np.random.default_rng(15).standard_normal((6, 4))
     res = solve_ssnal_l1(X, np.zeros(6), 0.5)
