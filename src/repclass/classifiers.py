@@ -40,7 +40,8 @@ class Decisions:
     scores is K x q with rows in class order; predicted the row of each
     column's least score. alpha is the n x q code (for rns_* each class
     block's code of the query alone, zeros for nn), residual rcrc's m x q
-    outlier estimate and gap SSNAL's duality gaps (None for other coders).
+    outlier estimate and gap the relative duality gaps of the SSNAL and
+    R-CRC codes (None for the other coders).
     seconds is each query's own coding time plus an equal share of the rest.
     """
 

@@ -1,6 +1,7 @@
 """Multi-class training dictionaries and precomputed ridge projectors."""
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,18 @@ from .errors import (
 )
 
 _ZERO_NORM_TOL = 1e-12
+
+
+def is_number(value, kind=numbers.Real):
+    """Whether value is a number of the given kind; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_lambda(lam):
+    """lam as a float; NonPositiveLambda unless it is a finite number > 0."""
+    if not (is_number(lam) and 0.0 < lam < np.inf):
+        raise NonPositiveLambda(f"lambda must be finite and positive, got {lam!r}")
+    return float(lam)
 
 
 def default_lambda(n_columns):
@@ -177,14 +190,13 @@ def build_projector(dictionary, lam):
     Solved through a Cholesky factorization of the SPD matrix X^T X + lam*I;
     lam > 0 keeps it positive definite even for n > m.
     """
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    lam = check_lambda(lam)
     X = dictionary.data
     gram = X.T @ X + lam * np.eye(dictionary.n)
     cf = scipy.linalg.cho_factor(gram, lower=True)
     P = scipy.linalg.cho_solve(cf, X.T)
     return Projector(
-        matrix=P, lam=float(lam), dictionary_fingerprint=dictionary.fingerprint
+        matrix=P, lam=lam, dictionary_fingerprint=dictionary.fingerprint
     )
 
 

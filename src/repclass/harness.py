@@ -4,6 +4,7 @@ parameter sweeps, ROC evaluation, and timing benchmarks."""
 import functools
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import degradation as degrade_mod
 from .classifiers import CLASSIFIERS, SCI_CLASSIFIERS, block_sci, fit
-from .dictionary import build_dictionary, default_lambda
+from .dictionary import build_dictionary, default_lambda, is_number
 from .errors import (
     ConfigInvalid,
     MalformedMatrix,
@@ -59,8 +60,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.classifier not in CLASSIFIERS:
             raise ConfigInvalid(f"unknown classifier {self.classifier!r}")
-        if self.lam != "auto" and (not isinstance(self.lam, (int, float)) or self.lam <= 0):
-            raise ConfigInvalid(f"lambda must be positive or 'auto', got {self.lam!r}")
+        lam, dim = self.lam, self.feature_dim
+        if lam != "auto" and not (is_number(lam) and 0 < lam < math.inf):
+            raise ConfigInvalid(f"'lambda' must be finite and positive or 'auto', got {lam!r}")
+        if dim is not None and not is_number(dim, numbers.Integral):
+            raise ConfigInvalid(f"'feature_dim' must be an integer or null, got {dim!r}")
         if self.decision_variant not in ("plain_residual", "regularized_residual"):
             raise ConfigInvalid(f"unknown decision variant {self.decision_variant!r}")
 
@@ -133,7 +137,8 @@ class Report:
 
     @property
     def n_not_converged(self):
-        """Queries whose solver stopped at its iteration cap."""
+        """Queries whose solver reported converged=False: it stopped at its
+        iteration cap or, for SSNAL, on a duality gap that stalled above tol."""
         return sum(1 for rec in self.per_query if rec["converged"] is False)
 
     def to_json(self):

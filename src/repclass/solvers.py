@@ -1,12 +1,13 @@
 """Numerical coders: ridge, l1-residual ALM, l1 semismooth-Newton ALM, l1
 proximal gradient, OMP."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .dictionary import Dictionary, _power_iteration_sq
+from .dictionary import Dictionary, _power_iteration_sq, check_lambda, is_number
 from .errors import (
     BadGrid,
     BadSparsity,
@@ -14,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     NegativeThreshold,
     NonFiniteInput,
-    NonPositiveLambda,
 )
 
 
@@ -38,14 +38,15 @@ class CodingResult:
     gap: float | None = None
 
 
-# ALM penalty schedule: mu starts at _MU0 and grows by _RHO per multiplier step
-# up to _MU_MAX; each multiplier step takes at most _INNER_MAX Newton steps.
-# R-CRC is convex, so these set the path to the optimum, not the optimum.
+# R-CRC penalty schedule: mu starts at _MU0 and grows by _RHO per multiplier
+# step up to _MU_MAX. R-CRC is convex, so these set the path to the optimum,
+# not the optimum. Each outer step of either ALM coder takes at most
+# _INNER_MAX Newton steps.
 _MU0, _RHO, _MU_MAX, _INNER_MAX = 1.0, 1.2, 1e4, 30
 # SSNAL penalty schedule: sigma, in units of 1 / (mean squared column norm
 # of X), starts at _SIGMA0 and grows by _SIGMA_RHO per outer step up to
-# _SIGMA_MAX; each outer step takes at most _INNER_MAX Newton steps. The
-# coder stops on a duality gap, so these set its cost, not its answer.
+# _SIGMA_MAX. The coder stops on a duality gap, so these set its cost, not
+# its answer.
 _SIGMA0, _SIGMA_RHO, _SIGMA_MAX = 1e3, 3.0, 1e6
 # At the sigma cap the gap falls until rounding floors it; SSNAL stops, not
 # converged, after _STALL_STEPS outer steps there without halving it. Runs
@@ -54,10 +55,11 @@ _STALL_STEPS = 20
 
 
 def _check_stopping(params):
-    if not params.tol > 0:
-        raise ConfigInvalid(f"stopping setting 'tol' must be positive, got {params.tol!r}")
-    if params.max_iter < 1:
-        raise ConfigInvalid(f"stopping setting 'max_iter' must be >= 1, got {params.max_iter!r}")
+    tol, cap = params.tol, params.max_iter
+    if not (is_number(tol) and tol > 0):
+        raise ConfigInvalid(f"stopping setting 'tol' must be positive, got {tol!r}")
+    if not (is_number(cap, numbers.Integral) and cap >= 1):
+        raise ConfigInvalid(f"stopping setting 'max_iter' must be >= 1 and whole, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,7 @@ def solve_rls(X, y, lam=None):
     """
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
-    if lam is None or lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    lam = check_lambda(lam)
     n = Xm.shape[1]
     gram = Xm.T @ Xm + lam * np.eye(n)
     alpha = np.linalg.solve(gram, Xm.T @ y)
@@ -132,87 +133,107 @@ def solve_rls(X, y, lam=None):
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
 
 
+def _newton(M, c, b, kappa, t, huber, v, x, tiny):
+    """Semismooth Newton for F(v) = c/2*||v||^2 - b^T v + kappa/2 * E(M v + w),
+    the inner problem of both ALM coders (Li, Sun & Toh, SIAM J. Optim. 2018).
+
+    With S the soft threshold at t, E(x) = ||x||^2 - ||S(x)||^2 (a Huber
+    function) when huber, else ||S(x)||^2 (the squared distance to the box
+    [-t, t]). x = M v + w is given and carried along. The generalized Hessian
+    c I + kappa M_K^T M_K over the rows K on E's quadratic piece (|x_i| <= t
+    for huber, > t for the box) is solved as p x p when p <= |K|, else by the
+    |K| x |K| Woodbury system (c/kappa) I + M_K M_K^T; Armijo backtracking
+    sizes the step. Stops on a full step that keeps every row on its piece
+    (it solved F exactly), a step below tiny * (1 + ||v||) if tiny > 0, a
+    failed search or _INNER_MAX steps. Returns v, x and S(x).
+    """
+    p = v.shape[0]
+    half = (-0.5 if huber else 0.5) * kappa
+    s = _soft_threshold(x, t)
+    piece = np.sign(s)  # each row's piece: above t, below -t, or inside
+    for _ in range(_INNER_MAX):
+        cv_b = c * v - b
+        g = cv_b + kappa * (M.T @ (x - s if huber else s))
+        Mk = M[(piece == 0) if huber else (piece != 0)]
+        k = Mk.shape[0]
+        if p <= k:
+            H = kappa * (Mk.T @ Mk)
+            H.flat[:: p + 1] += c
+            d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), g)
+        else:
+            W = Mk @ Mk.T
+            W.flat[:: k + 1] += c / kappa
+            d = (Mk.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Mk @ g) - g) / c
+        md = M @ d
+        slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * (d @ d)
+        if huber:
+            lin, quad = lin + kappa * (x @ md), quad + 0.5 * kappa * (md @ md)
+        step = 1.0
+        while step > 1e-10:
+            x_new = x + step * md
+            s_new = _soft_threshold(x_new, t)
+            # F(v + step d) - F(v), summed from small terms so that rounding
+            # does not stall the search near the minimum
+            drop = step * (lin + step * quad) + half * ((s_new - s) @ (s_new + s))
+            if drop <= 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        v, x, s = v + step * d, x_new, s_new
+        # a full step that keeps every row on its piece solved F exactly
+        stay, piece = piece, np.sign(s)
+        if step == 1.0 and np.array_equal(stay, piece):
+            break
+        if tiny and step * np.sqrt(d @ d) <= tiny * (1.0 + np.sqrt(v @ v)):
+            break
+    return v, x, s
+
+
 def solve_alm_l1res(X, y, lam, params=None):
     """l1-residual ridge coding: min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
 
-    Method of multipliers under a geometrically growing penalty. Each
-    multiplier step minimizes the augmented Lagrangian exactly: with
-    w0 = y + z/mu and e = shrink(w0 - X a, 1/mu) minimized out, it is
-    phi(a) = lam*||a||^2 + sum H(r), r = w0 - X a, c = clip(r, +-1/mu) and
-    the Huber function H(r) = mu*c^2/2 + |r - c|. Semismooth Newton (Li, Sun
-    & Toh, SIAM J. Optim. 2018) solves it from the previous step's a, with
-    gradient 2*lam*a - mu*X^T c, Hessian 2*lam*I + mu*X_S^T X_S over the rows
-    S with |r| < 1/mu, and Armijo backtracking, for at most _INNER_MAX steps.
-    It stops on a negligible step, or on a full step that leaves every row on
-    its Huber piece (that step solved phi exactly). Then z = mu*c lies in the
-    dual box and 2*lam*a - X^T z is phi's gradient, zero up to rounding. The
-    outer test's change is the move of (a, e) over the multiplier step. The
-    penalty is capped so the late iterations retain contraction (an unbounded
-    schedule freezes the primal iterate off the optimum). No factorization of
-    X is kept: each Newton step factors its own n x n system.
+    Method of multipliers under a geometrically growing penalty mu, capped so
+    the late iterations retain contraction (an unbounded schedule freezes
+    the primal iterate off the optimum). With w0 = y + z/mu and e minimized
+    out, each multiplier step minimizes lam*||a||^2 plus the Huber function
+    of w0 - X a by _newton (M = -X, c = 2 lam, kappa = mu, t = 1/mu) from the
+    previous a; then e = shrink(w0 - X a, 1/mu) and z += mu*(y - X a - e).
+    converged means the infeasibility, the move of (a, e) and the
+    stationarity 2 lam a - X^T z passed their tol tests. objective is
+    ||e||_1 + lam*||a||^2; gap, reported but not a stopping test, is the
+    relative duality gap (P - D)/P of the feasible pair (a, y - X a), with
+    D = z^T y - ||X^T z||^2/(4 lam) at z clipped into the box [-1, 1].
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    lam = check_lambda(lam)
     params = params or AlmParams()
-    lam, tol = float(lam), params.tol
-    m = y.shape[0]
-    n = X.shape[1]
-    alpha = np.zeros(n)
-    e = np.zeros(m)
-    z = np.zeros(m)
+    tol = params.tol
+    m, n = X.shape
+    alpha, e, z = np.zeros(n), np.zeros(m), np.zeros(m)
     mu = _MU0
     ynorm = np.sqrt(y @ y)
     if ynorm == 0.0:
-        return CodingResult(alpha=alpha, objective=0.0, residual_vec=e, multiplier=z)
-    converged = False
-    it = 0
-    xa = np.zeros(m)
-    ridge = 2.0 * lam * np.eye(n)
+        return CodingResult(alpha=alpha, objective=0.0, residual_vec=e, multiplier=z, gap=0.0)
+    converged, it = False, 0
+    xa, M = np.zeros(m), -X
     while it < params.max_iter:
         it += 1
         inv_mu = 1.0 / mu
         w0 = y + z * inv_mu
         alpha_prev, e_prev = alpha, e
-        r = w0 - xa
-        c = np.clip(r, -inv_mu, inv_mu)
-        phi = lam * (alpha @ alpha) + 0.5 * mu * (c @ c) + np.sum(np.abs(r - c))
-        piece = np.sign(r) * (np.abs(r) >= inv_mu)  # each row's Huber piece
-        for _ in range(_INNER_MAX):
-            g = 2.0 * lam * alpha - mu * (X.T @ c)
-            Xs = X[piece == 0]
-            d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridge + mu * (Xs.T @ Xs)), g)
-            slope = g @ d
-            xd = X @ d
-            step = 1.0
-            while step > 1e-10:
-                a_new = alpha + step * d
-                r_new = r - step * xd
-                c = np.clip(r_new, -inv_mu, inv_mu)
-                phi_new = lam * (a_new @ a_new) + 0.5 * mu * (c @ c) + np.sum(np.abs(r_new - c))
-                if phi_new <= phi + 1e-4 * step * slope:
-                    break
-                step *= 0.5
-            else:
-                break
-            alpha, r, phi = a_new, r_new, phi_new
-            # a full step that keeps every row on its Huber piece solved phi exactly
-            stay, piece = piece, np.sign(r) * (np.abs(r) >= inv_mu)
-            if step == 1.0 and np.array_equal(stay, piece):
-                break
-            if step * np.sqrt(d @ d) <= 1e-4 * tol * (1.0 + np.sqrt(alpha @ alpha)):
-                break
+        alpha = _newton(M, 2.0 * lam, 0.0, mu, inv_mu, True, alpha, w0 - xa, 1e-4 * tol)[0]
         xa = X @ alpha
         e = _soft_threshold(w0 - xa, inv_mu)
         change = np.sqrt(np.sum((alpha - alpha_prev) ** 2) + np.sum((e - e_prev) ** 2))
-        gap = y - xa - e
-        z = z + mu * gap
+        infeas = y - xa - e
+        z = z + mu * infeas
         grad = 2.0 * lam * alpha - X.T @ z
         stat = np.sqrt(grad @ grad)
         anorm_sq = alpha @ alpha
         scale = np.sqrt(anorm_sq + e @ e) + 1e-30
-        feas = np.sqrt(gap @ gap)
+        feas = np.sqrt(infeas @ infeas)
         if (
             feas <= tol * ynorm
             and change <= tol * scale
@@ -222,14 +243,11 @@ def solve_alm_l1res(X, y, lam, params=None):
             break
         mu = min(mu * _RHO, _MU_MAX)
     obj = float(np.sum(np.abs(e)) + lam * alpha @ alpha)
-    return CodingResult(
-        alpha=alpha,
-        objective=obj,
-        iterations=it,
-        converged=converged,
-        residual_vec=e,
-        multiplier=z,
-    )
+    primal = np.sum(np.abs(y - xa)) + lam * (alpha @ alpha)
+    zc = np.clip(z, -1.0, 1.0)  # rounding moves z out of the box by up to 3e-14
+    xtz = X.T @ zc
+    gap = (primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal
+    return CodingResult(alpha, obj, it, converged, residual_vec=e, multiplier=z, gap=float(gap))
 
 
 def solve_ssnal_l1(X, y, lam, params=None):
@@ -239,19 +257,13 @@ def solve_ssnal_l1(X, y, lam, params=None):
     J. Optim. 2018). With t = lam/2 the problem is twice
     min ||y - X a||^2/2 + t*||a||_1, whose dual is
     max y^T u - ||u||^2/2 s.t. ||X^T u||_inf <= t. The method of multipliers
-    on the dual, with a the multiplier of the box constraint and sigma the
-    penalty, minimizes in each outer step (the box variable minimized out)
+    on the dual, with a the box's multiplier and sigma the penalty, minimizes
     psi(u) = ||u||^2/2 - y^T u + sigma/2 * ||S(w)||^2, w = X^T u + a/sigma,
-    S the soft threshold at t, and then sets a = sigma * S(w). psi is
-    strongly convex and piecewise quadratic, with gradient
-    u - y + sigma * X S(w) and generalized Hessian I + sigma * X_J X_J^T over
-    the free set J = {j : |w_j| > t}. Newton steps with Armijo backtracking
-    minimize it from the previous u; a full step that keeps every w_j on its
-    piece solved psi exactly and ends the outer step. The Newton system is
-    solved through the |J| x |J| Woodbury system I/sigma + X_J^T X_J when
-    |J| < m, else as the m x m system. sigma grows geometrically up to a cap:
-    a = sigma * S(w) multiplies the rounding of w by sigma, so an unbounded
-    sigma would put a floor under the gap that the coder can reach.
+    in each outer step by _newton (M = X^T, c = 1, b = y, kappa = sigma and
+    the box) from the previous u, then sets a = sigma * S(w). sigma grows
+    geometrically up to a cap: a = sigma * S(w) multiplies the rounding of w
+    by sigma, so an unbounded sigma would put a floor under the gap that the
+    coder can reach.
 
     After each outer step the residual r = y - X a, scaled into the dual box
     (by min(1, t / ||X^T r||_inf)), is a dual point; the coder stops when the
@@ -263,10 +275,8 @@ def solve_ssnal_l1(X, y, lam, params=None):
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    lam = check_lambda(lam)
     params = params or AlmParams()
-    lam = float(lam)
     t = 0.5 * lam
     m, n = X.shape
     alpha = np.zeros(n)
@@ -275,48 +285,12 @@ def solve_ssnal_l1(X, y, lam, params=None):
     unit = n / max(float(np.vdot(X, X)), 1e-300)  # 1 / mean squared column norm
     sigma, cap = _SIGMA0 * unit, _SIGMA_MAX * unit
     best, stalled = np.inf, 0
-    u = np.zeros(m)
-    xtu = np.zeros(n)
-    converged = False
-    it = 0
+    u, xtu = np.zeros(m), np.zeros(n)
+    converged, it = False, 0
     while it < params.max_iter:
         it += 1
         w0 = alpha / sigma
-        w = xtu + w0
-        s = _soft_threshold(w, t)
-        piece = np.sign(s)  # each w_j's piece: above t, below -t, or inside
-        for _ in range(_INNER_MAX):
-            u_y = u - y
-            g = u_y + sigma * (X @ s)
-            Xf = X[:, piece != 0]
-            k = Xf.shape[1]
-            if k < m:
-                small = Xf.T @ Xf
-                small.flat[:: k + 1] += 1.0 / sigma
-                d = Xf @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(small), Xf.T @ g) - g
-            else:
-                big = sigma * (Xf @ Xf.T)
-                big.flat[:: m + 1] += 1.0
-                d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(big), g)
-            slope, lin, quad = g @ d, u_y @ d, 0.5 * (d @ d)
-            xtd = X.T @ d
-            step = 1.0
-            while step > 1e-10:
-                w_new = w + step * xtd
-                s_new = _soft_threshold(w_new, t)
-                # psi(u + step d) - psi(u), summed from small terms so that
-                # rounding does not stall the search near the minimum
-                drop = step * (lin + step * quad) + 0.5 * sigma * ((s_new - s) @ (s_new + s))
-                if drop <= 1e-4 * step * slope:
-                    break
-                step *= 0.5
-            else:
-                break
-            u, w, s = u + step * d, w_new, s_new
-            # a full step that keeps every w_j on its piece solved psi exactly
-            stay, piece = piece, np.sign(s)
-            if step == 1.0 and np.array_equal(stay, piece):
-                break
+        u, w, s = _newton(X.T, 1.0, y, sigma, t, False, u, xtu + w0, 0.0)
         alpha = sigma * s
         xtu = w - w0
         r = y - X @ alpha
@@ -349,8 +323,7 @@ def solve_fista_l1(X, y, lam, params=None):
     """
     Xm = np.ascontiguousarray(_as_matrix(X))
     y = _check_dims(Xm, y)
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    lam = check_lambda(lam)
     Xt = np.ascontiguousarray(Xm.T)
     sigma_sq = X.sigma_sq if isinstance(X, Dictionary) else _power_iteration_sq(Xm, Xt)
     return _fista_l1(Xm, Xt, y, lam, sigma_sq, params or FistaParams())
@@ -368,7 +341,6 @@ def _fista_l1(X, Xt, y, lam, sigma_sq, params):
     n = X.shape[1]
     if sigma_sq == 0.0:
         return CodingResult(alpha=np.zeros(n), objective=float(y @ y))
-    lam = float(lam)
     step = 1.0 / (2.0 * sigma_sq)
     thr = step * lam
 

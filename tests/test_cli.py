@@ -182,11 +182,22 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
          ("degradation.kind", "degradation")),
         (["--set", "alm.tol=0"], ("tol",)),
         (["--set", "fista.max_iter=0"], ("max_iter",)),
+        (["--set", 'feature_dim="abc"'], ("feature_dim",)),
+        (["--set", "feature_dim=2.5"], ("feature_dim",)),
+        (["--set", 'alm.tol="x"'], ("tol",)),
+        (["--set", 'fista.max_iter="5"'], ("max_iter",)),
+        (["--set", "alm.max_iter=2.5"], ("max_iter",)),
+        (["--set", "lambda=true"], ("lambda",)),
+        (["--set", "lambda=NaN"], ("lambda",)),
+        (["--set", "lambda=Infinity"], ("lambda",)),
+        (["--set", "classifier=nn", "--set", "lambda=NaN"], ("lambda",)),
     ],
     ids=[
         "unknown-alm-key", "degradation-without-fraction", "unknown-top-level-key",
         "dotted-key-through-number", "dotted-key-through-null", "alm-tol-zero",
-        "fista-max-iter-zero",
+        "fista-max-iter-zero", "feature-dim-string", "feature-dim-fraction",
+        "alm-tol-string", "fista-max-iter-string", "alm-max-iter-fraction",
+        "lambda-bool", "lambda-nan", "lambda-inf", "nn-lambda-nan",
     ],
 )
 def test_experiment_malformed_config_section_is_json_error(

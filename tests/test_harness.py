@@ -164,12 +164,29 @@ def test_config_validation():
         ({"lamda": 5}, "unknown key 'lamda'"),
         ({"alm": {"tol": 0}}, "'tol' must be positive"),
         ({"fista": {"max_iter": 0}}, "'max_iter' must be >= 1"),
+        # values of the wrong type used to end in a TypeError, run at
+        # lambda = 1.0 (true), round a cap of 2.5 up, or pass NaN through
+        ({"alm": {"tol": "x"}}, "'tol' must be positive"),
+        ({"alm": {"max_iter": 2.5}}, "'max_iter' must be >= 1"),
+        ({"fista": {"max_iter": "5"}}, "'max_iter' must be >= 1"),
+        ({"fista": {"tol": True}}, "'tol' must be positive"),
+        ({"feature_dim": "abc"}, "'feature_dim' must be an integer"),
+        ({"feature_dim": 2.5}, "'feature_dim' must be an integer"),
+        ({"lambda": True}, "'lambda' must be finite and positive"),
+        ({"lambda": float("nan")}, "'lambda' must be finite and positive"),
+        ({"lambda": float("inf")}, "'lambda' must be finite and positive"),
         # a top-level list used to end in AttributeError: 'list' object has no attribute 'items'
         ([], "config is not an object"),
         ("src", "config is not an object"),
     ]:
         with pytest.raises(ConfigInvalid, match=match):
             ExperimentConfig.from_json(obj)
+    # numpy scalars are numbers
+    cfg = ExperimentConfig(
+        lam=np.float64(0.1), feature_dim=np.int64(3),
+        alm=AlmParams(tol=np.float32(1e-5), max_iter=np.int64(20)),
+    )
+    assert cfg.resolve_lambda(10) == 0.1
 
 
 def test_config_alm_keeps_only_tol_and_max_iter():
@@ -269,6 +286,24 @@ def test_run_experiment_logs_the_duality_gap():
         assert report.to_json()["n_not_converged"] == (6 if cap == 1 else 0)
     fista = ExperimentConfig(classifier="src", fista=FistaParams(max_iter=3))
     assert [rec["gap"] for rec in run_experiment(fista, data).per_query] == [None] * 6
+    # R-CRC logs its gap too, though its converged flag is a KKT test
+    rcrc = run_experiment(ExperimentConfig(classifier="rcrc"), data)
+    assert all(isinstance(rec["gap"], float) for rec in rcrc.per_query)
+
+
+def test_n_not_converged_counts_the_ssnal_stall_exit():
+    # sparse_src seed 1: at tol=1e-12 rounding floors query 0's gap, so SSNAL
+    # takes its stall exit, below the iteration cap, with converged=False
+    data = synthetic_dataset(
+        n_classes=20, subspace_dim=5, ambient_dim=100, n_train=20, n_test=1,
+        noise_sigma=0.05, seed=1,
+    )
+    cfg = ExperimentConfig(classifier="src", alm=AlmParams(tol=1e-12))
+    report = run_experiment(cfg, data)
+    first = report.per_query[0]
+    assert first["converged"] is False and first["iterations"] < cfg.alm.max_iter
+    flags = [rec["converged"] for rec in report.per_query]
+    assert report.to_json()["n_not_converged"] == flags.count(False) >= 1
 
 
 def test_run_experiment_sci_only_for_whole_dictionary_codes():

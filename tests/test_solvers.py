@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from repclass import dictionary as dictionary_mod
 from repclass import solvers
 from repclass.classifiers import fit
-from repclass.dictionary import build_dictionary, default_lambda
+from repclass.dictionary import build_dictionary, build_projector, default_lambda
 from repclass.errors import (
     BadGrid,
     BadSparsity,
@@ -164,8 +164,15 @@ def test_alm_params_validation():
         for kwargs in ({"tol": 0}, {"tol": -1e-6}, {"tol": float("nan")}, {"max_iter": 0}):
             with pytest.raises(ConfigInvalid):
                 params(**kwargs)
-    with pytest.raises(NonPositiveLambda):
-        solve_alm_l1res(np.eye(2), np.ones(2), 0.0)
+    # lambda must be a finite number > 0: NaN used to give a NaN ridge code
+    # with converged=True, 5000 FISTA steps or an untyped scipy ValueError
+    d = build_dictionary([(np.eye(2)[i], f"c{i}") for i in range(2)])
+    for lam in (0.0, -1.0, np.nan, np.inf, None):
+        for solve in (solve_rls, solve_alm_l1res, solve_ssnal_l1, solve_fista_l1):
+            with pytest.raises(NonPositiveLambda):
+                solve(np.eye(2), np.ones(2), lam)
+        with pytest.raises(NonPositiveLambda):
+            build_projector(d, lam)
 
 
 # ---------------------------------------------------------------- FISTA
@@ -285,6 +292,15 @@ def _seed77_problem():
     return X, rng.standard_normal(12)
 
 
+def _wide_problem():
+    """30 x 90, so n > m; with a small lam SSNAL's code fills m, so its m x m
+    Newton form runs."""
+    rng = np.random.default_rng(78)
+    X = rng.standard_normal((30, 90))
+    X /= np.linalg.norm(X, axis=0)
+    return X, rng.standard_normal(30)
+
+
 # ------------------------------------------------ ALM optimality oracles
 #
 # No ALM iterate is pinned: the solver is checked against the optimal value
@@ -327,6 +343,21 @@ def test_alm_reaches_dual_reference_optimum(problem, lam):
     assert res.objective == pytest.approx(_alm_reference_optimum(X, y, lam), rel=1e-8)
     gap = res.objective - _alm_dual(X, y, lam, res.multiplier)
     assert abs(gap) <= 1e-8 * (1.0 + abs(res.objective))
+
+
+@pytest.mark.parametrize(
+    "problem, lam",
+    [(_seed77_problem, 0.3), (_corrupted_problem, 0.01), (_wide_problem, 0.3)],
+    ids=["seed77", "corrupted", "wide"],
+)
+def test_alm_gap_bounds_the_feasible_pair(problem, lam):
+    # the gap certifies the feasible pair (a, y - X a), whose value is at
+    # least the optimum; the reported objective may read below it
+    X, y = problem()
+    res = solve_alm_l1res(X, y, lam)
+    primal = np.sum(np.abs(y - X @ res.alpha)) + lam * (res.alpha @ res.alpha)
+    assert res.gap >= 0.0
+    assert (primal - _alm_reference_optimum(X, y, lam)) / primal <= res.gap + 1e-12
 
 
 def _benchmark_shape_queries():
@@ -406,14 +437,6 @@ def _lasso_reference_optimum(X, y, lam):
         options={"ftol": 1e-16, "gtol": 1e-14, "maxiter": 100000, "maxfun": 100000},
     )
     return float(out.fun)
-
-
-def _wide_problem():
-    """30 x 90 with a small lam: the code fills m, so the m x m Newton form runs."""
-    rng = np.random.default_rng(78)
-    X = rng.standard_normal((30, 90))
-    X /= np.linalg.norm(X, axis=0)
-    return X, rng.standard_normal(30)
 
 
 @pytest.mark.parametrize(
