@@ -187,14 +187,19 @@ class Projector:
 def build_projector(dictionary, lam):
     """Precompute the ridge projector of a dictionary.
 
-    Solved through a Cholesky factorization of the SPD matrix X^T X + lam*I;
-    lam > 0 keeps it positive definite even for n > m.
+    Solved through a Cholesky factorization of the smaller of the SPD
+    matrices X^T X + lam*I (n x n) and, when n > m, X X^T + lam*I (m x m),
+    by the identity (X^T X + lam I)^{-1} X^T = X^T (X X^T + lam I)^{-1}.
     """
     lam = check_lambda(lam)
     X = dictionary.data
-    gram = X.T @ X + lam * np.eye(dictionary.n)
-    cf = scipy.linalg.cho_factor(gram, lower=True)
-    P = scipy.linalg.cho_solve(cf, X.T)
+    wide = dictionary.n > dictionary.m
+    gram = X @ X.T if wide else X.T @ X
+    gram.flat[:: gram.shape[0] + 1] += lam
+    S = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), X if wide else X.T)
+    # Fortran order either way: a block decide's Y^T P^T ran a fifth slower
+    # with P in C order (300 x 1178 queries, 1216 columns)
+    P = np.asfortranarray(S.T) if wide else S
     return Projector(
         matrix=P, lam=lam, dictionary_fingerprint=dictionary.fingerprint
     )

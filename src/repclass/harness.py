@@ -48,6 +48,10 @@ class Dataset:
 
 @dataclass
 class ExperimentConfig:
+    """Settings of one experiment; to_json and from_json map them to the
+    config file. seed is recorded with the report and read by no
+    computation: DegradationSpec.seed seeds the degradation."""
+
     classifier: str = "crc_rls"
     lam: object = "auto"  # positive float, or "auto" for 0.001 * n / 700
     feature_dim: int | None = None
@@ -65,6 +69,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"'lambda' must be finite and positive or 'auto', got {lam!r}")
         if dim is not None and not is_number(dim, numbers.Integral):
             raise ConfigInvalid(f"'feature_dim' must be an integer or null, got {dim!r}")
+        if not is_number(self.seed, numbers.Integral):
+            raise ConfigInvalid(f"'seed' must be an integer, got {self.seed!r}")
         if self.decision_variant not in ("plain_residual", "regularized_residual"):
             raise ConfigInvalid(f"unknown decision variant {self.decision_variant!r}")
 

@@ -5,7 +5,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dictionary import Dictionary, _power_iteration_sq, check_lambda, is_number
 from .errors import (
@@ -38,16 +38,21 @@ class CodingResult:
     gap: float | None = None
 
 
-# R-CRC penalty schedule: mu starts at _MU0 and grows by _RHO per multiplier
-# step up to _MU_MAX. R-CRC is convex, so these set the path to the optimum,
-# not the optimum. Each outer step of either ALM coder takes at most
-# _INNER_MAX Newton steps.
-_MU0, _RHO, _MU_MAX, _INNER_MAX = 1.0, 1.2, 1e4, 30
+# Both ALM coders grow their penalty by _RHO per multiplier step, up to a
+# cap. They share it because they share the inner solver, warm started from
+# the last step: a larger growth buys fewer outer steps with more Newton
+# steps each, and x2 to x3 takes the fewest Newton steps in total (R-CRC on
+# the benchmark's 600 x 80 shape: x1.2 took 3.5 times the outer steps and
+# 1.4 times the Newton steps of x3; x5 and x10 took 1.1 and 1.2 times the
+# Newton steps). Each outer step takes at most _INNER_MAX Newton steps.
+_RHO, _INNER_MAX = 3.0, 30
+# R-CRC penalty schedule: mu starts at _MU0 and is capped at _MU_MAX.
+# R-CRC is convex, so these set the path to the optimum, not the optimum.
+_MU0, _MU_MAX = 1.0, 1e4
 # SSNAL penalty schedule: sigma, in units of 1 / (mean squared column norm
-# of X), starts at _SIGMA0 and grows by _SIGMA_RHO per outer step up to
-# _SIGMA_MAX. The coder stops on a duality gap, so these set its cost, not
-# its answer.
-_SIGMA0, _SIGMA_RHO, _SIGMA_MAX = 1e3, 3.0, 1e6
+# of X), starts at _SIGMA0 and is capped at _SIGMA_MAX. The coder stops on a
+# duality gap, so these set its cost, not its answer.
+_SIGMA0, _SIGMA_MAX = 1e3, 1e6
 # At the sigma cap the gap falls until rounding floors it; SSNAL stops, not
 # converged, after _STALL_STEPS outer steps there without halving it. Runs
 # that do converge plateau there for at most 10 steps on the SRC workloads.
@@ -133,6 +138,26 @@ def solve_rls(X, y, lam=None):
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
 
 
+def _spd_solve(A, b):
+    """Solve A x = b for a symmetric positive definite A by its upper Cholesky
+    factor: LAPACK potrf and potrs, the routines scipy's cho_factor and
+    cho_solve call, without their wrapper cost (about 25 us a call, up to
+    two thirds of a solve at the sizes _newton meets). Keeps their checks:
+    LinAlgError (a ValueError) if A or b is not finite or A is not positive
+    definite. An empty system has the empty solution.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+    if A.shape[0] == 0:
+        return b.copy()
+    c, info = dpotrf(A, lower=0, clean=0)
+    if info == 0:
+        x, info = dpotrs(c, b, lower=0)
+        if info == 0:
+            return x
+    raise np.linalg.LinAlgError(f"Cholesky solve of order {A.shape[0]} failed: info {info}")
+
+
 def _newton(M, c, b, kappa, t, huber, v, x, tiny):
     """Semismooth Newton for F(v) = c/2*||v||^2 - b^T v + kappa/2 * E(M v + w),
     the inner problem of both ALM coders (Li, Sun & Toh, SIAM J. Optim. 2018).
@@ -159,11 +184,11 @@ def _newton(M, c, b, kappa, t, huber, v, x, tiny):
         if p <= k:
             H = kappa * (Mk.T @ Mk)
             H.flat[:: p + 1] += c
-            d = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), g)
+            d = -_spd_solve(H, g)
         else:
             W = Mk @ Mk.T
             W.flat[:: k + 1] += c / kappa
-            d = (Mk.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), Mk @ g) - g) / c
+            d = (Mk.T @ _spd_solve(W, Mk @ g) - g) / c
         md = M @ d
         slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * (d @ d)
         if huber:
@@ -200,10 +225,10 @@ def solve_alm_l1res(X, y, lam, params=None):
     of w0 - X a by _newton (M = -X, c = 2 lam, kappa = mu, t = 1/mu) from the
     previous a; then e = shrink(w0 - X a, 1/mu) and z += mu*(y - X a - e).
     converged means the infeasibility, the move of (a, e) and the
-    stationarity 2 lam a - X^T z passed their tol tests. objective is
-    ||e||_1 + lam*||a||^2; gap, reported but not a stopping test, is the
-    relative duality gap (P - D)/P of the feasible pair (a, y - X a), with
-    D = z^T y - ||X^T z||^2/(4 lam) at z clipped into the box [-1, 1].
+    stationarity 2 lam a - X^T z passed their tol tests and, checked only
+    once they have, gap <= tol: gap is the relative duality gap (P - D)/P of
+    the feasible pair (a, y - X a), with D = z^T y - ||X^T z||^2/(4 lam) at
+    z clipped into the box [-1, 1]. objective is ||e||_1 + lam*||a||^2.
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
@@ -238,16 +263,24 @@ def solve_alm_l1res(X, y, lam, params=None):
             feas <= tol * ynorm
             and change <= tol * scale
             and stat <= 100.0 * tol * (1.0 + np.sqrt(anorm_sq))
+            and _l1res_gap(X, y, lam, alpha, xa, z) <= tol
         ):
             converged = True
             break
         mu = min(mu * _RHO, _MU_MAX)
     obj = float(np.sum(np.abs(e)) + lam * alpha @ alpha)
+    gap = _l1res_gap(X, y, lam, alpha, xa, z)
+    return CodingResult(alpha, obj, it, converged, residual_vec=e, multiplier=z, gap=gap)
+
+
+def _l1res_gap(X, y, lam, alpha, xa, z):
+    """Relative duality gap (P - D)/P of R-CRC's feasible pair (a, y - X a),
+    given xa = X a, against the multiplier z clipped into the box [-1, 1]:
+    P = ||y - X a||_1 + lam*||a||^2, D = z^T y - ||X^T z||^2/(4 lam)."""
     primal = np.sum(np.abs(y - xa)) + lam * (alpha @ alpha)
     zc = np.clip(z, -1.0, 1.0)  # rounding moves z out of the box by up to 3e-14
     xtz = X.T @ zc
-    gap = (primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal
-    return CodingResult(alpha, obj, it, converged, residual_vec=e, multiplier=z, gap=float(gap))
+    return float((primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal)
 
 
 def solve_ssnal_l1(X, y, lam, params=None):
@@ -307,7 +340,7 @@ def solve_ssnal_l1(X, y, lam, params=None):
             stalled += 1
             if stalled == _STALL_STEPS:
                 break
-        sigma = min(sigma * _SIGMA_RHO, cap)
+        sigma = min(sigma * _RHO, cap)
     return CodingResult(
         alpha=alpha, objective=float(obj), iterations=it, converged=converged, gap=float(gap)
     )

@@ -109,13 +109,15 @@ def test_class_block_and_coefficients():
 
 def test_projector_matches_direct_inverse():
     rng = np.random.default_rng(4)
-    d = build_dictionary(_samples(rng, m=20, per_class=4))
-    lam = 0.05
-    proj = build_projector(d, lam)
-    X = d.data
-    direct = np.linalg.inv(X.T @ X + lam * np.eye(d.n)) @ X.T
-    np.testing.assert_allclose(proj.matrix, direct, rtol=1e-10, atol=1e-12)
-    assert proj.dictionary_fingerprint == d.fingerprint
+    # n = 12 columns; with m = 5 the projector is factored through X X^T
+    for m in (20, 5):
+        d = build_dictionary(_samples(rng, m=m, per_class=4))
+        lam = 0.05
+        proj = build_projector(d, lam)
+        X = d.data
+        direct = np.linalg.inv(X.T @ X + lam * np.eye(d.n)) @ X.T
+        np.testing.assert_allclose(proj.matrix, direct, rtol=1e-10, atol=1e-12)
+        assert proj.dictionary_fingerprint == d.fingerprint
 
 
 def test_projector_rejects_bad_lambda():

@@ -175,6 +175,10 @@ def test_config_validation():
         ({"lambda": True}, "'lambda' must be finite and positive"),
         ({"lambda": float("nan")}, "'lambda' must be finite and positive"),
         ({"lambda": float("inf")}, "'lambda' must be finite and positive"),
+        # seed is echoed into the report, so a non-integer used to be written there
+        ({"seed": "x"}, "'seed' must be an integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"seed": 2.5}, "'seed' must be an integer"),
         # a top-level list used to end in AttributeError: 'list' object has no attribute 'items'
         ([], "config is not an object"),
         ("src", "config is not an object"),
@@ -183,7 +187,7 @@ def test_config_validation():
             ExperimentConfig.from_json(obj)
     # numpy scalars are numbers
     cfg = ExperimentConfig(
-        lam=np.float64(0.1), feature_dim=np.int64(3),
+        lam=np.float64(0.1), feature_dim=np.int64(3), seed=np.int64(5),
         alm=AlmParams(tol=np.float32(1e-5), max_iter=np.int64(20)),
     )
     assert cfg.resolve_lambda(10) == 0.1

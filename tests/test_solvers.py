@@ -21,7 +21,7 @@ from repclass.errors import (
     NonFiniteInput,
     NonPositiveLambda,
 )
-from repclass.harness import ExperimentConfig, synthetic_dataset
+from repclass.harness import ExperimentConfig, run_experiment, synthetic_dataset
 from repclass.solvers import (
     AlmParams,
     FistaParams,
@@ -386,6 +386,20 @@ def test_alm_converges_on_benchmark_shape():
         res = solve_alm_l1res(d, y, default_lambda(d.n))
         assert res.converged
         assert res.objective <= capped
+        # mu grows x3 per step to its cap; at x1.2 these took 52, 38 and 41
+        assert res.iterations <= 20
+
+
+def test_alm_converged_only_when_gap_within_tol():
+    # criterion 6's data at 0% corruption: queries 5 and 81 used to pass the
+    # KKT test with gaps 1.18e-6 and 1.11e-6, above tol, and read converged
+    data = synthetic_dataset(
+        n_classes=10, subspace_dim=4, ambient_dim=600, n_train=8, n_test=10,
+        noise_sigma=0.02, seed=7,
+    )
+    rep = run_experiment(ExperimentConfig(classifier="rcrc"), data)
+    assert rep.n_not_converged == 0
+    assert max(rec["gap"] for rec in rep.per_query) <= AlmParams().tol
 
 
 @pytest.mark.parametrize(
@@ -507,6 +521,34 @@ def test_ssnal_zero_query_and_identity():
         assert res.converged and err @ err <= res.gap * res.objective + 1e-30
     with pytest.raises(NonPositiveLambda):
         solve_ssnal_l1(np.eye(2), np.ones(2), 0.0)
+
+
+def test_ssnal_zero_code_above_lambda_max():
+    # lam >= 2*||X^T y||_inf makes a = 0 optimal: the box holds every row of
+    # X^T u, so each Newton system is the empty Woodbury one (|K| = 0)
+    X, y = _wide_problem()
+    lam = 2.0 * np.max(np.abs(X.T @ y))
+    for scale in (1.0, 3.0):
+        res = solve_ssnal_l1(X, y, scale * lam)
+        assert res.converged and res.gap <= 1e-6
+        np.testing.assert_array_equal(res.alpha, 0.0)
+        assert res.objective == pytest.approx(y @ y, rel=1e-15)
+
+
+def test_spd_solve_checks_its_system():
+    rng = np.random.default_rng(17)
+    B = rng.standard_normal((9, 6))
+    A, b = B.T @ B + np.eye(6), rng.standard_normal(6)
+    np.testing.assert_allclose(A @ solvers._spd_solve(A, b), b, rtol=1e-12, atol=1e-12)
+    assert solvers._spd_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for A, b in [
+        (indefinite, np.ones(2)),
+        (np.diag([1.0, np.nan]), np.ones(2)),
+        (np.eye(2), np.array([1.0, np.inf])),
+    ]:
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._spd_solve(A, b)
 
 
 # ------------------------------------------------- per-dictionary factors
