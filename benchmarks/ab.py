@@ -9,10 +9,12 @@ Usage (from the repository root):
 Each seed is one pair: `perfbench/run.py --workload W --seed S --seconds T`
 runs once in each checkout, one after the other, parent first on odd pairs
 and change first on even ones, so a drift of the machine's speed does not
-favour one side. The output holds every pair's end-to-end metrics and
-checks, each side's environment stamp (git SHA, whether `src/` is at it,
-source digest, nproc, BLAS build and thread count), and per metric the
-median and quartiles of each side plus the number of pairs the change wins.
+favour one side. A run that perfbench reports incorrect, or that has no
+metrics, stops the A/B with its side, seed and perfbench's problems. The
+output holds every pair's end-to-end metrics and checks, each side's
+environment stamp (git SHA, whether `src/` is at it, source digest, nproc,
+BLAS build and thread count), and per metric the median and quartiles of
+each side plus the number of pairs the change wins.
 """
 
 import argparse
@@ -72,6 +74,12 @@ def main(argv=None):
         pair = {"seed": seed, "order": list(order)}
         for side in order:
             detail, result = run_side(sides[side], args.workload, seed, args.seconds)
+            if not (result["correct"] and result["metrics"]):
+                raise SystemExit(
+                    f"{side} ({sides[side]}), seed {seed}: perfbench reported correct: "
+                    f"{json.dumps(result['correct'])} and {len(result['metrics'])} metrics; "
+                    f"problems: {json.dumps(detail['problems'])}"
+                )
             stamp = dict(detail["environment"], src_at_git_sha=src_at_git_sha(sides[side]))
             stamps.setdefault(side, stamp)
             pair[side] = {

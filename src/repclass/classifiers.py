@@ -133,9 +133,9 @@ class Model:
         elif rule in ("src", "rcrc"):
             coder = self._lasso if rule == "src" else self._l1_residual
             codings = _timed_rows(lambda y: coder(d, y), Yt, seconds)
-            At = np.array([r.alpha for r in codings])
+            At = np.reshape([r.alpha for r in codings], (q, d.n))
             if rule == "rcrc":
-                Et = np.array([r.residual_vec for r in codings])
+                Et = np.reshape([r.residual_vec for r in codings], Yt.shape)
         T = Yt if Et is None else Yt - Et  # the query less rcrc's outlier estimate
         code_sq = np.empty((d.k, q))  # squared norm of each class's code
         for i, (lo, hi) in enumerate(d.class_ranges.values()):
@@ -148,7 +148,7 @@ class Model:
                 continue
             if rule == "rns_l1":
                 per_class.append(_timed_rows(lambda y: self._lasso(B, y), Yt, seconds))
-                At[:, lo:hi] = [r.alpha for r in per_class[i]]
+                At[:, lo:hi] = np.reshape([r.alpha for r in per_class[i]], (q, hi - lo))
                 scores[i] = [r.objective for r in per_class[i]]
                 continue
             if rule == "ns":
@@ -172,11 +172,11 @@ class Model:
             codings = [per_class[i][j] for j, i in enumerate(predicted)]
         iterations, converged, gap = np.zeros(q, int), np.ones(q, bool), None
         if codings is not None:
-            iterations, converged, objective, gap = (
-                np.array([getattr(r, k) for r in codings])
-                for k in ("iterations", "converged", "objective", "gap")
-            )
-            gap = None if gap.dtype == object else gap  # a coder without a gap
+            iterations = np.array([r.iterations for r in codings], dtype=int)
+            converged = np.array([r.converged for r in codings], dtype=bool)
+            objective = np.array([r.objective for r in codings], dtype=float)
+            gaps = [r.gap for r in codings]  # None from a coder without a gap
+            gap = None if None in gaps else np.array(gaps, dtype=float)
         seconds += (time.perf_counter() - t_start - seconds.sum()) / max(q, 1)
         E = None if Et is None else Et.T
         return Decisions(scores, predicted, At.T, E, iterations, converged, objective, gap, seconds)

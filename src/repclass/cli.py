@@ -7,6 +7,8 @@ stderr.
 """
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -42,12 +44,22 @@ def _load_config(args):
     return obj
 
 
-def _write_json(path, obj):
-    text = json.dumps(obj, indent=2)
+def _write_text(path, text, end="\n"):
+    """Write text to the file at path, or print it followed by end."""
     if path:
         Path(path).write_text(text)
     else:
-        print(text)
+        print(text, end=end)
+
+
+def _write_json(path, obj):
+    _write_text(path, json.dumps(obj, indent=2))
+
+
+def _write_csv(path, header, rows):
+    """Write the header line, then one "a,b" line per pair (a, b) of rows."""
+    lines = [header] + [f"{a},{b}" for a, b in rows]
+    _write_text(path, "\n".join(lines) + "\n", end="")
 
 
 def cmd_ingest(args):
@@ -55,11 +67,10 @@ def cmd_ingest(args):
     if args.synthetic:
         if args.seed is None:
             raise RepclassError("--seed is required for synthetic generation")
-        params = {k: cfg[k] for k in cfg if k in (
-            "n_classes", "subspace_dim", "ambient_dim", "n_train", "n_test",
-            "noise_sigma", "shared_fraction", "seed",
-        )}
-        data = harness.synthetic_dataset(**params)
+        unknown = set(cfg) - set(inspect.signature(harness.synthetic_dataset).parameters)
+        if unknown:
+            raise ConfigInvalid(f"synthetic config has unknown key {min(unknown)!r}")
+        data = harness.synthetic_dataset(**cfg)
     else:
         data = harness.ingest_dataset(
             args.path, layout=args.layout, train_per_class=args.train_per_class
@@ -111,13 +122,8 @@ def cmd_sweep(args):
     data = harness.load_dataset(args.data)
     lambdas = sorted(float(x) for x in args.lambdas.split(","))
     reports = harness.lambda_sweep(config, data, lambdas)
-    rows = ["lambda,recognition_rate"]
-    rows += [f"{lam},{r.recognition_rate}" for lam, r in zip(lambdas, reports)]
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    rates = [r.recognition_rate for r in reports]
+    _write_csv(args.out, "lambda,recognition_rate", zip(lambdas, rates))
 
 
 def cmd_roc(args):
@@ -145,41 +151,20 @@ def cmd_bench(args):
 def cmd_analyze(args):
     if args.mode == "coef_fit":
         coefs = io.read_matrix(args.input).ravel()
-        rep = analysis.coef_distribution_fit(coefs, bins=args.bins)
-        _write_json(
-            args.out,
-            {
-                "kl_gaussian": rep.kl_gaussian,
-                "kl_laplacian": rep.kl_laplacian,
-                "gaussian_params": list(rep.gaussian_params),
-                "laplacian_params": list(rep.laplacian_params),
-            },
-        )
+        rep = dataclasses.asdict(analysis.coef_distribution_fit(coefs, bins=args.bins))
+        del rep["bin_edges"], rep["counts"]
+        _write_json(args.out, rep)
     elif args.mode == "residual_curve":
         Phi = io.read_matrix(args.input)
         y = io.read_matrix(args.query).ravel()
         grid = [float(x) for x in args.grid.split(",")]
         curves = analysis.residual_eps_study(Phi, y, args.p, grid)
-        rows = ["epsilon,residual"] + [f"{e},{r}" for e, r in curves[0]]
-        text = "\n".join(rows) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text, end="")
+        _write_csv(args.out, "epsilon,residual", curves[0])
     elif args.mode == "geometry":
         dictionary = io.load_dictionary(args.input)
         y = io.read_matrix(args.query).ravel()
         rep = analysis.geometry_check(dictionary, y, args.label)
-        _write_json(
-            args.out,
-            {
-                "r_total_sq": rep.r_total_sq,
-                "r_perp_sq": rep.r_perp_sq,
-                "r_star_sq": rep.r_star_sq,
-                "sin_identity_lhs": rep.sin_identity_lhs,
-                "sin_identity_rhs": rep.sin_identity_rhs,
-            },
-        )
+        _write_json(args.out, dataclasses.asdict(rep))
     else:  # perturbation
         X = io.read_matrix(args.input)
         delta = io.read_matrix(args.delta)
@@ -270,10 +255,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except RepclassError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (RepclassError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0

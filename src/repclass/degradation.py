@@ -5,15 +5,21 @@ bit-identical across platforms for a fixed seed. Per-image seeds for batch
 runs are derived with derive_seed so batch order does not matter.
 """
 
-from dataclasses import asdict, dataclass
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFraction, EmptyImage, OccluderTooSmall
+from .dictionary import is_number
+from .errors import BadFraction, ConfigInvalid, EmptyImage, OccluderTooSmall
 
 
 @dataclass(frozen=True)
 class DegradationSpec:
+    """What to do to each query: corrupt or occlude `fraction` of its pixels,
+    with replacement values drawn uniformly from [low, high]."""
+
     kind: str  # "pixel_corruption" or "block_occlusion"
     fraction: float
     seed: int
@@ -23,21 +29,14 @@ class DegradationSpec:
     def __post_init__(self):
         if self.kind not in ("pixel_corruption", "block_occlusion"):
             raise ValueError(f"unknown degradation kind {self.kind!r}")
+        for name in ("fraction", "low", "high"):
+            value = getattr(self, name)
+            if not (is_number(value) and math.isfinite(value)):
+                raise ConfigInvalid(f"degradation {name!r} must be a finite number, got {value!r}")
+        if not (is_number(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigInvalid(f"degradation 'seed' must be a whole number >= 0, got {self.seed!r}")
         if not (0.0 <= self.fraction <= 1.0):
             raise BadFraction(f"fraction must lie in [0, 1], got {self.fraction}")
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            kind=obj["kind"],
-            fraction=float(obj["fraction"]),
-            seed=int(obj["seed"]),
-            low=float(obj.get("low", 0.0)),
-            high=float(obj.get("high", 255.0)),
-        )
 
 
 def derive_seed(master_seed, index):

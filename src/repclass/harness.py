@@ -19,6 +19,7 @@ from .classifiers import CLASSIFIERS, SCI_CLASSIFIERS, block_sci, fit
 from .dictionary import build_dictionary, default_lambda, is_number
 from .errors import (
     ConfigInvalid,
+    EmptyInput,
     MalformedMatrix,
     MissingPath,
     MixedImageSizes,
@@ -89,31 +90,31 @@ class ExperimentConfig:
         """Inverse of to_json; an absent key takes its field's default."""
         if not isinstance(obj, dict):
             raise ConfigInvalid(f"config is not an object: got {type(obj).__name__}")
-        known = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        known = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
         unknown = set(obj) - set(known)
         if unknown:
             raise ConfigInvalid(f"config has unknown key {min(unknown)!r}")
         kwargs = {}
         for key, value in obj.items():
-            f = known[key]
-            if f.name == "degradation":
-                spec = degrade_mod.DegradationSpec
-                value = spec.from_json(_section(obj, key, spec)) if value else None
-            elif f.name == "alm":
-                value = AlmParams(**_section(obj, key, AlmParams))
-            elif f.name == "fista" and value is not None:
-                value = FistaParams(**_section(obj, key, FistaParams))
-            kwargs[f.name] = value
+            name = known[key]
+            section = _SECTIONS.get(name)
+            if section is not None and (value is not None or name == "alm"):
+                value = section(**_section(value, key, section))
+            kwargs[name] = value
         return cls(**kwargs)
 
 
 # JSON key of each config field whose key differs from its name
 _JSON_KEYS = {"lam": "lambda"}
+# the dataclass of each nested config section; null leaves degradation and
+# fista unset, and alm is always set
+_SECTIONS = {
+    "degradation": degrade_mod.DegradationSpec, "alm": AlmParams, "fista": FistaParams,
+}
 
 
-def _section(obj, name, cls):
+def _section(section, name, cls):
     """Nested config object `name`, checked to hold exactly fields of `cls`."""
-    section = obj.get(name, {})
     if not isinstance(section, dict):
         raise ConfigInvalid(f"config section {name!r} is not an object")
     unknown = set(section) - {f.name for f in fields(cls)}
@@ -289,6 +290,11 @@ def synthetic_dataset(
     shared_fraction=0.0,
 ):
     """Built-in seeded generator: one random subspace per class."""
+    sizes = {"n_classes": n_classes, "subspace_dim": subspace_dim,
+             "ambient_dim": ambient_dim, "n_train": n_train, "n_test": n_test}
+    for name, size in sizes.items():
+        if not (is_number(size, numbers.Integral) and size >= 0):
+            raise ConfigInvalid(f"synthetic size {name!r} must be a whole number >= 0, got {size!r}")
     train, train_labels, test, test_labels = make_subspace_dataset(
         n_classes, subspace_dim, ambient_dim, n_train, n_test, noise_sigma, seed,
         shared_fraction=shared_fraction,
@@ -425,7 +431,8 @@ def run_roc(config, gallery, customers, imposters, thresholds):
     A customer query counts as a true positive when it is both accepted at
     the threshold and correctly identified. The classifier must code over
     the whole dictionary (SCI_CLASSIFIERS). Queries are used as given, so a
-    config that asks for features or degradation is rejected.
+    config that asks for features or degradation is rejected, and so is an
+    empty customer or imposter set (EmptyInput).
     """
     if config.classifier not in SCI_CLASSIFIERS:
         raise ConfigInvalid(
@@ -435,6 +442,9 @@ def run_roc(config, gallery, customers, imposters, thresholds):
     for name in ("feature_dim", "degradation"):
         if getattr(config, name) is not None:
             raise ConfigInvalid(f"run_roc does not apply {name!r}; leave it unset")
+    for name, queries in (("customer", customers), ("imposter", imposters)):
+        if queries.n_columns == 0:
+            raise EmptyInput(f"run_roc needs at least one {name} query")
     train_feats, train_labels = gallery.columns("train")
     gallery_classes = set(train_labels)
     imposter_feats, imposter_labels = imposters.features, imposters.labels

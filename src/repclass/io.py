@@ -172,8 +172,10 @@ def save_projector(projector, path):
 
 
 def load_projector(path):
+    """Read a projector saved by save_projector, in the Fortran order that
+    build_projector gives it (a block decide's product is faster on it)."""
     path = Path(path)
-    matrix = read_matrix(path)
+    matrix = np.asfortranarray(read_matrix(path))
     sidecar = read_sidecar(path, ("lambda", "dictionary_fingerprint"))
     return Projector(
         matrix=matrix,

@@ -228,7 +228,8 @@ def solve_alm_l1res(X, y, lam, params=None):
     stationarity 2 lam a - X^T z passed their tol tests and, checked only
     once they have, gap <= tol: gap is the relative duality gap (P - D)/P of
     the feasible pair (a, y - X a), with D = z^T y - ||X^T z||^2/(4 lam) at
-    z clipped into the box [-1, 1]. objective is ||e||_1 + lam*||a||^2.
+    z clipped into the box [-1, 1]. objective is P, the value of that
+    feasible pair, so it never reads below the optimum.
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
@@ -263,24 +264,24 @@ def solve_alm_l1res(X, y, lam, params=None):
             feas <= tol * ynorm
             and change <= tol * scale
             and stat <= 100.0 * tol * (1.0 + np.sqrt(anorm_sq))
-            and _l1res_gap(X, y, lam, alpha, xa, z) <= tol
+            and _l1res_gap(X, y, lam, alpha, xa, z)[1] <= tol
         ):
             converged = True
             break
         mu = min(mu * _RHO, _MU_MAX)
-    obj = float(np.sum(np.abs(e)) + lam * alpha @ alpha)
-    gap = _l1res_gap(X, y, lam, alpha, xa, z)
+    obj, gap = _l1res_gap(X, y, lam, alpha, xa, z)
     return CodingResult(alpha, obj, it, converged, residual_vec=e, multiplier=z, gap=gap)
 
 
 def _l1res_gap(X, y, lam, alpha, xa, z):
-    """Relative duality gap (P - D)/P of R-CRC's feasible pair (a, y - X a),
-    given xa = X a, against the multiplier z clipped into the box [-1, 1]:
-    P = ||y - X a||_1 + lam*||a||^2, D = z^T y - ||X^T z||^2/(4 lam)."""
-    primal = np.sum(np.abs(y - xa)) + lam * (alpha @ alpha)
+    """(P, (P - D)/P): the value P = ||y - X a||_1 + lam*||a||^2 of R-CRC's
+    feasible pair (a, y - X a), given xa = X a, and its relative duality gap
+    against the multiplier z clipped into the box [-1, 1], with
+    D = z^T y - ||X^T z||^2/(4 lam)."""
+    primal = float(np.sum(np.abs(y - xa)) + lam * (alpha @ alpha))
     zc = np.clip(z, -1.0, 1.0)  # rounding moves z out of the box by up to 3e-14
     xtz = X.T @ zc
-    return float((primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal)
+    return primal, float((primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal)
 
 
 def solve_ssnal_l1(X, y, lam, params=None):

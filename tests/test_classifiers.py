@@ -184,6 +184,17 @@ def test_block_decide_equals_single_decide(classifier, variant, seed, q, zero_co
         assert model.decide(Y[:, zero_col]).degenerate
 
 
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_empty_block_gives_empty_decisions(classifier):
+    # src used to raise IndexError, rcrc and rns_l1 ValueError
+    d, _ = _toy(28)
+    block = fit(d, ExperimentConfig(classifier=classifier)).decide_block(np.zeros((d.m, 0)))
+    assert block.scores.shape == (d.k, 0) and block.alpha.shape == (d.n, 0)
+    for v in (block.predicted, block.iterations, block.converged, block.objective, block.seconds):
+        assert v.shape == (0,)
+    assert block.residual is None or block.residual.shape == (d.m, 0)
+
+
 def test_block_decide_times_each_query():
     # src codes query by query: each query's seconds hold its own coding
     # time, and the shares add up to the block's wall time

@@ -30,6 +30,25 @@ def test_ingest_synthetic_requires_seed(tmp_path, capsys):
     assert "seed" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "setting, words",
+    [("n_clases=2", ("n_clases",)), ('n_classes="3"', ("n_classes",)),
+     ("n_classes=true", ("n_classes",)), ("n_train=2.5", ("n_train",))],
+    ids=["unknown-key", "size-string", "size-bool", "size-fraction"],
+)
+def test_ingest_synthetic_bad_config_is_json_error(tmp_path, setting, words, capsys):
+    # an unknown key used to be ignored, a string size to end in a TypeError
+    # traceback and n_classes=true to give one class
+    out = tmp_path / "d.rpmat"
+    rc = main(["ingest", "--synthetic", "--seed", "1", "--out", str(out), "--set", setting])
+    assert rc == 1 and not out.exists()
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "ConfigInvalid"
+    assert all(repr(word) in err["message"] for word in words)
+
+
 def test_ingest_reports_shape(dataset, capsys):
     pass  # fixture already ran; nothing else to assert here
 
@@ -191,6 +210,13 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
         (["--set", "lambda=NaN"], ("lambda",)),
         (["--set", "lambda=Infinity"], ("lambda",)),
         (["--set", "classifier=nn", "--set", "lambda=NaN"], ("lambda",)),
+        (["--set", "degradation={}"], ("degradation", "fraction")),
+        (["--set", 'degradation={"kind": "pixel_corruption", "fraction": true, "seed": 1}'],
+         ("fraction",)),
+        (["--set", 'degradation={"kind": "pixel_corruption", "fraction": "0.5", "seed": 1}'],
+         ("fraction",)),
+        (["--set", 'degradation={"kind": "pixel_corruption", "fraction": 0.5, "seed": 2.7}'],
+         ("seed",)),
     ],
     ids=[
         "unknown-alm-key", "degradation-without-fraction", "unknown-top-level-key",
@@ -198,6 +224,8 @@ def test_experiment_config_file_with_override(dataset, tmp_path):
         "fista-max-iter-zero", "feature-dim-string", "feature-dim-fraction",
         "alm-tol-string", "fista-max-iter-string", "alm-max-iter-fraction",
         "lambda-bool", "lambda-nan", "lambda-inf", "nn-lambda-nan",
+        "degradation-empty", "degradation-fraction-bool", "degradation-fraction-string",
+        "degradation-seed-fraction",
     ],
 )
 def test_experiment_malformed_config_section_is_json_error(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repclass.degradation import (
     occlude_block,
 )
 from repclass.errors import BadFraction, EmptyImage, OccluderTooSmall
+from repclass.harness import ExperimentConfig
 
 
 def test_corrupt_pixels_count_and_range():
@@ -103,8 +106,9 @@ def test_apply_spec_occlusion_requires_occluder():
 
 def test_spec_json_roundtrip():
     spec = DegradationSpec("block_occlusion", 0.4, seed=17, low=-1.0, high=1.0)
-    again = DegradationSpec.from_json(spec.to_json())
-    assert again == spec
+    # a spec is written and read as the config's degradation section
+    text = json.dumps(ExperimentConfig(degradation=spec).to_json())
+    assert ExperimentConfig.from_json(json.loads(text)).degradation == spec
     with pytest.raises(ValueError):
         DegradationSpec("saltpepper", 0.4, seed=0)
     with pytest.raises(BadFraction):

@@ -11,6 +11,7 @@ from repclass.classifiers import Model
 from repclass.degradation import DegradationSpec
 from repclass.errors import (
     ConfigInvalid,
+    EmptyInput,
     MalformedMatrix,
     MissingPath,
     MixedImageSizes,
@@ -179,6 +180,23 @@ def test_config_validation():
         ({"seed": "x"}, "'seed' must be an integer"),
         ({"seed": True}, "'seed' must be an integer"),
         ({"seed": 2.5}, "'seed' must be an integer"),
+        # a degradation used to be coerced: {} ran with none, true ran at
+        # fraction 1, "0.5" was read as 0.5 and a seed of 2.7 ran as 2
+        ({"degradation": {}}, "'degradation' lacks key 'fraction'"),
+        ({"degradation": {"kind": "pixel_corruption", "fraction": True, "seed": 1}},
+         "'fraction' must be a finite number"),
+        ({"degradation": {"kind": "pixel_corruption", "fraction": "0.5", "seed": 1}},
+         "'fraction' must be a finite number"),
+        ({"degradation": {"kind": "pixel_corruption", "fraction": 0.5, "seed": 2.7}},
+         "'seed' must be a whole number"),
+        ({"degradation": {"kind": "pixel_corruption", "fraction": 0.5, "seed": True}},
+         "'seed' must be a whole number"),
+        ({"degradation": {"kind": "pixel_corruption", "fraction": 0.5, "seed": 1, "low": "0"}},
+         "'low' must be a finite number"),
+        ({"degradation": {"kind": "pixel_corruption", "fraction": 0.5, "seed": 1, "high": None}},
+         "'high' must be a finite number"),
+        ({"degradation": False}, "'degradation' is not an object"),
+        ({"alm": None}, "'alm' is not an object"),
         # a top-level list used to end in AttributeError: 'list' object has no attribute 'items'
         ([], "config is not an object"),
         ("src", "config is not an object"),
@@ -191,6 +209,12 @@ def test_config_validation():
         alm=AlmParams(tol=np.float32(1e-5), max_iter=np.int64(20)),
     )
     assert cfg.resolve_lambda(10) == 0.1
+    # null leaves a section unset; a perfbench-style degradation decodes as before
+    assert ExperimentConfig.from_json({"degradation": None, "fista": None}) == ExperimentConfig()
+    spec = {"kind": "pixel_corruption", "fraction": 0.5, "seed": 7, "low": -0.3, "high": 0.3}
+    assert ExperimentConfig.from_json({"degradation": spec}).degradation == DegradationSpec(
+        "pixel_corruption", 0.5, 7, -0.3, 0.3
+    )
 
 
 def test_config_alm_keeps_only_tol_and_max_iter():
@@ -439,6 +463,18 @@ def test_run_roc_rejects_features_and_degradation(name, value, monkeypatch):
     config = ExperimentConfig(**{name: value})
     with pytest.raises(ConfigInvalid, match=name):
         run_roc(config, gallery, customers, imposters, [0.5])
+
+
+@pytest.mark.parametrize("classifier", ["crc_rls", "src"])
+@pytest.mark.parametrize("empty", ["customers", "imposters"])
+def test_run_roc_rejects_an_empty_query_set(classifier, empty):
+    # an empty customer set used to end in TypeError (crc_rls) or IndexError
+    # (src), an empty imposter set in ZeroDivisionError
+    gallery, customers, imposters = _roc_datasets()
+    sets = {"customers": customers, "imposters": imposters}
+    sets[empty] = Dataset(features=np.zeros((gallery.features.shape[0], 0)), labels=[], split=[])
+    with pytest.raises(EmptyInput, match=empty[:-1]):
+        run_roc(ExperimentConfig(classifier=classifier), gallery, **sets, thresholds=[0.5])
 
 
 def test_experiment_and_roc_decide_each_query_set_in_one_block(monkeypatch):

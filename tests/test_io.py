@@ -163,11 +163,18 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
 
     loaded = load_projector(tmp_path / "proj.rpmat")
     np.testing.assert_array_equal(loaded.matrix, proj.matrix)
+    # in build_projector's Fortran order, so a block decide runs as fast and
+    # rounds the same as with the built projector
+    assert loaded.matrix.flags.f_contiguous
+    Y = np.random.default_rng(3).standard_normal((10, 7))
+    config = ExperimentConfig(lam=proj.lam)
+    np.testing.assert_array_equal(
+        fit(d, config, loaded).decide_block(Y).scores, fit(d, config, proj).decide_block(Y).scores
+    )
     assert loaded.lam == proj.lam
     assert loaded.dictionary_fingerprint == d.fingerprint
 
     # a loaded projector reattaches to its dictionary by fingerprint only
-    config = ExperimentConfig(lam=loaded.lam)
     res = fit(d, config, loaded).decide(np.ones(10))
     ref = solve_rls(d.data, np.ones(10), 0.07)
     np.testing.assert_allclose(res.coding.alpha, ref.alpha, rtol=1e-12)

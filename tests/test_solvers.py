@@ -351,13 +351,17 @@ def test_alm_reaches_dual_reference_optimum(problem, lam):
     ids=["seed77", "corrupted", "wide"],
 )
 def test_alm_gap_bounds_the_feasible_pair(problem, lam):
-    # the gap certifies the feasible pair (a, y - X a), whose value is at
-    # least the optimum; the reported objective may read below it
+    # the gap certifies the feasible pair (a, y - X a), whose value is the
+    # reported objective: it used to be ||e||_1 + lam*||a||^2, which read
+    # below the optimum
     X, y = problem()
     res = solve_alm_l1res(X, y, lam)
     primal = np.sum(np.abs(y - X @ res.alpha)) + lam * (res.alpha @ res.alpha)
+    reference = _alm_reference_optimum(X, y, lam)
+    assert res.objective == pytest.approx(primal, rel=1e-14)
+    assert res.objective >= reference
     assert res.gap >= 0.0
-    assert (primal - _alm_reference_optimum(X, y, lam)) / primal <= res.gap + 1e-12
+    assert (primal - reference) / primal <= res.gap + 1e-12
 
 
 def _benchmark_shape_queries():
