@@ -65,11 +65,14 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if len(seeds) < 2:
+        parser.error("--seeds needs at least two seeds: the summary takes quartiles over the pairs")
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     pairs, stamps = [], {}
-    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "order": list(order)}
         for side in order:

@@ -26,7 +26,7 @@ from .errors import (
     OverlappingClasses,
 )
 from .features import fit_pca, project_pca, vectorize_image
-from .io import read_matrix, read_pgm, read_sidecar
+from .io import read_matrix, read_pgm, read_sidecar, write_matrix, write_sidecar
 from .solvers import AlmParams, FistaParams
 from .synthetic import make_subspace_dataset
 
@@ -171,17 +171,13 @@ class Report:
 
 def save_dataset(dataset, path):
     """Write a dataset as a matrix file plus JSON sidecar."""
-    from .io import write_matrix
-
-    path = Path(path)
     write_matrix(path, dataset.features)
-    sidecar = {
+    write_sidecar(path, {
         "labels": [str(lab) for lab in dataset.labels],
         "split": list(dataset.split),
         "provenance": dataset.provenance,
         "image_shape": list(dataset.image_shape) if dataset.image_shape else None,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+    })
 
 
 def load_dataset(path):

@@ -92,10 +92,19 @@ def write_pgm(path, image):
         fh.write(clipped.tobytes())
 
 
+def _sidecar_path(path):
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".json")
+
+
+def write_sidecar(path, obj):
+    """Write obj as the JSON sidecar of the matrix file at path: <path>.json."""
+    _sidecar_path(path).write_text(json.dumps(obj, indent=2))
+
+
 def read_sidecar(path, required):
     """The JSON sidecar of a matrix file; MalformedMatrix names a missing key."""
-    path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar_path = _sidecar_path(path)
     sidecar = json.loads(sidecar_path.read_text())
     if not isinstance(sidecar, dict):
         raise MalformedMatrix(f"{sidecar_path}: sidecar is not a JSON object")
@@ -113,14 +122,12 @@ def save_dictionary(dictionary, path):
     bad = [lab for lab in dictionary.labels if not isinstance(lab, str)]
     if bad:
         raise BadLabel(f"cannot save non-string label {bad[0]!r}; labels must be strings")
-    path = Path(path)
     write_matrix(path, dictionary.data)
-    sidecar = {
+    write_sidecar(path, {
         "labels": list(dictionary.labels),
         "class_ranges": {k: list(v) for k, v in dictionary.class_ranges.items()},
         "fingerprint": dictionary.fingerprint,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+    })
 
 
 def load_dictionary(path):
@@ -162,13 +169,11 @@ def _tiles(ranges, n):
 
 
 def save_projector(projector, path):
-    path = Path(path)
     write_matrix(path, projector.matrix)
-    sidecar = {
+    write_sidecar(path, {
         "lambda": projector.lam,
         "dictionary_fingerprint": projector.dictionary_fingerprint,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+    })
 
 
 def load_projector(path):
@@ -185,14 +190,12 @@ def load_projector(path):
 
 
 def save_pca(model, path):
-    path = Path(path)
     write_matrix(path, np.column_stack([model.mean, model.basis]))
-    sidecar = {
+    write_sidecar(path, {
         "d": model.d,
         "input_dim": model.input_dim,
         "sign_convention": "largest-magnitude-entry-nonnegative",
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+    })
 
 
 def load_pca(path):

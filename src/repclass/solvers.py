@@ -50,9 +50,10 @@ _RHO, _INNER_MAX = 3.0, 30
 # R-CRC is convex, so these set the path to the optimum, not the optimum.
 _MU0, _MU_MAX = 1.0, 1e4
 # SSNAL penalty schedule: sigma, in units of 1 / (mean squared column norm
-# of X), starts at _SIGMA0 and is capped at _SIGMA_MAX. The coder stops on a
-# duality gap, so these set its cost, not its answer.
-_SIGMA0, _SIGMA_MAX = 1e3, 1e6
+# of X), starts at _SIGMA0 and is capped at _SIGMA_MAX, times
+# lam_max / (lam * _LAM_RATIO) where that is above 1 (see solve_ssnal_l1).
+# The coder stops on a duality gap, so these set its cost, not its answer.
+_SIGMA0, _SIGMA_MAX, _LAM_RATIO = 1e3, 1e6, 1e5
 # At the sigma cap the gap falls until rounding floors it; SSNAL stops, not
 # converged, after _STALL_STEPS outer steps there without halving it. Runs
 # that do converge plateau there for at most 10 steps on the SRC workloads.
@@ -297,7 +298,10 @@ def solve_ssnal_l1(X, y, lam, params=None):
     the box) from the previous u, then sets a = sigma * S(w). sigma grows
     geometrically up to a cap: a = sigma * S(w) multiplies the rounding of w
     by sigma, so an unbounded sigma would put a floor under the gap that the
-    coder can reach.
+    coder can reach. The cap is relative to lam: it grows with
+    lam_max / lam (lam_max = 2 ||X^T y||_inf, the smallest lam with a zero
+    code) once that ratio passes _LAM_RATIO, so that a small lam, whose dual
+    box is narrow, is still certified.
 
     After each outer step the residual r = y - X a, scaled into the dual box
     (by min(1, t / ||X^T r||_inf)), is a dual point; the coder stops when the
@@ -314,10 +318,11 @@ def solve_ssnal_l1(X, y, lam, params=None):
     t = 0.5 * lam
     m, n = X.shape
     alpha = np.zeros(n)
-    if not y.any():
-        return CodingResult(alpha=alpha, objective=0.0, gap=0.0)
+    if n == 0 or not y.any():  # a = 0 is the only code, or optimal
+        return CodingResult(alpha=alpha, objective=float(y @ y), gap=0.0)
     unit = n / max(float(np.vdot(X, X)), 1e-300)  # 1 / mean squared column norm
-    sigma, cap = _SIGMA0 * unit, _SIGMA_MAX * unit
+    sigma = _SIGMA0 * unit
+    cap = _SIGMA_MAX * unit * max(1.0, np.max(np.abs(X.T @ y)) / (t * _LAM_RATIO))
     best, stalled = np.inf, 0
     u, xtu = np.zeros(m), np.zeros(n)
     converged, it = False, 0
@@ -350,29 +355,21 @@ def solve_ssnal_l1(X, y, lam, params=None):
 def solve_fista_l1(X, y, lam, params=None):
     """l1-regularized coding: minimize ||y - X a||_2^2 + lam * ||a||_1.
 
-    Accelerated proximal gradient with step 1/L (L = Lipschitz constant of
-    the smooth gradient, from power iteration) and momentum restart on
-    objective increase. A Dictionary keeps its constant (X.sigma_sq); for a
-    bare matrix it is computed on this call.
+    Accelerated proximal gradient with step 1/L (L = 2 ||X||_2^2, the
+    Lipschitz constant of the smooth gradient, from power iteration) and
+    momentum restart on objective increase. A Dictionary keeps its constant
+    (X.sigma_sq); for a bare matrix it is computed on this call. The
+    products X a of the accepted iterate and X v of the momentum point are
+    carried along (X v is the same combination of X a values as v is of
+    a's), so each iteration costs two matrix-vector products.
     """
     Xm = np.ascontiguousarray(_as_matrix(X))
     y = _check_dims(Xm, y)
     lam = check_lambda(lam)
+    params = params or FistaParams()
     Xt = np.ascontiguousarray(Xm.T)
     sigma_sq = X.sigma_sq if isinstance(X, Dictionary) else _power_iteration_sq(Xm, Xt)
-    return _fista_l1(Xm, Xt, y, lam, sigma_sq, params or FistaParams())
-
-
-def _fista_l1(X, Xt, y, lam, sigma_sq, params):
-    """FISTA for min ||y - X a||_2^2 + lam*||a||_1, given X, its C-contiguous
-    transpose Xt and sigma_sq = ||X||_2^2 (the step is 1 / (2 sigma_sq)).
-
-    Momentum is restarted whenever the objective increases. The products
-    X a of the accepted iterate and X v of the momentum point are carried
-    along (X v is the same combination of X a values as v is of a's), so
-    each iteration costs two matrix-vector products.
-    """
-    n = X.shape[1]
+    n = Xm.shape[1]
     if sigma_sq == 0.0:
         return CodingResult(alpha=np.zeros(n), objective=float(y @ y))
     step = 1.0 / (2.0 * sigma_sq)
@@ -381,7 +378,7 @@ def _fista_l1(X, Xt, y, lam, sigma_sq, params):
     def prox_step(point, x_point):
         # proximal gradient step from point, given x_point = X @ point
         a = _soft_threshold(point - (2.0 * step) * (Xt @ (x_point - y)), thr)
-        x_a = X @ a
+        x_a = Xm @ a
         res = y - x_a
         return a, x_a, res @ res + lam * np.sum(np.abs(a))
 
@@ -443,10 +440,12 @@ def solve_omp(X, y, k):
 def solve_constrained_lp(X, y, p, grid):
     """Residual-versus-budget curve for norm-constrained least squares.
 
-    For p=0 the budget is an atom count solved by OMP; for p=1 and p=2 a
-    descending Lagrangian sweep builds the Pareto frontier of
-    (||a||_p, ||y - X a||_2) pairs and each budget reports the smallest
-    attainable residual. Curves are nonincreasing in the budget.
+    For p=0 the budget is an atom count solved by OMP, and a budget below
+    one atom gives ||y||; for p=1 and p=2 a Lagrangian sweep over 60 lam in
+    [1e-6, 1e3] builds the Pareto frontier of (||a||_p, ||y - X a||_2) pairs
+    (each lam coded by solve_ssnal_l1 at the default AlmParams for p=1, by
+    solve_rls for p=2) and each budget reports the smallest attainable
+    residual. Curves are nonincreasing in the budget.
     """
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
@@ -459,29 +458,17 @@ def solve_constrained_lp(X, y, p, grid):
     if p == 0:
         out = []
         for eps in grid:
-            if eps <= 0:
-                out.append((eps, ynorm))
-                continue
-            k = min(int(eps), Xm.shape[1])
-            res = solve_omp(Xm, y, k)
-            out.append((eps, float(np.sqrt(res.objective))))
+            k = min(max(int(eps), 0), Xm.shape[1])  # zero atoms leave ||y||
+            out.append((eps, float(np.sqrt(solve_omp(Xm, y, k).objective)) if k else ynorm))
         return _monotone(out)
     # Lagrangian sweep; the unregularized least-squares point anchors the
     # large-budget end of the frontier.
     pairs = [(0.0, ynorm)]
     alpha_ls, *_ = np.linalg.lstsq(Xm, y, rcond=None)
     pairs.append(_pair(Xm, y, alpha_ls, p))
-    if p == 1:
-        # every lambda of the sweep shares one FISTA step
-        Xc = np.ascontiguousarray(Xm)
-        Xt = np.ascontiguousarray(Xc.T)
-        sigma_sq = _power_iteration_sq(Xc, Xt)
+    solve = solve_ssnal_l1 if p == 1 else solve_rls
     for lam in np.logspace(-6, 3, 60):
-        if p == 2:
-            alpha = solve_rls(Xm, y, lam).alpha
-        else:
-            alpha = _fista_l1(Xc, Xt, y, lam, sigma_sq, FistaParams()).alpha
-        pairs.append(_pair(Xm, y, alpha, p))
+        pairs.append(_pair(Xm, y, solve(Xm, y, lam).alpha, p))
     out = []
     for eps in grid:
         feas = [r for nrm, r in pairs if nrm <= eps + 1e-12]

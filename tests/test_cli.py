@@ -7,7 +7,7 @@ import pytest
 from repclass import harness
 from repclass.classifiers import fit
 from repclass.cli import main
-from repclass.io import load_dictionary, load_projector, write_matrix
+from repclass.io import load_dictionary, load_projector, read_matrix, write_matrix
 
 
 @pytest.fixture
@@ -299,15 +299,18 @@ def test_analyze_residual_curve(tmp_path):
     q = tmp_path / "y.rpmat"
     write_matrix(q, rng.standard_normal(10))
     out = tmp_path / "curve.csv"
-    rc = main([
-        "analyze", "--mode", "residual_curve", "--input", str(Phi),
-        "--query", str(q), "--grid", "0.1,1.0,10.0", "--out", str(out),
-    ])
-    assert rc == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "epsilon,residual"
-    vals = [float(row.split(",")[1]) for row in lines[1:]]
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    for p in ("2", "0"):
+        rc = main([
+            "analyze", "--mode", "residual_curve", "--input", str(Phi),
+            "--query", str(q), "--grid", "0.1,1.0,10.0", "--p", p, "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "epsilon,residual"
+        vals = [float(row.split(",")[1]) for row in lines[1:]]
+        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    # with p = 0 the budget 0.1 is below one atom: the residual is ||y||
+    assert vals[0] == pytest.approx(np.linalg.norm(read_matrix(q)))
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

@@ -515,6 +515,10 @@ def test_ssnal_zero_query_and_identity():
     res = solve_ssnal_l1(X, np.zeros(6), 0.5)
     assert res.converged and res.gap == 0.0 and res.objective == 0.0
     np.testing.assert_array_equal(res.alpha, 0.0)
+    # a dictionary with no atoms has only the empty code
+    res = solve_ssnal_l1(np.zeros((6, 0)), np.ones(6), 0.5)
+    assert res.converged and res.gap == 0.0 and res.objective == 6.0
+    assert res.alpha.shape == (0,)
     # with X = I the lasso separates into soft thresholds at lam/2
     # with X = I the lasso separates into soft thresholds at lam/2, and the
     # objective is 2-strongly convex, so the gap bounds ||a - a*||^2
@@ -537,6 +541,21 @@ def test_ssnal_zero_code_above_lambda_max():
         assert res.converged and res.gap <= 1e-6
         np.testing.assert_array_equal(res.alpha, 0.0)
         assert res.objective == pytest.approx(y @ y, rel=1e-15)
+
+
+@pytest.mark.parametrize("unit_columns", [False, True], ids=["raw", "unit-norm"])
+def test_ssnal_certifies_the_whole_sweep_grid(unit_columns):
+    # the 12 x 20 problem of test_constrained_lp_curves_monotone at every lam
+    # of the l1 sweep: a sigma cap that ignores lam leaves the 11 (raw) and
+    # 2 (unit-norm) smallest lam uncertified, with gaps up to 1.2e-2
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((12, 20))
+    y = rng.standard_normal(12)
+    if unit_columns:
+        X /= np.linalg.norm(X, axis=0)
+    for lam in np.logspace(-6, 3, 60):
+        res = solve_ssnal_l1(X, y, lam)
+        assert res.converged and res.gap <= 1e-6, lam
 
 
 def test_spd_solve_checks_its_system():
@@ -622,12 +641,13 @@ def test_bare_matrix_factored_on_every_call(monkeypatch):
     assert counts == {"svd": 0, "power": 2}
 
 
-def test_constrained_lp_l1_sweep_runs_one_power_iteration(monkeypatch):
+def test_constrained_lp_l1_sweep_runs_no_power_iteration(monkeypatch):
+    # the sweep codes by SSNAL, which needs no Lipschitz constant
     rng = np.random.default_rng(44)
     X = rng.standard_normal((10, 6))
     counts = _factor_counts(monkeypatch)
     solve_constrained_lp(X, rng.standard_normal(10), 1, [0.1, 1.0])
-    assert counts["power"] == 1
+    assert counts["power"] == 0
 
 
 # ---------------------------------------------------------------- OMP
@@ -692,6 +712,15 @@ def test_constrained_lp_zero_budget_gives_ynorm():
     y = rng.standard_normal(8)
     curve = solve_constrained_lp(X, y, 1, [1e-9, 1.0])
     assert curve[0][1] == pytest.approx(np.linalg.norm(y), rel=1e-6)
+    # a budget below one atom selects none
+    for grid in ([0.5, 2.0], [-1.0, 0.0, 2.0]):
+        curve = solve_constrained_lp(X, y, 0, grid)
+        assert [r for _, r in curve[:-1]] == [np.linalg.norm(y)] * (len(grid) - 1)
+        assert curve[-1][1] < np.linalg.norm(y)
+    # with no atoms every budget gives ||y||
+    for p in (0, 1, 2):
+        curve = solve_constrained_lp(np.zeros((8, 0)), y, p, [0.5, 2.0])
+        assert [r for _, r in curve] == [np.linalg.norm(y)] * 2
 
 
 def test_constrained_lp_bad_grid():
