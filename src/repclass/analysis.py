@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import class_coefficients
-from .errors import DegenerateAngle, RankDeficient, TooFewSamples
+from .errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
 from .solvers import solve_constrained_lp
 
 
@@ -59,7 +59,7 @@ def coef_distribution_fit(coefs, bins=101):
     if coefs.size < 100:
         raise TooFewSamples(f"need at least 100 samples, got {coefs.size}")
     if bins < 10:
-        raise ValueError(f"need at least 10 bins, got {bins}")
+        raise ConfigInvalid(f"need at least 10 bins, got {bins}")
     lo, hi = np.percentile(coefs, [0.1, 99.9])
     half = max(abs(lo), abs(hi))
     if half == 0.0:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .dictionary import Dictionary, Projector, build_projector
-from .errors import DimensionMismatch, FingerprintMismatch, SingleClass
+from .errors import ConfigInvalid, DimensionMismatch, FingerprintMismatch, SingleClass
 from .solvers import CodingResult, _check_block, solve_alm_l1res, solve_fista_l1
 from .solvers import solve_ssnal_l1
 
@@ -230,9 +230,9 @@ def block_sci(dictionary, A):
     if mass.shape[0] != dictionary.n:
         raise DimensionMismatch(f"codes have {mass.shape[0]} rows, dictionary has {dictionary.n} columns")
     total = mass.sum(axis=0)
-    # the class blocks partition the rows, so the l1 mass of each block is
-    # one segment of a reduceat over the block starts in column order
-    starts = sorted(lo for lo, _ in dictionary.class_ranges.values())
+    # the class blocks partition the rows in column order, so the l1 mass of
+    # each block is one segment of a reduceat over the block starts
+    starts = [lo for lo, _ in dictionary.class_ranges.values()]
     best = np.add.reduceat(mass, starts, axis=0).max(axis=0)
     live = total > 1e-12
     k = dictionary.k
@@ -243,6 +243,6 @@ def block_sci(dictionary, A):
 def validate(dictionary, coding, threshold):
     """Accept the coding as a known subject iff its SCI reaches the threshold."""
     if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+        raise ConfigInvalid(f"threshold must lie in [0, 1], got {threshold}")
     sci = compute_sci(dictionary, coding)
     return ValidationOutcome(accepted=sci >= threshold, sci=sci, threshold=threshold)

@@ -20,12 +20,15 @@ from .errors import ConfigInvalid, RepclassError
 from .harness import ExperimentConfig
 
 
-def _load_config(args):
+def _load_config(args, path=None):
+    """The JSON config object at path (default --config), with --set and
+    --seed applied."""
+    path = path or getattr(args, "config", None)
     obj = {}
-    if getattr(args, "config", None):
-        obj = json.loads(Path(args.config).read_text())
+    if path:
+        obj = json.loads(Path(path).read_text())
         if not isinstance(obj, dict):
-            raise ConfigInvalid(f"{args.config}: config is not an object")
+            raise ConfigInvalid(f"{path}: config is not an object")
     for item in getattr(args, "set", None) or []:
         key, _, val = item.partition("=")
         try:
@@ -138,12 +141,7 @@ def cmd_roc(args):
 
 def cmd_bench(args):
     data = harness.load_dataset(args.data)
-    configs = []
-    for path in args.configs.split(","):
-        obj = json.loads(Path(path).read_text())
-        if args.seed is not None:
-            obj["seed"] = args.seed
-        configs.append(ExperimentConfig.from_json(obj))
+    configs = [ExperimentConfig.from_json(_load_config(args, p)) for p in args.configs.split(",")]
     table = harness.bench(configs, data, repetitions=args.repetitions)
     _write_json(args.out, table)
 

@@ -28,7 +28,7 @@ class DegradationSpec:
 
     def __post_init__(self):
         if self.kind not in ("pixel_corruption", "block_occlusion"):
-            raise ValueError(f"unknown degradation kind {self.kind!r}")
+            raise ConfigInvalid(f"unknown degradation kind {self.kind!r}")
         for name in ("fraction", "low", "high"):
             value = getattr(self, name)
             if not (is_number(value) and math.isfinite(value)):
@@ -97,12 +97,16 @@ def occlude_block(image, fraction, occluder, seed):
     return out, mask
 
 
-def apply_spec(image, spec, index=0, occluder=None):
-    """Apply a DegradationSpec to one image, with a per-index derived seed."""
+def apply_spec(image, spec, index=0):
+    """Apply a DegradationSpec to one image, with a per-index derived seed.
+
+    Block occlusion pastes a crop of an occluder of the image's shape, drawn
+    uniformly from [low, high] with the derived seed of index 2**32 + index.
+    """
     seed = derive_seed(spec.seed, index)
     if spec.kind == "pixel_corruption":
         return corrupt_pixels(image, spec.fraction, seed, low=spec.low, high=spec.high)
-    if occluder is None:
-        raise OccluderTooSmall("block occlusion requires an occluder image")
+    rng = np.random.Generator(np.random.PCG64(derive_seed(spec.seed, 2**32 + index)))
+    occluder = rng.uniform(spec.low, spec.high, size=np.shape(image))
     out, _ = occlude_block(image, spec.fraction, occluder, seed)
     return out

@@ -2,7 +2,7 @@
 
 import hashlib
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -11,6 +11,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     EmptyInput,
+    MalformedMatrix,
     NonFiniteInput,
     NonPositiveLambda,
     UnknownClass,
@@ -72,9 +73,9 @@ class Dictionary:
     """Column-normalized training matrix with contiguous per-class blocks.
 
     data: m x n matrix, unit-norm columns.
-    labels: class identifier per column.
-    class_ranges: class -> (start, stop) column range; ranges partition the
-        columns and classes are stored in first-appearance order.
+    labels: class identifier per column; each class is one run of columns.
+    class_ranges: class -> (start, stop) column range, derived from labels
+        in column order (MalformedMatrix when a class is not one run).
 
     data never changes, so its fingerprint and FISTA's factor of it
     (sigma_sq) are computed on first use and kept on the instance, living
@@ -83,7 +84,18 @@ class Dictionary:
 
     data: np.ndarray
     labels: tuple
-    class_ranges: dict
+    class_ranges: dict = field(init=False)
+
+    def __post_init__(self):
+        if len(self.labels) != self.data.shape[1]:
+            raise MalformedMatrix(f"{len(self.labels)} labels for {self.data.shape[1]} columns")
+        ranges = {}
+        for i, lab in enumerate(self.labels):
+            lo, hi = ranges.get(lab, (i, i))
+            if hi != i:
+                raise MalformedMatrix(f"class {lab!r} is not one run: column {i} is apart from {lo}..{hi - 1}")
+            ranges[lab] = (lo, i + 1)
+        object.__setattr__(self, "class_ranges", ranges)
 
     @property
     def m(self):
@@ -103,7 +115,8 @@ class Dictionary:
 
     @cached_property
     def fingerprint(self):
-        """sha256 over data and labels; ties projectors and saved files to it."""
+        """sha256 over data and labels, which fix the class layout too; ties
+        projectors and saved files to it."""
         h = hashlib.sha256(self.data.tobytes())
         h.update(repr(self.labels).encode())
         return h.hexdigest()
@@ -135,28 +148,14 @@ def build_dictionary(samples):
     for i, v in enumerate(vecs):
         if v.shape[0] != m:
             raise DimensionMismatch(f"sample {i} has dimension {v.shape[0]}, expected {m}")
-    order = []
-    by_class = {}
-    for v, lab in zip(vecs, (lab for _, lab in samples)):
-        if lab not in by_class:
-            by_class[lab] = []
-            order.append(lab)
-        by_class[lab].append(v)
-    cols = []
-    labels = []
-    ranges = {}
-    pos = 0
-    for lab in order:
-        block = by_class[lab]
-        ranges[lab] = (pos, pos + len(block))
-        pos += len(block)
-        cols.extend(block)
-        labels.extend([lab] * len(block))
-    raw = np.column_stack(cols)
+    by_class = {}  # label -> its columns, labels in first-seen order
+    for v, (_, lab) in zip(vecs, samples):
+        by_class.setdefault(lab, []).append(v)
+    raw = np.column_stack([v for block in by_class.values() for v in block])
     if not np.all(np.isfinite(raw)):
         raise NonFiniteInput("training samples contain NaN or inf")
-    data = normalize_columns(raw)
-    return Dictionary(data=data, labels=tuple(labels), class_ranges=ranges)
+    labels = tuple(lab for lab, block in by_class.items() for _ in block)
+    return Dictionary(data=normalize_columns(raw), labels=labels)
 
 
 def class_coefficients(dictionary, alpha, label):
@@ -215,16 +214,7 @@ def enroll(dictionary, projector, new_samples, lam=None):
     new_samples = list(new_samples)
     if not new_samples:
         return dictionary, projector
-    old = [
-        (dictionary.data[:, i], dictionary.labels[i]) for i in range(dictionary.n)
-    ]
-    for i, (v, _) in enumerate(new_samples):
-        v = np.asarray(v).ravel()
-        if v.shape[0] != dictionary.m:
-            raise DimensionMismatch(
-                f"new sample {i} has dimension {v.shape[0]}, expected {dictionary.m}"
-            )
-    new_dict = build_dictionary(old + new_samples)
+    new_dict = build_dictionary([*zip(dictionary.data.T, dictionary.labels), *new_samples])
     if lam is None:
         used_default = abs(projector.lam - default_lambda(dictionary.n)) <= 1e-15
         lam = default_lambda(new_dict.n) if used_default else projector.lam

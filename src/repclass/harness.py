@@ -317,12 +317,8 @@ def _degrade_queries(queries, spec, image_shape):
     shape = image_shape if image_shape is not None else (queries.shape[0], 1)
     out = queries.copy()
     for j in range(queries.shape[1]):
-        occ = None
-        if spec.kind == "block_occlusion":
-            rng = np.random.Generator(np.random.PCG64(degrade_mod.derive_seed(spec.seed, 2**32 + j)))
-            occ = rng.uniform(spec.low, spec.high, size=shape)
         img = queries[:, j].reshape(shape, order="F")
-        out[:, j] = vectorize_image(degrade_mod.apply_spec(img, spec, j, occluder=occ))
+        out[:, j] = vectorize_image(degrade_mod.apply_spec(img, spec, j))
     return out
 
 

@@ -115,7 +115,7 @@ def read_sidecar(path, required):
 
 
 def save_dictionary(dictionary, path):
-    """Write a dictionary as matrix file + JSON sidecar (labels, ranges).
+    """Write a dictionary as matrix file + JSON sidecar (labels, fingerprint).
 
     Labels must be strings, the only type the sidecar keeps (else BadLabel).
     """
@@ -123,49 +123,37 @@ def save_dictionary(dictionary, path):
     if bad:
         raise BadLabel(f"cannot save non-string label {bad[0]!r}; labels must be strings")
     write_matrix(path, dictionary.data)
-    write_sidecar(path, {
-        "labels": list(dictionary.labels),
-        "class_ranges": {k: list(v) for k, v in dictionary.class_ranges.items()},
-        "fingerprint": dictionary.fingerprint,
-    })
+    write_sidecar(path, {"labels": list(dictionary.labels), "fingerprint": dictionary.fingerprint})
 
 
 def load_dictionary(path):
     """Read a dictionary saved by save_dictionary and check it is one.
 
-    The columns must have unit norm and the class ranges must partition the
-    columns (else MalformedMatrix); the fingerprint recomputed from the
-    loaded data and labels must equal the stored one (else
-    FingerprintMismatch).
+    The columns must have unit norm and the labels must be strings, one per
+    column, each class one run of columns (else MalformedMatrix). The class
+    ranges are derived from the labels, so the "class_ranges" key of older
+    sidecars is ignored. The fingerprint recomputed from the loaded data and
+    labels must equal the stored one (else FingerprintMismatch).
     """
     path = Path(path)
     data = read_matrix(path)
-    sidecar = read_sidecar(path, ("labels", "class_ranges", "fingerprint"))
-    ranges = {k: tuple(v) for k, v in sidecar["class_ranges"].items()}
+    sidecar = read_sidecar(path, ("labels", "fingerprint"))
     norms = np.linalg.norm(data, axis=0)
     if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise MalformedMatrix(f"{path}: column {bad} has norm {norms[bad]!r}, not 1")
-    if not _tiles(ranges.values(), data.shape[1]):
-        raise MalformedMatrix(
-            f"{path}: class_ranges do not partition columns 0..{data.shape[1]}"
-        )
-    dictionary = Dictionary(data=data, labels=tuple(sidecar["labels"]), class_ranges=ranges)
+    labels = sidecar["labels"]
+    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+        raise MalformedMatrix(f"{path}: labels are not a list of strings")
+    try:
+        dictionary = Dictionary(data=data, labels=tuple(labels))
+    except MalformedMatrix as exc:
+        raise MalformedMatrix(f"{path}: {exc}") from None
     if dictionary.fingerprint != sidecar["fingerprint"]:
         raise FingerprintMismatch(
             f"{path}: stored fingerprint differs from the loaded data and labels"
         )
     return dictionary
-
-
-def _tiles(ranges, n):
-    """True when the (start, stop) ranges are nonempty and tile columns 0..n."""
-    pos = 0
-    for lo, hi in sorted(ranges):
-        if lo != pos or hi <= lo:
-            return False
-        pos = hi
-    return pos == n
 
 
 def save_projector(projector, path):

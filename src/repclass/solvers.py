@@ -123,7 +123,7 @@ def _soft_threshold(x, a):
     return x - np.minimum(np.maximum(x, -a), a)
 
 
-def solve_rls(X, y, lam=None):
+def solve_rls(X, y, lam):
     """Ridge coding: minimize ||y - X a||_2^2 + lam * ||a||_2^2 in closed form.
 
     X may be a matrix or a Dictionary.

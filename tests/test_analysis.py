@@ -8,7 +8,7 @@ from repclass.analysis import (
     residual_eps_study,
 )
 from repclass.dictionary import build_dictionary
-from repclass.errors import DegenerateAngle, RankDeficient, TooFewSamples
+from repclass.errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
 
 
 # ------------------------------------------------------- distribution fit
@@ -42,6 +42,11 @@ def test_fit_histogram_properties():
     assert len(rep.bin_edges) == 52
     # symmetric range around zero
     assert rep.bin_edges[0] == pytest.approx(-rep.bin_edges[-1])
+
+
+def test_fit_too_few_bins_is_config_invalid():
+    with pytest.raises(ConfigInvalid, match="10 bins"):
+        coef_distribution_fit(np.random.default_rng(2).normal(size=500), bins=9)
 
 
 def test_fit_kl_nonnegative():

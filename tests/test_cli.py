@@ -133,7 +133,7 @@ def test_classify_malformed_sidecar_is_json_error(trained, capsys):
     dict_path, query_path, _ = trained
     sidecar_path = Path(dict_path + ".json")
     sidecar = json.loads(sidecar_path.read_text())
-    del sidecar["class_ranges"]
+    del sidecar["fingerprint"]
     sidecar_path.write_text(json.dumps(sidecar))
     rc = main(["classify", "--dict", dict_path, "--query", query_path])
     assert rc == 1
@@ -141,7 +141,7 @@ def test_classify_malformed_sidecar_is_json_error(trained, capsys):
     assert "Traceback" not in err_text
     err = json.loads(err_text)
     assert err["error"] == "MalformedMatrix"
-    assert "class_ranges" in err["message"]
+    assert "fingerprint" in err["message"]
 
 
 def test_experiment_short_labels_sidecar_is_json_error(dataset, tmp_path, capsys):
@@ -279,6 +279,20 @@ def test_bench_command(dataset, tmp_path):
     assert rc == 0
     table = json.loads(out.read_text())
     assert set(table["rows"]) == {"crc_rls", "nn"}
+
+
+def test_bench_config_not_an_object_is_json_error(dataset, tmp_path, capsys):
+    # bench reads its configs as experiment does; with --seed a top-level
+    # list used to end in a TypeError traceback
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[]")
+    rc = main(["bench", "--configs", str(cfg), "--data", dataset, "--seed", "1"])
+    assert rc == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "ConfigInvalid"
+    assert "not an object" in err["message"]
 
 
 def test_analyze_coef_fit(tmp_path):

@@ -10,7 +10,7 @@ from repclass.degradation import (
     derive_seed,
     occlude_block,
 )
-from repclass.errors import BadFraction, EmptyImage, OccluderTooSmall
+from repclass.errors import BadFraction, ConfigInvalid, EmptyImage, OccluderTooSmall
 from repclass.harness import ExperimentConfig
 
 
@@ -96,12 +96,17 @@ def test_apply_spec_corruption_uses_derived_seed():
     assert not np.array_equal(a, c)
 
 
-def test_apply_spec_occlusion_requires_occluder():
-    spec = DegradationSpec("block_occlusion", 0.3, seed=1)
-    with pytest.raises(OccluderTooSmall):
-        apply_spec(np.zeros((10, 10)), spec, index=0)
-    out = apply_spec(np.zeros((10, 10)), spec, index=0, occluder=np.ones((10, 10)))
-    assert out.max() == 1.0
+def test_apply_spec_occlusion_draws_its_occluder():
+    img = np.random.default_rng(2).uniform(0, 255, size=(12, 10))
+    spec = DegradationSpec("block_occlusion", 0.3, seed=1, low=300.0, high=400.0)
+    # the occluder is uniform on [low, high] at the image's shape, drawn with
+    # the derived seed of index 2**32 + index
+    rng = np.random.Generator(np.random.PCG64(derive_seed(1, 2**32 + 5)))
+    occluder = rng.uniform(300.0, 400.0, size=img.shape)
+    want, mask = occlude_block(img, 0.3, occluder, derive_seed(1, 5))
+    out = apply_spec(img, spec, index=5)
+    np.testing.assert_array_equal(out, want)
+    assert mask.sum() == 36 and np.all(out[mask] >= 300.0)
 
 
 def test_spec_json_roundtrip():
@@ -109,7 +114,7 @@ def test_spec_json_roundtrip():
     # a spec is written and read as the config's degradation section
     text = json.dumps(ExperimentConfig(degradation=spec).to_json())
     assert ExperimentConfig.from_json(json.loads(text)).degradation == spec
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalid):
         DegradationSpec("saltpepper", 0.4, seed=0)
     with pytest.raises(BadFraction):
         DegradationSpec("pixel_corruption", -0.1, seed=0)

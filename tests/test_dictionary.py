@@ -13,6 +13,7 @@ from repclass.dictionary import (
 from repclass.errors import (
     DimensionMismatch,
     EmptyInput,
+    MalformedMatrix,
     NonFiniteInput,
     NonPositiveLambda,
     UnknownClass,
@@ -67,6 +68,17 @@ def test_build_dictionary_grouping_and_ranges():
     assert d.class_ranges["a"] == (2, 4)
     assert d.m == 6 and d.n == 4 and d.k == 2
     np.testing.assert_allclose(np.linalg.norm(d.data, axis=0), 1.0, rtol=1e-12)
+
+
+def test_dictionary_class_ranges_come_from_the_labels():
+    data = normalize_columns(np.random.default_rng(1).standard_normal((6, 5)))
+    d = Dictionary(data, ("b", "b", "a", "c", "c"))
+    assert d.class_ranges == {"b": (0, 2), "a": (2, 3), "c": (3, 5)}
+    assert d.classes == ["b", "a", "c"] and d.k == 3
+    with pytest.raises(MalformedMatrix, match="class 'b' is not one run"):
+        Dictionary(data, ("b", "a", "b", "c", "c"))
+    with pytest.raises(MalformedMatrix, match="4 labels for 5 columns"):
+        Dictionary(data, ("b", "b", "a", "c"))
 
 
 def test_build_dictionary_empty_input():

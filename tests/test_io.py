@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -139,21 +140,41 @@ def test_load_dictionary_checks_unit_norm_columns(tmp_path):
         load_dictionary(path)
 
 
-@pytest.mark.parametrize(
-    "ranges",
-    [
-        {"c0": [0, 4], "c1": [5, 8], "c2": [8, 12]},  # gap
-        {"c0": [0, 4], "c1": [3, 8], "c2": [8, 12]},  # overlap
-        {"c0": [0, 4], "c1": [4, 8], "c2": [8, 11]},  # short of n
-        {"c0": [0, 4], "c1": [4, 4], "c2": [4, 12]},  # empty class
-    ],
-)
-def test_load_dictionary_checks_class_ranges_partition(tmp_path, ranges):
+def test_load_dictionary_checks_labels(tmp_path):
+    d = _dictionary()
     path = tmp_path / "dict.rpmat"
-    save_dictionary(_dictionary(), path)
-    _edit_sidecar(path, class_ranges=ranges)
-    with pytest.raises(MalformedMatrix, match="partition"):
-        load_dictionary(path)
+    save_dictionary(d, path)
+    # class c0 in two runs, and a label that is not a string, each under a
+    # fingerprint that matches data and labels
+    for labels, words in [
+        (["c0"] * 3 + ["c1"] * 4 + ["c0"] + ["c2"] * 4, "class 'c0' is not one run"),
+        ([["c0"]] * 4 + ["c1"] * 8, "labels are not a list of strings"),
+    ]:
+        h = hashlib.sha256(d.data.tobytes())
+        h.update(repr(tuple(labels)).encode())
+        _edit_sidecar(path, labels=labels, fingerprint=h.hexdigest())
+        with pytest.raises(MalformedMatrix, match=r"dict\.rpmat: " + words):
+            load_dictionary(path)
+
+
+def test_swapped_class_ranges_in_sidecar_change_nothing(tmp_path):
+    # a sidecar of an older format lists the class ranges beside the labels;
+    # ranges that contradict the labels used to load and swap the answers
+    rng = np.random.default_rng(11)
+    basis = {lab: rng.standard_normal((10, 2)) for lab in ("a", "b")}
+    samples = [(basis[lab] @ rng.standard_normal(2), lab) for lab in "aaaabbbb"]
+    d = build_dictionary(samples)
+    path = tmp_path / "dict.rpmat"
+    save_dictionary(d, path)
+    assert "class_ranges" not in json.loads(path.with_suffix(".rpmat.json").read_text())
+    _edit_sidecar(path, class_ranges={"a": [4, 8], "b": [0, 4]})
+    back = load_dictionary(path)
+    assert back.class_ranges == d.class_ranges == {"a": (0, 4), "b": (4, 8)}
+    query = basis["a"] @ rng.standard_normal(2)
+    config = ExperimentConfig()
+    got, want = fit(back, config).decide(query), fit(d, config).decide(query)
+    assert got.predicted == want.predicted == "a"
+    assert got.per_class_residuals == want.per_class_residuals
 
 
 def test_projector_roundtrip_and_reattachment(tmp_path):
@@ -186,7 +207,6 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
     "kind, key",
     [
         ("dictionary", "labels"),
-        ("dictionary", "class_ranges"),
         ("dictionary", "fingerprint"),
         ("projector", "lambda"),
         ("projector", "dictionary_fingerprint"),
