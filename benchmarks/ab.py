@@ -1,4 +1,4 @@
-"""Parent/change A/B of one perfbench workload, written as a BENCH_*.json file.
+"""Parent/change A/B of one perfbench workload, added to a BENCH_*.json file.
 
 Usage (from the repository root):
 
@@ -15,6 +15,12 @@ output holds every pair's end-to-end metrics and checks, each side's
 environment stamp (git SHA, whether `src/` is at it, source digest, nproc,
 BLAS build and thread count), and per metric the median and quartiles of
 each side plus the number of pairs the change wins.
+
+--out keeps every A/B run into it: the file is {"workload", "points"},
+where points maps the change side's git SHA (its HEAD, or its source digest
+outside a git checkout) to that A/B. A new A/B is added as a point, and one
+whose SHA is already there replaces it. A file in the older layout, one A/B
+at the top level, is read as its first point.
 """
 
 import argparse
@@ -50,6 +56,24 @@ def src_at_git_sha(checkout):
     return proc.stdout == "" if proc.returncode == 0 else None
 
 
+def point_key(stamp):
+    """The key of an A/B point: the change side's git SHA, else its source digest."""
+    return stamp["git_sha"] or stamp["src_sha256"]
+
+
+def read_points(path, workload):
+    """The A/B points already in `path` (none if it does not exist)."""
+    if not path.exists():
+        return {}
+    held = json.loads(path.read_text())
+    if held.get("workload") != workload:
+        raise SystemExit(f"{path} holds workload {held.get('workload')!r}, not {workload!r}")
+    if "points" in held:
+        return held["points"]
+    point = {k: held[k] for k in ("command", "environment", "summary", "pairs")}
+    return {point_key(held["environment"]["change"]): point}
+
+
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": q2, "q3": q3}
@@ -68,6 +92,8 @@ def main(argv=None):
     seeds = [int(s) for s in args.seeds.split(",")]
     if len(seeds) < 2:
         parser.error("--seeds needs at least two seeds: the summary takes quartiles over the pairs")
+    out_path = Path(args.out)
+    points = read_points(out_path, args.workload)
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
@@ -106,14 +132,14 @@ def main(argv=None):
             "change_wins": wins,
             "pairs": len(pairs),
         }
-    out = {
-        "workload": args.workload,
+    points[point_key(stamps["change"])] = {
         "command": f"perfbench/run.py --workload {args.workload} --seed SEED --seconds {args.seconds:g}",
         "environment": stamps,
         "summary": summary,
         "pairs": pairs,
     }
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    out = {"workload": args.workload, "points": points}
+    out_path.write_text(json.dumps(out, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,13 @@ import numpy as np
 import scipy.linalg
 
 from .dictionary import Dictionary, Projector, build_projector
-from .errors import ConfigInvalid, DimensionMismatch, FingerprintMismatch, SingleClass
+from .errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    FingerprintMismatch,
+    MalformedMatrix,
+    SingleClass,
+)
 from .solvers import CodingResult, _check_block, solve_alm_l1res, solve_fista_l1
 from .solvers import solve_ssnal_l1
 
@@ -81,7 +87,7 @@ def _timed_rows(coder, rows, seconds):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """A classifier bound to its dictionary, with its offline work done.
 
@@ -196,11 +202,18 @@ def fit(dictionary, config, projector=None):
 
     For crc_rls that is the ridge projector at the resolved lambda: a given
     projector is reused when it was built at that lambda, else a new one is
-    built. A projector from another dictionary raises FingerprintMismatch.
+    built. A projector from another dictionary raises FingerprintMismatch,
+    and one that is not n x m raises MalformedMatrix.
     For rns_l2 it is one Cholesky factor of X_i^T X_i + lam I per class.
     """
-    if projector is not None and projector.dictionary_fingerprint != dictionary.fingerprint:
-        raise FingerprintMismatch("projector was built from a different dictionary")
+    if projector is not None:
+        if projector.dictionary_fingerprint != dictionary.fingerprint:
+            raise FingerprintMismatch("projector was built from a different dictionary")
+        if projector.matrix.shape != (dictionary.n, dictionary.m):
+            raise MalformedMatrix(
+                f"projector is {projector.matrix.shape[0]} x {projector.matrix.shape[1]}, "
+                f"the dictionary needs {dictionary.n} x {dictionary.m}"
+            )
     lam = config.resolve_lambda(dictionary.n)
     if config.classifier != "crc_rls":
         projector = None

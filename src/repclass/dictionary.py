@@ -68,7 +68,7 @@ def _power_iteration_sq(X, Xt):
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Column-normalized training matrix with contiguous per-class blocks.
 
@@ -79,7 +79,9 @@ class Dictionary:
 
     data never changes, so its fingerprint and FISTA's factor of it
     (sigma_sq) are computed on first use and kept on the instance, living
-    and dying with it.
+    and dying with it. Equality and hashing go by identity (eq=False), as
+    for Projector, PcaModel and Model: an elementwise == over the arrays has
+    no single truth value.
     """
 
     data: np.ndarray
@@ -171,7 +173,7 @@ def class_coefficients(dictionary, alpha, label):
     return alpha[lo:hi]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Precomputed ridge projection (X^T X + lambda I)^{-1} X^T.
 

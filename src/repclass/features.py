@@ -8,7 +8,7 @@ import scipy.linalg
 from .errors import BadDimension, DimensionMismatch, EmptyImage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Mean vector plus orthonormal basis of the top principal directions."""
 

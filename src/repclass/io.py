@@ -103,8 +103,11 @@ def write_sidecar(path, obj):
 
 
 def read_sidecar(path, required):
-    """The JSON sidecar of a matrix file; MalformedMatrix names a missing key."""
+    """The JSON sidecar of a matrix file; MalformedMatrix names a missing key,
+    and a missing sidecar raises MissingPath."""
     sidecar_path = _sidecar_path(path)
+    if not sidecar_path.exists():
+        raise MissingPath(str(sidecar_path))
     sidecar = json.loads(sidecar_path.read_text())
     if not isinstance(sidecar, dict):
         raise MalformedMatrix(f"{sidecar_path}: sidecar is not a JSON object")
@@ -187,6 +190,16 @@ def save_pca(model, path):
 
 
 def load_pca(path):
+    """Read a PCA model saved by save_pca. The sidecar's d and input_dim
+    must equal the packed matrix's (input_dim rows, the mean and d basis
+    columns) and d must be at least 1, else MalformedMatrix."""
     path = Path(path)
     packed = read_matrix(path)
+    sidecar = read_sidecar(path, ("d", "input_dim"))
+    d, input_dim = packed.shape[1] - 1, packed.shape[0]
+    if d < 1 or (sidecar["d"], sidecar["input_dim"]) != (d, input_dim):
+        raise MalformedMatrix(
+            f"{path}: sidecar says d={sidecar['d']!r}, input_dim={sidecar['input_dim']!r}; "
+            f"the matrix holds {d} components of dimension {input_dim}"
+        )
     return PcaModel(mean=packed[:, 0].copy(), basis=packed[:, 1:].copy())

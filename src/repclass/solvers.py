@@ -1,6 +1,7 @@
 """Numerical coders: ridge, l1-residual ALM, l1 semismooth-Newton ALM, l1
 proximal gradient, OMP."""
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -140,10 +141,15 @@ def solve_rls(X, y, lam):
 
 
 def _spd_solve(A, b):
-    """Solve A x = b for a symmetric positive definite A by its upper Cholesky
+    """Solve A x = b for a symmetric positive definite A by its Cholesky
     factor: LAPACK potrf and potrs, the routines scipy's cho_factor and
     cho_solve call, without their wrapper cost (about 25 us a call, up to
-    two thirds of a solve at the sizes _newton meets). Keeps their checks:
+    two thirds of a solve at the sizes _newton meets). A is factored as A.T,
+    which equals A, through its lower triangle: a C-ordered A makes A.T
+    Fortran-ordered, so LAPACK's copy of it is a plain one, not a transposing
+    one (with OpenBLAS 0.3.31 on one Haswell thread, the lower potrf and
+    potrs take about 25 us where the upper pair on A takes 36 us at order
+    80, and 35 us where it takes 50 us at order 100). A and b are not changed. Keeps the wrappers' checks:
     LinAlgError (a ValueError) if A or b is not finite or A is not positive
     definite. An empty system has the empty solution.
     """
@@ -151,9 +157,9 @@ def _spd_solve(A, b):
         raise np.linalg.LinAlgError("array must not contain infs or NaNs")
     if A.shape[0] == 0:
         return b.copy()
-    c, info = dpotrf(A, lower=0, clean=0)
+    c, info = dpotrf(A.T, lower=1, clean=0)
     if info == 0:
-        x, info = dpotrs(c, b, lower=0)
+        x, info = dpotrs(c, b, lower=1)
         if info == 0:
             return x
     raise np.linalg.LinAlgError(f"Cholesky solve of order {A.shape[0]} failed: info {info}")
@@ -166,37 +172,50 @@ def _newton(M, c, b, kappa, t, huber, v, x, tiny):
     With S the soft threshold at t, E(x) = ||x||^2 - ||S(x)||^2 (a Huber
     function) when huber, else ||S(x)||^2 (the squared distance to the box
     [-t, t]). x = M v + w is given and carried along. The generalized Hessian
-    c I + kappa M_K^T M_K over the rows K on E's quadratic piece (|x_i| <= t
-    for huber, > t for the box) is solved as p x p when p <= |K|, else by the
+    is kappa * H with H = M_K^T M_K + (c/kappa) I over the rows K on E's
+    quadratic piece (|x_i| <= t for huber, > t for the box), so the step is
+    d = -H^{-1} g / kappa for the gradient g, and the p x p product M_K^T M_K
+    is never rescaled. H is solved as p x p when p <= |K|, else by the
     |K| x |K| Woodbury system (c/kappa) I + M_K M_K^T; Armijo backtracking
-    sizes the step. Stops on a full step that keeps every row on its piece
-    (it solved F exactly), a step below tiny * (1 + ||v||) if tiny > 0, a
-    failed search or _INNER_MAX steps. Returns v, x and S(x).
+    sizes the step. The box gradient kappa * M^T S(x) is taken over K's rows
+    alone, as S(x) is zero off K. Row gathers M[K] are cheapest for a
+    C-ordered M. Stops on a full step that keeps every row on its piece (it
+    solved F exactly), a step below tiny * (1 + ||v||) if tiny > 0, a failed
+    search or _INNER_MAX steps. Returns v, x and S(x).
     """
     p = v.shape[0]
+    ridge = c / kappa
     half = (-0.5 if huber else 0.5) * kappa
     s = _soft_threshold(x, t)
     piece = np.sign(s)  # each row's piece: above t, below -t, or inside
     for _ in range(_INNER_MAX):
         cv_b = c * v - b
-        g = cv_b + kappa * (M.T @ (x - s if huber else s))
-        Mk = M[(piece == 0) if huber else (piece != 0)]
+        if huber:
+            Mk = M[piece == 0]
+            g = M.T @ (x - s)
+        else:
+            K = piece != 0
+            Mk = M[K]
+            g = Mk.T @ s[K]
+        g *= kappa
+        g += cv_b
         k = Mk.shape[0]
         if p <= k:
-            H = kappa * (Mk.T @ Mk)
-            H.flat[:: p + 1] += c
-            d = -_spd_solve(H, g)
+            H = Mk.T @ Mk
+            H.flat[:: p + 1] += ridge
+            d = _spd_solve(H, g) / -kappa
         else:
             W = Mk @ Mk.T
-            W.flat[:: k + 1] += c / kappa
+            W.flat[:: k + 1] += ridge
             d = (Mk.T @ _spd_solve(W, Mk @ g) - g) / c
         md = M @ d
-        slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * (d @ d)
+        dd = d @ d
+        slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * dd
         if huber:
             lin, quad = lin + kappa * (x @ md), quad + 0.5 * kappa * (md @ md)
         step = 1.0
         while step > 1e-10:
-            x_new = x + step * md
+            x_new = x + md if step == 1.0 else x + step * md
             s_new = _soft_threshold(x_new, t)
             # F(v + step d) - F(v), summed from small terms so that rounding
             # does not stall the search near the minimum
@@ -211,7 +230,7 @@ def _newton(M, c, b, kappa, t, huber, v, x, tiny):
         stay, piece = piece, np.sign(s)
         if step == 1.0 and np.array_equal(stay, piece):
             break
-        if tiny and step * np.sqrt(d @ d) <= tiny * (1.0 + np.sqrt(v @ v)):
+        if tiny and step * math.sqrt(dd) <= tiny * (1.0 + math.sqrt(v @ v)):
             break
     return v, x, s
 
@@ -325,11 +344,12 @@ def solve_ssnal_l1(X, y, lam, params=None):
     cap = _SIGMA_MAX * unit * max(1.0, np.max(np.abs(X.T @ y)) / (t * _LAM_RATIO))
     best, stalled = np.inf, 0
     u, xtu = np.zeros(m), np.zeros(n)
+    Xt = np.ascontiguousarray(X.T)  # C-ordered, for _newton's row gathers
     converged, it = False, 0
     while it < params.max_iter:
         it += 1
         w0 = alpha / sigma
-        u, w, s = _newton(X.T, 1.0, y, sigma, t, False, u, xtu + w0, 0.0)
+        u, w, s = _newton(Xt, 1.0, y, sigma, t, False, u, xtu + w0, 0.0)
         alpha = sigma * s
         xtu = w - w0
         r = y - X @ alpha

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import repclass.classifiers
 from repclass.classifiers import CLASSIFIERS, Model, block_sci, compute_sci, fit, validate
 from repclass.dictionary import (
+    Projector,
     build_dictionary,
     build_projector,
     class_coefficients,
@@ -18,6 +19,7 @@ from repclass.errors import (
     ConfigInvalid,
     DimensionMismatch,
     FingerprintMismatch,
+    MalformedMatrix,
     NonFiniteInput,
     SingleClass,
 )
@@ -492,3 +494,22 @@ def test_fit_reuses_a_projector_only_at_its_lambda():
     assert other.projector.lam == 0.02
     assert isinstance(other, Model)
     assert fit(d, ExperimentConfig(classifier="src"), proj).projector is None
+
+
+def test_model_compares_by_identity():
+    d, _ = _toy(31)
+    config = ExperimentConfig(classifier="crc_rls", lam=0.1)
+    a, b = fit(d, config), fit(d, config)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_fit_refuses_a_projector_of_the_wrong_shape():
+    # a 3-row slice of the 4 x 6 projector keeps its fingerprint and lambda;
+    # decide used to fail inside numpy's matmul
+    rng = np.random.default_rng(33)
+    d = build_dictionary([(rng.standard_normal(6), lab) for lab in "aabb"])
+    proj = build_projector(d, 0.1)
+    cut = Projector(proj.matrix[:3], proj.lam, proj.dictionary_fingerprint)
+    with pytest.raises(MalformedMatrix, match=r"3 x 6.*4 x 6"):
+        fit(d, ExperimentConfig(classifier="crc_rls", lam=proj.lam), cut)

@@ -178,3 +178,21 @@ def test_dictionary_is_frozen():
     d = build_dictionary(_samples(rng))
     with pytest.raises(Exception):
         d.labels = ()
+
+
+def test_dictionary_compares_by_identity():
+    # two dictionaries of the same samples hold equal arrays; == over them
+    # used to raise (an array's truth value is ambiguous) and hash failed
+    samples = _samples(np.random.default_rng(31))
+    a, b = build_dictionary(samples), build_dictionary(samples)
+    assert a.fingerprint == b.fingerprint
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_projector_compares_by_identity():
+    d = build_dictionary(_samples(np.random.default_rng(32)))
+    a, b = build_projector(d, 0.1), build_projector(d, 0.1)
+    np.testing.assert_array_equal(a.matrix, b.matrix)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

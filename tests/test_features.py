@@ -120,3 +120,11 @@ def test_vectorize_image_rejects_bad_input():
         vectorize_image(np.zeros((0, 3)))
     with pytest.raises(EmptyImage):
         vectorize_image(np.zeros(5))
+
+
+def test_pca_model_compares_by_identity():
+    data = np.random.default_rng(31).standard_normal((12, 9))
+    a, b = fit_pca(data, 3), fit_pca(data, 3)
+    np.testing.assert_array_equal(a.basis, b.basis)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -242,3 +242,29 @@ def test_pca_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.basis, model.basis)
     x = rng.standard_normal(30)
     np.testing.assert_array_equal(project_pca(back, x), project_pca(model, x))
+
+
+def test_load_pca_checks_its_sidecar(tmp_path):
+    # the packed matrix holds 3 components of dimension 8
+    model = fit_pca(np.random.default_rng(34).standard_normal((8, 10)), 3)
+    path = tmp_path / "pca.rpmat"
+    for changes in ({"d": 5, "input_dim": 2}, {"d": 5}, {"input_dim": 2}):
+        save_pca(model, path)
+        _edit_sidecar(path, **changes)
+        with pytest.raises(MalformedMatrix, match="3 components of dimension 8"):
+            load_pca(path)
+    # a mean with no basis column is no model, whatever the sidecar says
+    write_matrix(path, model.mean)
+    with pytest.raises(MalformedMatrix, match="0 components"):
+        load_pca(path)
+    _edit_sidecar(path, d=0, input_dim=8)
+    with pytest.raises(MalformedMatrix, match="0 components"):
+        load_pca(path)
+
+
+def test_load_pca_without_sidecar_is_missing_path(tmp_path):
+    path = tmp_path / "pca.rpmat"
+    save_pca(fit_pca(np.random.default_rng(35).standard_normal((8, 10)), 3), path)
+    (tmp_path / "pca.rpmat.json").unlink()
+    with pytest.raises(MissingPath, match="pca.rpmat.json"):
+        load_pca(path)

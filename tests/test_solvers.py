@@ -574,6 +574,50 @@ def test_spd_solve_checks_its_system():
             solvers._spd_solve(A, b)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_spd_solve_leaves_its_system_unchanged(order):
+    # A is factored from a copy of its transpose: neither a solve nor a
+    # failed one changes the caller's A or b
+    rng = np.random.default_rng(18)
+    B = rng.standard_normal((12, 7))
+    A, b = np.array(B.T @ B + np.eye(7), order=order), rng.standard_normal(7)
+    A0, b0 = A.copy(), b.copy()
+    x = solvers._spd_solve(A, b)
+    np.testing.assert_array_equal(A, A0)
+    np.testing.assert_array_equal(b, b0)
+    np.testing.assert_allclose(x, np.linalg.solve(A0, b0), rtol=1e-12)
+    A[0, 0] = -1.0  # indefinite
+    A0 = A.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        solvers._spd_solve(A, b)
+    np.testing.assert_array_equal(A, A0)
+    np.testing.assert_array_equal(b, b0)
+
+
+def test_newton_box_gradient_from_the_active_rows(monkeypatch):
+    # _newton forms the box gradient kappa * M^T S(x) from the rows K where
+    # S(x) is nonzero and solves M_K^T M_K + (c/kappa) I; on a random problem
+    # its first system equals the one built from all of M
+    rng = np.random.default_rng(19)
+    M = rng.standard_normal((40, 8))
+    v, b, x = rng.standard_normal(8), rng.standard_normal(8), 2.0 * rng.standard_normal(40)
+    c, kappa, t = 1.0, 3.0, 0.5
+    systems, solve = [], solvers._spd_solve
+
+    def spy(A, g):
+        systems.append((A.copy(), g.copy()))
+        return solve(A, g)
+
+    monkeypatch.setattr(solvers, "_spd_solve", spy)
+    solvers._newton(M, c, b, kappa, t, False, v, x, 0.0)
+    s = shrink(x, t)
+    K = s != 0
+    assert 8 < K.sum() < 40  # the p x p system, over some of the rows
+    A, g = systems[0]
+    np.testing.assert_allclose(g, c * v - b + kappa * (M.T @ s), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(A, M[K].T @ M[K] + (c / kappa) * np.eye(8), rtol=1e-13, atol=1e-13)
+
+
 # ------------------------------------------------- per-dictionary factors
 
 def _factor_counts(monkeypatch):
