@@ -9,9 +9,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .dictionary import Dictionary, Projector, build_projector
+from .dictionary import Dictionary, Projector, _ridge_map, build_projector
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -26,8 +25,9 @@ _ZERO_COEF_TOL = 1e-12
 
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
-# classifiers whose code covers the whole dictionary, so SCI is defined for
-# it; rns_* code each class on its own and nn codes nothing
+# classifiers whose code spans the whole dictionary, so SCI is defined for it
+# (ns's is its per-class least-squares codes stacked); rns_* score each class
+# by its own coding objective and nn codes nothing
 SCI_CLASSIFIERS = ("src", "crc_rls", "rcrc", "ns")
 
 
@@ -93,15 +93,16 @@ class Model:
 
     config is an ExperimentConfig: the classifier name, decision variant and
     solver settings are read from it. lam is the resolved ridge/l1 weight;
-    projector is the CRC-RLS ridge projector and class_factors the rns_l2
-    Cholesky factors of X_i^T X_i + lam I (None for the other rules).
+    projector is the CRC-RLS ridge projector and code_map the n x m map L
+    coding a block as A = L Y: its matrix, or for rns_l2 and ns each class's
+    ridge map or pseudo-inverse stacked in class order (None for the others).
     """
 
     dictionary: Dictionary
     config: object
     lam: float
     projector: Projector | None = None
-    class_factors: tuple | None = None
+    code_map: np.ndarray | None = None
 
     def decide(self, y):
         """Classify one query: decide_block on the one-column block."""
@@ -118,12 +119,13 @@ class Model:
     def decide_block(self, Y):
         """Classify the m x q block Y of queries at once, as Decisions.
 
-        crc_rls (one projector product), src and rcrc code over the whole
-        dictionary and score class i by ||t - X_i a_i|| (over ||a_i|| under
-        regularized_residual); rns_* by the objective of coding with block i
-        alone, nn by the nearest column, ns by the least-squares residual.
-        src, rcrc and rns_l1 code query by query, by solvers looked up as
-        module globals at call time, so tracing can wrap them.
+        crc_rls, src and rcrc code over the whole dictionary and score class i
+        by ||t - X_i a_i|| (over ||a_i|| under regularized_residual); rns_* by
+        the objective of coding with block i alone, nn by the nearest column,
+        ns by the least-squares residual. crc_rls, rns_l2 and ns code the
+        block by one code_map product; src, rcrc and rns_l1 by solvers run
+        query by query, looked up as module globals at call time, so tracing
+        can wrap them.
         """
         d, c, rule = self.dictionary, self.config, self.config.classifier
         X = d.data
@@ -131,10 +133,10 @@ class Model:
         t_start = time.perf_counter()
         Yt = np.ascontiguousarray(Y.T)  # one query per row
         q = Yt.shape[0]
-        At, Et, codings, per_class = np.zeros((q, d.n)), None, None, []
+        At = np.zeros((q, d.n)) if self.code_map is None else Y.T @ self.code_map.T
+        Et, codings, per_class = None, None, []
         seconds, scores = np.zeros(q), np.empty((d.k, q))
         if rule == "crc_rls":
-            At = Y.T @ self.projector.matrix.T
             objective = _residual_sq(Yt, At, X) + self.lam * np.vecdot(At, At)
         elif rule in ("src", "rcrc"):
             coder = self._lasso if rule == "src" else self._l1_residual
@@ -157,10 +159,6 @@ class Model:
                 At[:, lo:hi] = np.reshape([r.alpha for r in per_class[i]], (q, hi - lo))
                 scores[i] = [r.objective for r in per_class[i]]
                 continue
-            if rule == "ns":
-                At[:, lo:hi] = np.linalg.lstsq(B, Y, rcond=1e-10)[0].T
-            elif rule == "rns_l2":
-                At[:, lo:hi] = scipy.linalg.cho_solve(self.class_factors[i], B.T @ Y).T
             Ai = At[:, lo:hi]
             scores[i], code_sq[i] = _residual_sq(T, Ai, B), np.vecdot(Ai, Ai)
         if rule == "rns_l2":
@@ -204,7 +202,8 @@ def fit(dictionary, config, projector=None):
     projector is reused when it was built at that lambda, else a new one is
     built. A projector from another dictionary raises FingerprintMismatch,
     and one that is not n x m raises MalformedMatrix.
-    For rns_l2 it is one Cholesky factor of X_i^T X_i + lam I per class.
+    For rns_l2 and ns it is each class block's ridge map or pseudo-inverse
+    (cut at 1e-10 of its largest singular value), stacked as one code map.
     """
     if projector is not None:
         if projector.dictionary_fingerprint != dictionary.fingerprint:
@@ -214,16 +213,17 @@ def fit(dictionary, config, projector=None):
                 f"projector is {projector.matrix.shape[0]} x {projector.matrix.shape[1]}, "
                 f"the dictionary needs {dictionary.n} x {dictionary.m}"
             )
-    lam = config.resolve_lambda(dictionary.n)
-    if config.classifier != "crc_rls":
+    lam, rule = config.resolve_lambda(dictionary.n), config.classifier
+    if rule != "crc_rls":
         projector = None
     elif projector is None or projector.lam != lam:
         projector = build_projector(dictionary, lam)
-    factors = None
-    if config.classifier == "rns_l2":
+    code_map = None if projector is None else projector.matrix
+    if rule in ("rns_l2", "ns"):
         blocks = (dictionary.data[:, lo:hi] for lo, hi in dictionary.class_ranges.values())
-        factors = tuple(scipy.linalg.cho_factor(B.T @ B + lam * np.eye(B.shape[1])) for B in blocks)
-    return Model(dictionary, config, lam, projector, factors)
+        maps = [_ridge_map(B, lam) if rule == "rns_l2" else np.linalg.pinv(B, rtol=1e-10) for B in blocks]
+        code_map = np.asfortranarray(np.vstack(maps))
+    return Model(dictionary, config, lam, projector, code_map)
 
 
 def compute_sci(dictionary, coding):

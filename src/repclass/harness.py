@@ -182,7 +182,8 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """Read a dataset file; MalformedMatrix names a sidecar list of wrong
-    length, or an image_shape whose pixel count is not the row count."""
+    length, a label that is not a string, a split entry other than "train"
+    and "test", or an image_shape whose pixel count is not the row count."""
     path = Path(path)
     features = read_matrix(path)
     sidecar = read_sidecar(path, ("labels",))
@@ -191,6 +192,11 @@ def load_dataset(path):
     for key, values in lists.items():
         if not isinstance(values, list) or len(values) != n:
             raise MalformedMatrix(f"{path}: sidecar {key!r} needs {n} entries, one per column")
+    if not all(isinstance(lab, str) for lab in lists["labels"]):
+        raise MalformedMatrix(f"{path}: sidecar 'labels' are not all strings")
+    bad = [s for s in lists["split"] if s not in ("train", "test")]
+    if bad:
+        raise MalformedMatrix(f"{path}: sidecar 'split' entry {bad[0]!r} is not 'train' or 'test'")
     shape = sidecar.get("image_shape") or None
     if shape is not None and not (
         isinstance(shape, list)

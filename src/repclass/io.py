@@ -73,6 +73,8 @@ def read_pgm(path):
             i = j
     if len(tokens) < 3:
         raise MalformedMatrix(f"{path}: truncated PGM header")
+    if not all(t.isdigit() for t in tokens):
+        raise MalformedMatrix(f"{path}: PGM header {b' '.join(tokens)!r} is not three whole numbers")
     w, h, maxval = (int(t) for t in tokens)
     if maxval > 255:
         raise MalformedMatrix(f"{path}: only 8-bit PGM supported (maxval {maxval})")
@@ -103,12 +105,15 @@ def write_sidecar(path, obj):
 
 
 def read_sidecar(path, required):
-    """The JSON sidecar of a matrix file; MalformedMatrix names a missing key,
-    and a missing sidecar raises MissingPath."""
+    """The JSON sidecar of a matrix file; MalformedMatrix names a sidecar that
+    is not a JSON object or lacks a key, and a missing one raises MissingPath."""
     sidecar_path = _sidecar_path(path)
     if not sidecar_path.exists():
         raise MissingPath(str(sidecar_path))
-    sidecar = json.loads(sidecar_path.read_text())
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise MalformedMatrix(f"{sidecar_path}: sidecar is not valid JSON ({exc})") from None
     if not isinstance(sidecar, dict):
         raise MalformedMatrix(f"{sidecar_path}: sidecar is not a JSON object")
     for key in required:

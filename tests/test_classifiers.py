@@ -217,16 +217,24 @@ def test_block_decide_times_each_query():
 
 
 def test_rns_l2_factors_each_class_once_at_fit(monkeypatch):
+    # rns_l2's ridge maps and ns's pseudo-inverses are made once per class at
+    # fit; decide_block and decide only multiply by the stacked code map
     d, rng = _toy(25)
     calls = []
-    orig = scipy.linalg.cho_factor
-    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: calls.append(1) or orig(*a, **k))
-    model = fit(d, ExperimentConfig(classifier="rns_l2", lam=0.05))
-    assert len(calls) == d.k
-    block = model.decide_block(rng.standard_normal((d.m, 7)))
-    model.decide(rng.standard_normal(d.m))
-    assert len(calls) == d.k
-    assert block.scores.shape == (d.k, 7)
+    for module, name in [(scipy.linalg, "cho_factor"), (np.linalg, "pinv"), (np.linalg, "lstsq")]:
+        orig = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=orig, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    for rule, factor in [("rns_l2", "cho_factor"), ("ns", "pinv")]:
+        calls.clear()
+        model = fit(d, ExperimentConfig(classifier=rule, lam=0.05))
+        assert calls == [factor] * d.k
+        assert model.code_map.shape == (d.n, d.m)
+        block = model.decide_block(rng.standard_normal((d.m, 7)))
+        model.decide(rng.standard_normal(d.m))
+        assert calls == [factor] * d.k
+        assert block.scores.shape == (d.k, 7)
 
 
 def test_block_sci_equals_compute_sci_per_column():
@@ -289,17 +297,19 @@ def test_rcrc_ignores_gross_corruption():
 
 
 def test_rns_l2_matches_per_class_ridge_objective():
-    d, rng = _toy(10)
-    y = rng.standard_normal(d.m)
-    lam = 0.05
-    dec = _decide(d, y, "rns_l2", lam)
-    for lab in d.classes:
-        B = d.class_block(lab)
-        coef = np.linalg.solve(B.T @ B + lam * np.eye(B.shape[1]), B.T @ y)
-        r = y - B @ coef
-        assert dec.per_class_residuals[lab] == pytest.approx(
-            float(r @ r + lam * coef @ coef), rel=1e-8
-        )
+    # the second dictionary's class blocks have more columns than rows, so
+    # each class's ridge map is solved through its m x m Gram matrix
+    for d, rng in (_toy(10), _toy(10, m=4, per_class=6)):
+        y = rng.standard_normal(d.m)
+        lam = 0.05
+        dec = _decide(d, y, "rns_l2", lam)
+        for lab in d.classes:
+            B = d.class_block(lab)
+            coef = np.linalg.solve(B.T @ B + lam * np.eye(B.shape[1]), B.T @ y)
+            r = y - B @ coef
+            assert dec.per_class_residuals[lab] == pytest.approx(
+                float(r @ r + lam * coef @ coef), rel=1e-8
+            )
 
 
 def test_nn_matches_brute_force():
@@ -489,7 +499,8 @@ def test_decide_calls_the_module_solvers(monkeypatch):
 def test_fit_reuses_a_projector_only_at_its_lambda():
     d, _ = _toy(23)
     proj = build_projector(d, 0.01)
-    assert fit(d, ExperimentConfig(lam=0.01), proj).projector is proj
+    model = fit(d, ExperimentConfig(lam=0.01), proj)
+    assert model.projector is proj and model.code_map is proj.matrix
     other = fit(d, ExperimentConfig(lam=0.02), proj)
     assert other.projector.lam == 0.02
     assert isinstance(other, Model)

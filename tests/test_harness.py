@@ -91,6 +91,24 @@ def test_load_dataset_rejects_sidecar_list_length(tmp_path, sidecar, key):
         load_dataset(p)
 
 
+@pytest.mark.parametrize(
+    "sidecar, words",
+    [
+        # used to die in run_experiment with TypeError: unhashable type: 'list'
+        ({"labels": [["a"]] * 6}, "'labels' are not all strings"),
+        # a misspelt split entry used to drop its column from both splits
+        ({"labels": ["a"] * 6, "split": ["train"] * 5 + ["tset"]}, "'split' entry 'tset'"),
+    ],
+    ids=["list-labels", "misspelt-split"],
+)
+def test_load_dataset_rejects_bad_labels_and_split(tmp_path, sidecar, words):
+    p = tmp_path / "feats.rpmat"
+    write_matrix(p, np.ones((4, 6)))
+    p.with_suffix(p.suffix + ".json").write_text(json.dumps(sidecar))
+    with pytest.raises(MalformedMatrix, match=r"feats\.rpmat: sidecar " + words):
+        load_dataset(p)
+
+
 def test_ingest_matrix_file(tmp_path):
     rng = np.random.default_rng(2)
     M = rng.standard_normal((8, 6))
@@ -195,6 +213,9 @@ def test_config_validation():
          "'low' must be a finite number"),
         ({"degradation": {"kind": "pixel_corruption", "fraction": 0.5, "seed": 1, "high": None}},
          "'high' must be a finite number"),
+        # used to load the data and then fail in numpy: "high - low < 0"
+        ({"degradation": {"kind": "pixel_corruption", "fraction": 0.5, "seed": 1, "low": 5, "high": 1}},
+         "'low' 5 exceeds 'high' 1"),
         ({"degradation": False}, "'degradation' is not an object"),
         ({"alm": None}, "'alm' is not an object"),
         # a top-level list used to end in AttributeError: 'list' object has no attribute 'items'

@@ -8,7 +8,7 @@ from repclass.classifiers import fit
 from repclass.dictionary import build_dictionary, build_projector
 from repclass.errors import BadLabel, FingerprintMismatch, MalformedMatrix, MissingPath
 from repclass.features import fit_pca, project_pca
-from repclass.harness import ExperimentConfig
+from repclass.harness import ExperimentConfig, load_dataset, save_dataset, synthetic_dataset
 from repclass.io import (
     MAGIC,
     load_dictionary,
@@ -89,6 +89,14 @@ def test_pgm_header_comments_and_errors(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(MalformedMatrix):
         read_pgm(short)
+
+
+def test_pgm_header_token_that_is_not_a_number(tmp_path):
+    # used to end in a bare ValueError: invalid literal for int()
+    p = tmp_path / "ab.pgm"
+    p.write_bytes(b"P5\nab 3\n255\n" + b"\x00" * 9)
+    with pytest.raises(MalformedMatrix, match=r"ab\.pgm: PGM header b'ab 3 255' is not three whole"):
+        read_pgm(p)
 
 
 def _dictionary(seed=2):
@@ -268,3 +276,20 @@ def test_load_pca_without_sidecar_is_missing_path(tmp_path):
     (tmp_path / "pca.rpmat.json").unlink()
     with pytest.raises(MissingPath, match="pca.rpmat.json"):
         load_pca(path)
+
+
+def test_every_loader_names_a_sidecar_that_is_not_json(tmp_path):
+    # a "{" sidecar used to escape as JSONDecodeError
+    d = _dictionary()
+    saves = [
+        (save_dictionary, d, load_dictionary),
+        (save_projector, build_projector(d, 0.1), load_projector),
+        (save_pca, fit_pca(np.random.default_rng(5).standard_normal((8, 10)), 3), load_pca),
+        (save_dataset, synthetic_dataset(n_classes=2, subspace_dim=2, ambient_dim=6), load_dataset),
+    ]
+    for i, (save, obj, load) in enumerate(saves):
+        path = tmp_path / f"f{i}.rpmat"
+        save(obj, path)
+        path.with_suffix(".rpmat.json").write_text("{")
+        with pytest.raises(MalformedMatrix, match=rf"f{i}\.rpmat\.json: sidecar is not valid JSON"):
+            load(path)
