@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import analysis, harness, io
@@ -112,12 +113,21 @@ def cmd_classify(args):
 
 
 def cmd_experiment(args):
+    """Run one experiment; the report's stages add the seconds of `load`
+    (load_dataset) and `log_write` (the query log, 0 when none is asked
+    for), so the log is written before the report."""
     config = ExperimentConfig.from_json(_load_config(args))
+    t0 = time.perf_counter()
     data = harness.load_dataset(args.data)
+    load_s = time.perf_counter() - t0
     report = harness.run_experiment(config, data)
-    _write_json(args.out, report.to_json())
+    log_s = 0.0
     if args.log:
+        t0 = time.perf_counter()
         report.write_query_log(args.log)
+        log_s = time.perf_counter() - t0
+    report.stages.update(load=load_s, log_write=log_s)
+    _write_json(args.out, report.to_json())
 
 
 def cmd_sweep(args):

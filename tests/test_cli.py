@@ -173,6 +173,31 @@ def test_experiment_and_log(dataset, tmp_path):
     assert len(log.read_text().strip().split("\n")) == 12
 
 
+def test_experiment_reports_load_and_log_write_stages(dataset, tmp_path):
+    out = tmp_path / "report.json"
+    log = tmp_path / "queries.jsonl"
+    for argv in ([], ["--log", str(log)]):
+        assert main(["experiment", "--data", dataset, "--out", str(out)] + argv) == 0
+        stages = json.loads(out.read_text())["stages"]
+        assert list(stages)[-2:] == ["load", "log_write"]
+        assert stages["load"] > 0.0
+        assert (stages["log_write"] > 0.0) == bool(argv)
+
+
+@pytest.mark.parametrize("feature_dim", [None, 5])
+def test_experiment_non_finite_training_is_json_error(dataset, tmp_path, feature_dim, capsys):
+    # with or without PCA, a NaN in the training columns is NonFiniteInput
+    features = read_matrix(dataset)
+    features[0, 0] = np.nan
+    write_matrix(dataset, features)
+    capsys.readouterr()
+    rc = main(["experiment", "--data", dataset, "--out", str(tmp_path / "r.json"),
+               "--set", f"feature_dim={json.dumps(feature_dim)}"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteInput"
+
+
 def test_experiment_config_file_with_override(dataset, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"classifier": "nn", "lambda": 0.5}))

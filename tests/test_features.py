@@ -1,8 +1,62 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from repclass.errors import BadDimension, DimensionMismatch, EmptyImage
-from repclass.features import fit_pca, project_pca, vectorize_image
+from repclass.errors import BadDimension, DimensionMismatch, EmptyImage, NonFiniteInput
+from repclass.features import _top_eigenvectors, fit_pca, project_pca, vectorize_image
+
+
+def _symmetric(n, rank=None):
+    """A random symmetric n x n matrix; with rank, a PSD scatter of that rank
+    whose other n - rank eigenvalues are all zero."""
+    rng = np.random.default_rng(n)
+    if rank is None:
+        A = rng.standard_normal((n, n))
+        return A + A.T
+    B = rng.standard_normal((n, rank))
+    return B @ B.T
+
+
+@pytest.mark.parametrize(
+    "n, rank",
+    [(1, None), (2, None), (3, None), (40, None), (40, 3)],
+    ids=["n1", "n2", "n3", "n40", "n40-rank3"],
+)
+def test_top_eigenvectors_match_eigh(n, rank):
+    S = _symmetric(n, rank)
+    w, U = scipy.linalg.eigh(S)
+    norm = np.linalg.norm(S, 2)
+    for d in sorted({1, n // 2, n} - {0}):
+        V = _top_eigenvectors(S.copy(), d)
+        assert V.shape == (n, d)
+        np.testing.assert_allclose(V.T @ V, np.eye(d), atol=1e-12)
+        top = w[::-1][:d]
+        assert np.linalg.norm(S @ V - V * top, axis=0).max() <= 1e-12 * max(norm, 1.0)
+        # the top-d subspace is unique unless the d-th and (d+1)-th
+        # eigenvalues coincide, as the zero eigenvalues of the scatter do
+        if d == n or w[n - d] - w[n - d - 1] > 1e-8 * norm:
+            np.testing.assert_allclose(V @ V.T, U[:, n - d :] @ U[:, n - d :].T, atol=1e-10)
+
+
+def test_pca_never_calls_eigh(monkeypatch):
+    # both branches go through _top_eigenvectors' LAPACK calls
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rng = np.random.default_rng(9)
+    for shape in [(30, 12), (12, 30)]:
+        model = fit_pca(rng.standard_normal(shape), 5)
+        np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pca_rejects_non_finite_training(bad):
+    data = np.random.default_rng(10).standard_normal((20, 8))
+    data[3, 5] = bad
+    with pytest.raises(NonFiniteInput):
+        fit_pca(data, 4)
 
 
 def test_pca_basis_is_orthonormal():

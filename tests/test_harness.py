@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repclass import harness
-from repclass.classifiers import Model
+from repclass.classifiers import Model, fit
 from repclass.degradation import DegradationSpec
+from repclass.dictionary import build_dictionary
 from repclass.errors import (
     ConfigInvalid,
     EmptyInput,
@@ -30,6 +31,7 @@ from repclass.harness import (
     save_dataset,
     synthetic_dataset,
 )
+from repclass.features import fit_pca, project_pca
 from repclass.io import write_matrix, write_pgm
 from repclass.solvers import AlmParams, FistaParams
 
@@ -80,8 +82,12 @@ def test_dataset_save_load_roundtrip(tmp_path):
         ({"labels": ["a"] * 6, "split": ["train"] * 7}, "split"),
         ({"labels": ["a"] * 6, "image_shape": [5, 5]}, "image_shape"),
         ({"labels": ["a"] * 6, "image_shape": [2, "2"]}, "image_shape"),
+        ({"labels": ["a"] * 6, "image_shape": [True, 4]}, "image_shape"),
     ],
-    ids=["short-labels", "long-split", "image-shape-product", "image-shape-not-int"],
+    ids=[
+        "short-labels", "long-split", "image-shape-product", "image-shape-not-int",
+        "image-shape-bool",
+    ],
 )
 def test_load_dataset_rejects_sidecar_list_length(tmp_path, sidecar, key):
     p = tmp_path / "feats.rpmat"
@@ -282,6 +288,27 @@ def test_run_experiment_stage_timings():
     assert all(v >= 0.0 for v in stages.values())
     assert stages["decide"] == sum(rec["wall_time"] for rec in report.per_query)
     assert sum(stages.values()) <= wall
+
+
+def test_run_experiment_with_pca_and_degradation_matches_manual_pipeline():
+    # run_experiment takes and degrades the test columns after the PCA fit;
+    # the order must not change what is decided
+    data = _small_data(seed=4, ambient_dim=40)
+    spec = DegradationSpec("pixel_corruption", 0.3, seed=2, low=-1.0, high=1.0)
+    config = ExperimentConfig(classifier="crc_rls", feature_dim=12, degradation=spec)
+    report = run_experiment(config, data)
+    train, train_labels = data.columns("train")
+    test, test_labels = data.columns("test")
+    test = harness._degrade_queries(test, spec, data.image_shape)
+    pca = fit_pca(train, 12)
+    model = fit(build_dictionary(zip(project_pca(pca, train).T, train_labels)), config)
+    block = model.decide_block(project_pca(pca, test))
+    names = [str(c) for c in model.dictionary.classes]
+    assert [rec["predicted"] for rec in report.per_query] == [
+        names[i] for i in block.predicted
+    ]
+    assert [rec["true"] for rec in report.per_query] == list(map(str, test_labels))
+    assert [list(rec["residuals"].values()) for rec in report.per_query] == block.scores.T.tolist()
 
 
 def test_run_experiment_report_contents():
