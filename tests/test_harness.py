@@ -18,6 +18,7 @@ from repclass.errors import (
     MixedImageSizes,
     OverlappingClasses,
 )
+from repclass.features import fit_pca, project_pca
 from repclass.harness import (
     Dataset,
     ExperimentConfig,
@@ -31,7 +32,6 @@ from repclass.harness import (
     save_dataset,
     synthetic_dataset,
 )
-from repclass.features import fit_pca, project_pca
 from repclass.io import write_matrix, write_pgm
 from repclass.solvers import AlmParams, FistaParams
 
