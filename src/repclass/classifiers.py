@@ -105,10 +105,8 @@ class Model:
     code_map: np.ndarray | None = None
 
     def decide(self, y):
-        """Classify one query: decide_block on the one-column block. y is
-        made contiguous first, so that a strided view of a column (a
-        Dataset.columns view) decides to the bit as its copy does."""
-        b = self.decide_block(np.ascontiguousarray(y).reshape(-1, 1))
+        """Classify one query: decide_block on the one-column block."""
+        b = self.decide_block(np.reshape(y, (-1, 1)))
         best, classes = int(b.predicted[0]), self.dictionary.classes
         coding = CodingResult(
             b.alpha[:, 0], float(b.objective[0]), int(b.iterations[0]), bool(b.converged[0]),

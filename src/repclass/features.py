@@ -84,15 +84,6 @@ def fit_pca(training, d):
     making each component's largest-magnitude entry nonnegative. Training
     data holding NaN or inf raises NonFiniteInput.
     """
-    return _fit_pca_features(training, d)[0]
-
-
-def _fit_pca_features(training, d):
-    """fit_pca's model and the training columns' features, the d x N matrix
-    project_pca(model, training) to rounding. For D > N they come from the
-    QR factors C V = Q R: Q^T C = R V^T, because Q^T C V_perp = 0 for the
-    Gram eigenvectors V_perp outside V (and V V^T = I at d = N). So the D x N
-    training block is never projected a second time."""
     training = np.asarray(training, dtype=np.float64)
     if training.ndim != 2:
         raise BadDimension("training must be a D x N matrix")
@@ -103,17 +94,14 @@ def _fit_pca_features(training, d):
         raise NonFiniteInput("training samples contain NaN or inf")
     mean = training.mean(axis=1)
     centered = training - mean[:, None]
-    if D > N:
-        V = _top_eigenvectors(centered.T @ centered, d)
-        basis, R = np.linalg.qr(centered @ V)
-        features = R @ V.T
-    else:
-        basis = _top_eigenvectors(centered @ centered.T, d)
-        features = basis.T @ centered
-    flip = basis[np.abs(basis).argmax(axis=0), np.arange(d)] < 0
-    basis[:, flip] = -basis[:, flip]
-    features[flip] = -features[flip]
-    return PcaModel(mean=mean, basis=basis), features
+    scatter = centered.T @ centered if D > N else centered @ centered.T
+    V = _top_eigenvectors(scatter, d)
+    basis = np.linalg.qr(centered @ V)[0] if D > N else V
+    for j in range(d):
+        i = int(np.argmax(np.abs(basis[:, j])))
+        if basis[i, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return PcaModel(mean=mean, basis=basis)
 
 
 def project_pca(model, x):

@@ -192,19 +192,6 @@ def test_block_decide_equals_single_decide(classifier, variant, seed, q, zero_co
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)
-def test_decide_ignores_the_query_layout(classifier):
-    # a column of a wider matrix is a strided view, as Dataset.columns gives
-    # for a split that is one run of columns; it decides to the bit as its
-    # contiguous copy does
-    d, rng = _toy(29, m=30)
-    wide = rng.standard_normal((d.m, 36))
-    model = fit(d, ExperimentConfig(classifier=classifier, lam=0.05))
-    view, copy = model.decide(wide[:, 3]), model.decide(wide[:, 3].copy())
-    assert view.per_class_residuals == copy.per_class_residuals
-    np.testing.assert_array_equal(view.coding.alpha, copy.coding.alpha)
-
-
-@pytest.mark.parametrize("classifier", CLASSIFIERS)
 def test_empty_block_gives_empty_decisions(classifier):
     # src used to raise IndexError, rcrc and rns_l1 ValueError
     d, _ = _toy(28)

@@ -3,13 +3,7 @@ import pytest
 import scipy.linalg
 
 from repclass.errors import BadDimension, DimensionMismatch, EmptyImage, NonFiniteInput
-from repclass.features import (
-    _fit_pca_features,
-    _top_eigenvectors,
-    fit_pca,
-    project_pca,
-    vectorize_image,
-)
+from repclass.features import _top_eigenvectors, fit_pca, project_pca, vectorize_image
 
 
 def _symmetric(n, rank=None):
@@ -113,31 +107,6 @@ def test_pca_full_rank_request_on_rank_deficient_data(shape):
     for j in range(d):
         i = int(np.argmax(np.abs(model.basis[:, j])))
         assert model.basis[i, j] >= 0
-
-
-@pytest.mark.parametrize(
-    "shape, rank, d",
-    [
-        ((60, 25), None, 8), ((60, 25), None, 25), ((25, 60), None, 8),
-        ((30, 30), None, 8), ((30, 30), None, 30),
-        ((40, 12), 5, 12), ((12, 40), 5, 12), ((15, 15), 5, 15),
-    ],
-    ids=["D>N", "D>N-d=N", "D<N", "D=N", "D=N-d=N", "D>N-rank5", "D<N-rank5", "D=N-rank5"],
-)
-def test_fit_training_features_equal_the_projection(shape, rank, d):
-    # for D > N they come from the QR factors, R V^T, not from projecting
-    rng = np.random.default_rng(11)
-    D, N = shape
-    if rank is None:
-        data = rng.standard_normal(shape)
-    else:
-        data = rng.standard_normal((D, rank)) @ rng.standard_normal((rank, N))
-    data += 5.0
-    model, features = _fit_pca_features(data, d)
-    np.testing.assert_array_equal(model.basis, fit_pca(data, d).basis)
-    projected = project_pca(model, data)
-    assert features.shape == (d, N)
-    assert np.abs(features - projected).max() <= 1e-12 * np.abs(projected).max()
 
 
 def test_pca_captures_low_rank_structure_exactly():
