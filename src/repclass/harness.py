@@ -198,7 +198,7 @@ def load_dataset(path):
     length, a label that is not a string, a split entry other than "train"
     and "test", or an image_shape whose pixel count is not the row count."""
     path = Path(path)
-    features = read_matrix(path)
+    features = read_matrix(path, order="F")
     sidecar = read_sidecar(path, ("labels",))
     m, n = features.shape
     lists = {"labels": sidecar["labels"], "split": sidecar.get("split", ["train"] * n)}

@@ -29,7 +29,10 @@ def write_matrix(path, matrix):
         fh.write(matrix.tobytes(order="C"))
 
 
-def read_matrix(path):
+def read_matrix(path, order="C"):
+    """Read a matrix file into an array in the given memory order ("C" or
+    "F"). A Fortran-order array is filled a block of rows at a time, so no
+    second full-size copy is held while it is transposed."""
     path = Path(path)
     if not path.exists():
         raise MissingPath(str(path))
@@ -42,9 +45,15 @@ def read_matrix(path):
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise MalformedMatrix(f"{path}: expected {expected} bytes, got {size}")
-        # the payload goes straight into the array, with no bytes copy
-        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
-    return data.reshape(rows, cols)
+        if order == "C":
+            # the payload goes straight into the array, with no bytes copy
+            return np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)
+        out = np.empty((rows, cols), order="F")
+        step = max(1, (1 << 20) // max(cols, 1))  # rows per block of about 8 MB
+        for r in range(0, rows, step):
+            n = min(step, rows - r)
+            out[r : r + n] = np.fromfile(fh, dtype="<f8", count=n * cols).reshape(n, cols)
+    return out
 
 
 def read_pgm(path):
@@ -176,7 +185,7 @@ def load_projector(path):
     """Read a projector saved by save_projector, in the Fortran order that
     build_projector gives it (a block decide's product is faster on it)."""
     path = Path(path)
-    matrix = np.asfortranarray(read_matrix(path))
+    matrix = read_matrix(path, order="F")
     sidecar = read_sidecar(path, ("lambda", "dictionary_fingerprint"))
     return Projector(
         matrix=matrix,

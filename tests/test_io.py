@@ -39,6 +39,17 @@ def test_matrix_roundtrip_bit_exact(tmp_path):
     assert len(raw) == 24 + 13 * 7 * 8
 
 
+@pytest.mark.parametrize("shape", [(13, 7), (5, 300_000), (0, 4)], ids=["small", "blocks", "empty"])
+def test_read_matrix_in_fortran_order(tmp_path, shape):
+    # (5, 300_000) fills the array in two blocks of rows, 3 and 2
+    M = np.random.default_rng(1).standard_normal(shape)
+    p = tmp_path / "m.rpmat"
+    write_matrix(p, M)
+    back = read_matrix(p, order="F")
+    assert back.flags.f_contiguous and back.dtype == np.float64
+    np.testing.assert_array_equal(back, M)
+
+
 def test_matrix_vector_promoted_to_column(tmp_path):
     p = tmp_path / "v.rpmat"
     write_matrix(p, np.arange(5.0))
