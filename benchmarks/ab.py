@@ -19,8 +19,7 @@ each side plus the number of pairs the change wins.
 --out keeps every A/B run into it: the file is {"workload", "points"},
 where points maps the change side's git SHA (its HEAD, or its source digest
 outside a git checkout) to that A/B. A new A/B is added as a point, and one
-whose SHA is already there replaces it. A file in the older layout, one A/B
-at the top level, is read as its first point.
+whose SHA is already there replaces it.
 """
 
 import argparse
@@ -68,10 +67,7 @@ def read_points(path, workload):
     held = json.loads(path.read_text())
     if held.get("workload") != workload:
         raise SystemExit(f"{path} holds workload {held.get('workload')!r}, not {workload!r}")
-    if "points" in held:
-        return held["points"]
-    point = {k: held[k] for k in ("command", "environment", "summary", "pairs")}
-    return {point_key(held["environment"]["change"]): point}
+    return held["points"]
 
 
 def quartiles(values):

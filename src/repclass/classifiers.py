@@ -105,8 +105,10 @@ class Model:
     code_map: np.ndarray | None = None
 
     def decide(self, y):
-        """Classify one query: decide_block on the one-column block."""
-        b = self.decide_block(np.reshape(y, (-1, 1)))
+        """Classify one query: decide_block on the one-column block. A strided
+        y (a column of a row-major matrix) is copied first, so its products
+        round as its contiguous copy's do."""
+        b = self.decide_block(np.reshape(np.ascontiguousarray(y), (-1, 1)))
         best, classes = int(b.predicted[0]), self.dictionary.classes
         coding = CodingResult(
             b.alpha[:, 0], float(b.objective[0]), int(b.iterations[0]), bool(b.converged[0]),

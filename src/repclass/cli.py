@@ -67,10 +67,12 @@ def _write_csv(path, header, rows):
 
 
 def cmd_ingest(args):
+    if not args.synthetic and args.path is None:
+        raise ConfigInvalid("ingest needs --path or --synthetic")
     cfg = _load_config(args)
     if args.synthetic:
         if args.seed is None:
-            raise RepclassError("--seed is required for synthetic generation")
+            raise ConfigInvalid("--seed is required for synthetic generation")
         unknown = set(cfg) - set(inspect.signature(harness.synthetic_dataset).parameters)
         if unknown:
             raise ConfigInvalid(f"synthetic config has unknown key {min(unknown)!r}")
@@ -156,7 +158,18 @@ def cmd_bench(args):
     _write_json(args.out, table)
 
 
+# the flags each analyze mode needs beyond --input
+_ANALYZE_FLAGS = {
+    "residual_curve": ("query", "grid"),
+    "geometry": ("query",),
+    "perturbation": ("delta", "query"),
+}
+
+
 def cmd_analyze(args):
+    for flag in _ANALYZE_FLAGS.get(args.mode, ()):
+        if getattr(args, flag) is None:
+            raise ConfigInvalid(f"--mode {args.mode} needs --{flag}")
     if args.mode == "coef_fit":
         coefs = io.read_matrix(args.input).ravel()
         rep = dataclasses.asdict(analysis.coef_distribution_fit(coefs, bins=args.bins))

@@ -48,24 +48,11 @@ def normalize_columns(raw):
     return raw / norms
 
 
-def _power_iteration_sq(X, Xt):
-    """Largest squared singular value of X, by power iteration on X^T X; Xt is
-    X's transpose. Stops at relative change 1e-6, or after 1000 steps."""
-    tol, max_iter = 1e-6, 1000
-    n = X.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = np.dot(Xt, np.dot(X, v))
-        nw = np.sqrt(np.sum(w * w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = nw
-        if abs(lam_new - lam) <= tol * lam_new:
-            return lam_new
-        lam = lam_new
-    return lam
+def _spectral_norm_sq(X):
+    """||X||_2^2, the largest squared singular value of X, from LAPACK's
+    singular values (0 for a matrix with no entries)."""
+    s = scipy.linalg.svdvals(X)
+    return float(s[0]) ** 2 if s.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +112,8 @@ class Dictionary:
 
     @cached_property
     def sigma_sq(self):
-        """Largest squared singular value of data: FISTA's Lipschitz constant."""
-        X = np.ascontiguousarray(self.data)
-        return _power_iteration_sq(X, np.ascontiguousarray(X.T))
+        """Largest squared singular value of data, from LAPACK: half FISTA's L."""
+        return _spectral_norm_sq(self.data)
 
     def class_block(self, label):
         if label not in self.class_ranges:

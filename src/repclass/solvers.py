@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .dictionary import Dictionary, _power_iteration_sq, check_lambda, is_number
+from .dictionary import Dictionary, _spectral_norm_sq, check_lambda, is_number
 from .errors import (
     BadGrid,
     BadSparsity,
@@ -376,22 +376,22 @@ def solve_fista_l1(X, y, lam, params=None):
     """l1-regularized coding: minimize ||y - X a||_2^2 + lam * ||a||_1.
 
     Accelerated proximal gradient with step 1/L (L = 2 ||X||_2^2, the
-    Lipschitz constant of the smooth gradient, from power iteration) and
-    momentum restart on objective increase. A Dictionary keeps its constant
-    (X.sigma_sq); for a bare matrix it is computed on this call. The
-    products X a of the accepted iterate and X v of the momentum point are
-    carried along (X v is the same combination of X a values as v is of
+    Lipschitz constant of the smooth gradient, exact from LAPACK) and
+    momentum restart on objective increase. A Dictionary keeps its
+    ||X||_2^2 (X.sigma_sq); for a bare matrix it is computed on each call.
+    The products X a of the accepted iterate and X v of the momentum point
+    are carried along (X v is the same combination of X a values as v is of
     a's), so each iteration costs two matrix-vector products.
     """
     Xm = np.ascontiguousarray(_as_matrix(X))
     y = _check_dims(Xm, y)
     lam = check_lambda(lam)
     params = params or FistaParams()
-    Xt = np.ascontiguousarray(Xm.T)
-    sigma_sq = X.sigma_sq if isinstance(X, Dictionary) else _power_iteration_sq(Xm, Xt)
+    sigma_sq = X.sigma_sq if isinstance(X, Dictionary) else _spectral_norm_sq(Xm)
     n = Xm.shape[1]
     if sigma_sq == 0.0:
         return CodingResult(alpha=np.zeros(n), objective=float(y @ y))
+    Xt = np.ascontiguousarray(Xm.T)
     step = 1.0 / (2.0 * sigma_sq)
     thr = step * lam
 

@@ -56,20 +56,6 @@ def test_ab_appends_a_point_per_change_sha(tmp_path, monkeypatch):
     held = json.loads(out.read_text())
     assert list(held["points"]) == ["a" * 40, "b" * 40]
     assert held["points"]["a" * 40]["pairs"][0]["change"]["metrics"]["run_s"] == 3.5
-
-
-def test_ab_reads_a_one_ab_file_as_its_first_point(tmp_path, monkeypatch):
-    out = tmp_path / "BENCH_w.json"
-    old = {
-        "workload": "w", "command": "c",
-        "environment": {"parent": {}, "change": {"git_sha": "c" * 40, "src_sha256": "x"}},
-        "summary": {"run_s": {}}, "pairs": [],
-    }
-    out.write_text(json.dumps(old))
-    _fake_perfbench(monkeypatch, {"parent": 2.0, "change": 1.0}, "a" * 40)
-    _ab(tmp_path)
-    points = json.loads(out.read_text())["points"]
-    assert list(points) == ["c" * 40, "a" * 40]
-    assert points["c" * 40] == {k: old[k] for k in ("command", "environment", "summary", "pairs")}
+    # an A/B of another workload into the file is refused
     with pytest.raises(SystemExit, match="holds workload 'w'"):
         _ab(tmp_path, workload="v")

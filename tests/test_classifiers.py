@@ -202,6 +202,17 @@ def test_empty_block_gives_empty_decisions(classifier):
     assert block.residual is None or block.residual.shape == (d.m, 0)
 
 
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_decide_strided_query_equals_its_copy(classifier):
+    # a column of a row-major matrix is a strided vector; decide used to pass
+    # it on as a strided block, whose products rounded apart from the copy's
+    d, rng = _toy(29, m=30, per_class=6)
+    wide = rng.standard_normal((d.m, 36))
+    model = fit(d, ExperimentConfig(classifier=classifier))
+    strided = model.decide(wide[:, 3])
+    assert strided.per_class_residuals == model.decide(wide[:, 3].copy()).per_class_residuals
+
+
 def test_block_decide_times_each_query():
     # src codes query by query: each query's seconds hold its own coding
     # time, and the shares add up to the block's wall time

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repclass import harness
+from repclass import analysis, harness
 from repclass.classifiers import fit
 from repclass.cli import main
 from repclass.io import load_dictionary, load_projector, read_matrix, write_matrix
@@ -47,6 +48,33 @@ def test_ingest_synthetic_bad_config_is_json_error(tmp_path, setting, words, cap
     err = json.loads(err_text)
     assert err["error"] == "ConfigInvalid"
     assert all(repr(word) in err["message"] for word in words)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ingest"], "--path"),
+        (["analyze", "--mode", "residual_curve", "--grid", "0.1"], "--query"),
+        (["analyze", "--mode", "residual_curve", "--query", "q.rpmat"], "--grid"),
+        (["analyze", "--mode", "geometry"], "--query"),
+        (["analyze", "--mode", "perturbation", "--query", "q.rpmat"], "--delta"),
+        (["analyze", "--mode", "perturbation", "--delta", "d.rpmat"], "--query"),
+    ],
+    ids=["ingest-path", "residual-curve-query", "residual-curve-grid", "geometry-query",
+         "perturbation-delta", "perturbation-query"],
+)
+def test_missing_flag_is_json_error(tmp_path, argv, flag, capsys):
+    # the flags are checked before any file is read: none of these exists;
+    # they used to end in AttributeError and TypeError tracebacks
+    missing = str(tmp_path / "missing.rpmat")
+    extra = ["--input", missing] if argv[0] == "analyze" else []
+    rc = main([*argv, *extra, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "ConfigInvalid"
+    assert flag in err["message"]
 
 
 def test_ingest_reports_shape(dataset, capsys):
@@ -350,6 +378,52 @@ def test_analyze_residual_curve(tmp_path):
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     # with p = 0 the budget 0.1 is below one atom: the residual is ||y||
     assert vals[0] == pytest.approx(np.linalg.norm(read_matrix(q)))
+
+
+def test_roc_matches_library(dataset, tmp_path):
+    # imposters: a second synthetic set under class names apart from the gallery's
+    other = harness.synthetic_dataset(
+        n_classes=2, subspace_dim=3, ambient_dim=30, n_train=0, n_test=3, seed=4
+    )
+    imposters = str(tmp_path / "imposters.rpmat")
+    harness.save_dataset(
+        dataclasses.replace(other, labels=[f"imposter-{lab}" for lab in other.labels]), imposters
+    )
+    out = tmp_path / "roc.json"
+    rc = main(["roc", "--gallery", dataset, "--customers", dataset, "--imposters", imposters,
+               "--thresholds", "0.0,0.2,0.5,1.0", "--out", str(out)])
+    assert rc == 0
+    data = harness.load_dataset(dataset)
+    points = harness.run_roc(
+        harness.ExperimentConfig(), data, data, harness.load_dataset(imposters),
+        [0.0, 0.2, 0.5, 1.0],
+    )
+    assert json.loads(out.read_text()) == {"points": points, "auc": harness.roc_auc(points)}
+
+
+def test_analyze_geometry_matches_library(trained, tmp_path):
+    dict_path, query_path, query = trained
+    out = tmp_path / "geometry.json"
+    rc = main(["analyze", "--mode", "geometry", "--input", dict_path, "--query", query_path,
+               "--label", "class001", "--out", str(out)])
+    assert rc == 0
+    rep = analysis.geometry_check(load_dictionary(dict_path), query, "class001")
+    assert json.loads(out.read_text()) == dataclasses.asdict(rep)
+
+
+def test_analyze_perturbation_matches_library(trained, tmp_path):
+    dict_path, query_path, query = trained
+    rng = np.random.default_rng(8)
+    X = load_dictionary(dict_path).class_block("class002")
+    delta = 1e-3 * rng.standard_normal(X.shape)
+    X_path, delta_path = str(tmp_path / "x.rpmat"), str(tmp_path / "delta.rpmat")
+    write_matrix(X_path, X)
+    write_matrix(delta_path, delta)
+    out = tmp_path / "perturbation.json"
+    rc = main(["analyze", "--mode", "perturbation", "--input", X_path, "--delta", delta_path,
+               "--query", query_path, "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text()) == analysis.perturbation_demo(X, delta, query)
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from repclass import dictionary as dictionary_mod
 from repclass import solvers
 from repclass.classifiers import fit
-from repclass.dictionary import build_dictionary, build_projector, default_lambda
+from repclass.dictionary import _spectral_norm_sq, build_dictionary, build_projector, default_lambda
 from repclass.errors import (
     BadGrid,
     BadSparsity,
@@ -25,7 +26,6 @@ from repclass.harness import ExperimentConfig, run_experiment, synthetic_dataset
 from repclass.solvers import (
     AlmParams,
     FistaParams,
-    _power_iteration_sq,
     shrink,
     solve_alm_l1res,
     solve_constrained_lp,
@@ -217,6 +217,24 @@ def test_fista_agrees_with_alternate_solver():
         a = shrink(a - grad / L, lam / L)
     res = solve_fista_l1(X, y, lam, FistaParams(tol=1e-14, max_iter=10000))
     np.testing.assert_allclose(res.alpha, a, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        ([[1.0, -1.0]], [1.0]),
+        ([[1.0, -1.0, 0.0], [0.0, 0.0, 0.5]], [1.0, 1.0]),
+    ],
+    ids=["all-ones-start-in-null-space", "ones-start-misses-top-direction"],
+)
+def test_fista_step_from_exact_norm_matches_ssnal(X, y):
+    # a power iteration from the all-ones vector read ||X||^2 as 0 on the
+    # first (FISTA returned the zero code as converged) and as 0.25 for 2.0
+    # on the second (FISTA overflowed to NaN)
+    X, y = np.array(X), np.array(y)
+    res = solve_fista_l1(X, y, 0.1)
+    assert res.converged and np.all(np.isfinite(res.alpha))
+    np.testing.assert_allclose(res.alpha, solve_ssnal_l1(X, y, 0.1).alpha, atol=1e-5)
 
 
 # ------------------------------------------------ kernel regression oracles
@@ -417,7 +435,7 @@ def test_fista_matches_reference_loop(seed, shape, lam):
     X /= np.linalg.norm(X, axis=0)
     y = rng.standard_normal(shape[0])
     Xt = np.ascontiguousarray(X.T)
-    step = 1.0 / (2.0 * _power_iteration_sq(X, Xt))
+    step = 1.0 / (2.0 * _spectral_norm_sq(X))
     params = FistaParams(max_iter=200)
     alpha, obj, it, converged = _fista_l1_reference(
         X, Xt, y, lam, step, params.tol, params.max_iter
@@ -621,21 +639,22 @@ def test_newton_box_gradient_from_the_active_rows(monkeypatch):
 # ------------------------------------------------- per-dictionary factors
 
 def _factor_counts(monkeypatch):
-    """Count the thin SVDs and power iterations run from here on."""
-    counts = {"svd": 0, "power": 0}
-    svd, power = np.linalg.svd, dictionary_mod._power_iteration_sq
+    """Count the thin SVDs and the exact ||X||_2^2 computations (LAPACK's
+    largest singular value, squared) run from here on."""
+    counts = {"svd": 0, "sigma": 0}
+    svd, sigma = np.linalg.svd, dictionary_mod._spectral_norm_sq
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1
         return svd(*args, **kwargs)
 
-    def counted_power(*args):
-        counts["power"] += 1
-        return power(*args)
+    def counted_sigma(*args):
+        counts["sigma"] += 1
+        return sigma(*args)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(dictionary_mod, "_power_iteration_sq", counted_power)
-    monkeypatch.setattr(solvers, "_power_iteration_sq", counted_power)
+    monkeypatch.setattr(dictionary_mod, "_spectral_norm_sq", counted_sigma)
+    monkeypatch.setattr(solvers, "_spectral_norm_sq", counted_sigma)
     return counts
 
 
@@ -647,8 +666,7 @@ def _factor_dictionary(seed):
 
 def test_dictionary_factors_equal_direct_computation():
     d, _ = _factor_dictionary(41)
-    Xt = np.ascontiguousarray(d.data.T)
-    assert d.sigma_sq == _power_iteration_sq(d.data, Xt)
+    assert d.sigma_sq == scipy.linalg.svdvals(d.data)[0] ** 2
 
 
 @pytest.mark.parametrize(
@@ -658,7 +676,7 @@ def test_dictionary_factors_equal_direct_computation():
             classifier="rcrc", lam=0.1, alm=AlmParams(max_iter=3))).decide(y), {}),
         (lambda d, y: fit(d, ExperimentConfig(
             classifier="src", lam=0.1, fista=FistaParams(max_iter=3),
-            decision_variant="plain_residual")).decide(y), {"power": 1}),
+            decision_variant="plain_residual")).decide(y), {"sigma": 1}),
         (lambda d, y: fit(d, ExperimentConfig(
             classifier="src", lam=0.1, alm=AlmParams(max_iter=3))).decide(y), {}),
     ],
@@ -669,7 +687,7 @@ def test_dictionary_factor_computed_once_and_freed(classify, factors, monkeypatc
     counts = _factor_counts(monkeypatch)
     for y in queries:
         classify(d, y)
-    assert counts == {"svd": 0, "power": 0, **factors}
+    assert counts == {"svd": 0, "sigma": 0, **factors}
     alive = weakref.ref(d)
     del d
     gc.collect()
@@ -682,7 +700,7 @@ def test_bare_matrix_factored_on_every_call(monkeypatch):
     for y in queries:
         solve_alm_l1res(d.data, y, 0.1, AlmParams(max_iter=3))
         solve_fista_l1(d.data, y, 0.1, FistaParams(max_iter=3))
-    assert counts == {"svd": 0, "power": 2}
+    assert counts == {"svd": 0, "sigma": 2}
 
 
 def test_constrained_lp_l1_sweep_runs_no_power_iteration(monkeypatch):
@@ -691,7 +709,7 @@ def test_constrained_lp_l1_sweep_runs_no_power_iteration(monkeypatch):
     X = rng.standard_normal((10, 6))
     counts = _factor_counts(monkeypatch)
     solve_constrained_lp(X, rng.standard_normal(10), 1, [0.1, 1.0])
-    assert counts["power"] == 0
+    assert counts["sigma"] == 0
 
 
 # ---------------------------------------------------------------- OMP
