@@ -22,7 +22,6 @@ from .dictionary import (
     build_projector,
     class_coefficients,
     default_lambda,
-    enroll,
     normalize_columns,
 )
 from .features import PcaModel, fit_pca, project_pca, vectorize_image
@@ -56,7 +55,6 @@ __all__ = [
     "class_coefficients",
     "compute_sci",
     "default_lambda",
-    "enroll",
     "fit",
     "fit_pca",
     "normalize_columns",

@@ -1,5 +1,5 @@
-"""Diagnostic studies: coefficient-distribution fits, residual curves,
-residual geometry, and the least-squares perturbation demonstration."""
+"""Diagnostic studies: coefficient-distribution fits, residual geometry,
+and the least-squares perturbation demonstration."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,6 @@ import numpy as np
 
 from .dictionary import class_coefficients
 from .errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
-from .solvers import solve_constrained_lp
 
 
 @dataclass
@@ -84,13 +83,6 @@ def coef_distribution_fit(coefs, bins=101):
         gaussian_params=(mu, sigma),
         laplacian_params=(loc, scale),
     )
-
-
-def residual_eps_study(class_dicts, y, p, grid):
-    """Residual-versus-budget curves, one per class dictionary."""
-    if not isinstance(class_dicts, (list, tuple)):
-        class_dicts = [class_dicts]
-    return [solve_constrained_lp(Phi, y, p, grid) for Phi in class_dicts]
 
 
 def _sin(u, v):

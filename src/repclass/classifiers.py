@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, Projector, _ridge_map, build_projector
+from .dictionary import Dictionary, _ridge_map
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -93,15 +93,14 @@ class Model:
 
     config is an ExperimentConfig: the classifier name, decision variant and
     solver settings are read from it. lam is the resolved ridge/l1 weight;
-    projector is the CRC-RLS ridge projector and code_map the n x m map L
-    coding a block as A = L Y: its matrix, or for rns_l2 and ns each class's
-    ridge map or pseudo-inverse stacked in class order (None for the others).
+    code_map is the n x m map L coding a block as A = L Y: for crc_rls the
+    ridge projector's matrix, for rns_l2 and ns each class's ridge map or
+    pseudo-inverse stacked in class order (None for the others).
     """
 
     dictionary: Dictionary
     config: object
     lam: float
-    projector: Projector | None = None
     code_map: np.ndarray | None = None
 
     def decide(self, y):
@@ -200,10 +199,11 @@ class Model:
 def fit(dictionary, config, projector=None):
     """Bind the configured classifier to a dictionary and do its offline work.
 
-    For crc_rls that is the ridge projector at the resolved lambda: a given
-    projector is reused when it was built at that lambda, else a new one is
-    built. A projector from another dictionary raises FingerprintMismatch,
-    and one that is not n x m raises MalformedMatrix.
+    For crc_rls that is the ridge map at the resolved lambda: a given
+    projector's matrix is reused when it was built at that lambda, else the
+    map is computed as build_projector computes it. A projector from another
+    dictionary raises FingerprintMismatch, and one that is not n x m raises
+    MalformedMatrix.
     For rns_l2 and ns it is each class block's ridge map or pseudo-inverse
     (cut at 1e-10 of its largest singular value), stacked as one code map.
     """
@@ -216,16 +216,15 @@ def fit(dictionary, config, projector=None):
                 f"the dictionary needs {dictionary.n} x {dictionary.m}"
             )
     lam, rule = config.resolve_lambda(dictionary.n), config.classifier
-    if rule != "crc_rls":
-        projector = None
-    elif projector is None or projector.lam != lam:
-        projector = build_projector(dictionary, lam)
-    code_map = None if projector is None else projector.matrix
-    if rule in ("rns_l2", "ns"):
+    code_map = None
+    if rule == "crc_rls":
+        reuse = projector is not None and projector.lam == lam
+        code_map = projector.matrix if reuse else _ridge_map(dictionary.data, lam)
+    elif rule in ("rns_l2", "ns"):
         blocks = (dictionary.data[:, lo:hi] for lo, hi in dictionary.class_ranges.values())
         maps = [_ridge_map(B, lam) if rule == "rns_l2" else np.linalg.pinv(B, rtol=1e-10) for B in blocks]
         code_map = np.asfortranarray(np.vstack(maps))
-    return Model(dictionary, config, lam, projector, code_map)
+    return Model(dictionary, config, lam, code_map)
 
 
 def compute_sci(dictionary, coding):

@@ -19,6 +19,7 @@ from .classifiers import CLASSIFIERS, fit
 from .dictionary import build_dictionary, build_projector
 from .errors import ConfigInvalid, RepclassError
 from .harness import ExperimentConfig
+from .solvers import solve_constrained_lp
 
 
 def _load_config(args, path=None):
@@ -161,7 +162,7 @@ def cmd_bench(args):
 # the flags each analyze mode needs beyond --input
 _ANALYZE_FLAGS = {
     "residual_curve": ("query", "grid"),
-    "geometry": ("query",),
+    "geometry": ("query", "label"),
     "perturbation": ("delta", "query"),
 }
 
@@ -179,8 +180,7 @@ def cmd_analyze(args):
         Phi = io.read_matrix(args.input)
         y = io.read_matrix(args.query).ravel()
         grid = [float(x) for x in args.grid.split(",")]
-        curves = analysis.residual_eps_study(Phi, y, args.p, grid)
-        _write_csv(args.out, "epsilon,residual", curves[0])
+        _write_csv(args.out, "epsilon,residual", solve_constrained_lp(Phi, y, args.p, grid))
     elif args.mode == "geometry":
         dictionary = io.load_dictionary(args.input)
         y = io.read_matrix(args.query).ravel()

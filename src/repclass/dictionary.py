@@ -191,20 +191,3 @@ def build_projector(dictionary, lam):
     lam = check_lambda(lam)
     return Projector(_ridge_map(dictionary.data, lam), lam, dictionary.fingerprint)
 
-
-def enroll(dictionary, projector, new_samples, lam=None):
-    """Append new training samples and fully recompute the projector.
-
-    If the caller used the default lambda rule for the old projector (or
-    passes lam=None with no recognizable rule), the new lambda follows
-    default_lambda(new n); an explicit lam overrides.
-    """
-    new_samples = list(new_samples)
-    if not new_samples:
-        return dictionary, projector
-    new_dict = build_dictionary([*zip(dictionary.data.T, dictionary.labels), *new_samples])
-    if lam is None:
-        used_default = abs(projector.lam - default_lambda(dictionary.n)) <= 1e-15
-        lam = default_lambda(new_dict.n) if used_default else projector.lam
-    new_proj = build_projector(new_dict, lam)
-    return new_dict, new_proj

@@ -16,10 +16,6 @@ class PcaModel:
     basis: np.ndarray  # D x d, orthonormal columns
 
     @property
-    def d(self):
-        return self.basis.shape[1]
-
-    @property
     def input_dim(self):
         return self.basis.shape[0]
 
@@ -52,7 +48,7 @@ def _top_eigenvectors(S, d):
     _, Z, info = lapack.dstevd(diag, off, overwrite_d=1, overwrite_e=1)
     _check_info("dstevd", info)
     # dstevd orders eigenvalues ascending; the n x n Z is freed before the
-    # back-transform, and V is in C order, as saved and reloaded models are
+    # back-transform
     V = np.ascontiguousarray(Z[:, ::-1][:, :d])
     del Z
     reflectors = reduced[1:, : n - 1]

@@ -26,7 +26,7 @@ from .errors import (
     OverlappingClasses,
 )
 from .features import fit_pca, project_pca, vectorize_image
-from .io import read_matrix, read_pgm, read_sidecar, write_matrix, write_sidecar
+from .io import check_labels_saveable, read_matrix, read_pgm, read_sidecar, write_matrix, write_sidecar
 from .solvers import AlmParams, FistaParams
 from .synthetic import make_subspace_dataset
 
@@ -183,10 +183,14 @@ class Report:
 
 
 def save_dataset(dataset, path):
-    """Write a dataset as a matrix file plus JSON sidecar."""
+    """Write a dataset as a matrix file plus JSON sidecar.
+
+    Labels must be strings (else BadLabel, before any file is written).
+    """
+    check_labels_saveable(dataset.labels)
     write_matrix(path, dataset.features)
     write_sidecar(path, {
-        "labels": [str(lab) for lab in dataset.labels],
+        "labels": list(dataset.labels),
         "split": list(dataset.split),
         "provenance": dataset.provenance,
         "image_shape": list(dataset.image_shape) if dataset.image_shape else None,

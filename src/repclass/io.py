@@ -13,7 +13,6 @@ import numpy as np
 
 from .dictionary import Dictionary, Projector
 from .errors import BadLabel, FingerprintMismatch, MalformedMatrix, MissingPath
-from .features import PcaModel
 
 MAGIC = b"RPMATv1\x00"
 _UNIT_NORM_TOL = 1e-10
@@ -131,14 +130,19 @@ def read_sidecar(path, required):
     return sidecar
 
 
+def check_labels_saveable(labels):
+    """BadLabel unless every label is a string, the only type a sidecar keeps."""
+    bad = [lab for lab in labels if not isinstance(lab, str)]
+    if bad:
+        raise BadLabel(f"cannot save non-string label {bad[0]!r}; labels must be strings")
+
+
 def save_dictionary(dictionary, path):
     """Write a dictionary as matrix file + JSON sidecar (labels, fingerprint).
 
-    Labels must be strings, the only type the sidecar keeps (else BadLabel).
+    Labels must be strings (else BadLabel, before any file is written).
     """
-    bad = [lab for lab in dictionary.labels if not isinstance(lab, str)]
-    if bad:
-        raise BadLabel(f"cannot save non-string label {bad[0]!r}; labels must be strings")
+    check_labels_saveable(dictionary.labels)
     write_matrix(path, dictionary.data)
     write_sidecar(path, {"labels": list(dictionary.labels), "fingerprint": dictionary.fingerprint})
 
@@ -193,27 +197,3 @@ def load_projector(path):
         dictionary_fingerprint=sidecar["dictionary_fingerprint"],
     )
 
-
-def save_pca(model, path):
-    write_matrix(path, np.column_stack([model.mean, model.basis]))
-    write_sidecar(path, {
-        "d": model.d,
-        "input_dim": model.input_dim,
-        "sign_convention": "largest-magnitude-entry-nonnegative",
-    })
-
-
-def load_pca(path):
-    """Read a PCA model saved by save_pca. The sidecar's d and input_dim
-    must equal the packed matrix's (input_dim rows, the mean and d basis
-    columns) and d must be at least 1, else MalformedMatrix."""
-    path = Path(path)
-    packed = read_matrix(path)
-    sidecar = read_sidecar(path, ("d", "input_dim"))
-    d, input_dim = packed.shape[1] - 1, packed.shape[0]
-    if d < 1 or (sidecar["d"], sidecar["input_dim"]) != (d, input_dim):
-        raise MalformedMatrix(
-            f"{path}: sidecar says d={sidecar['d']!r}, input_dim={sidecar['input_dim']!r}; "
-            f"the matrix holds {d} components of dimension {input_dim}"
-        )
-    return PcaModel(mean=packed[:, 0].copy(), basis=packed[:, 1:].copy())

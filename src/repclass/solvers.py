@@ -90,9 +90,14 @@ class FistaParams:
 
 
 def _as_matrix(X):
+    """X's matrix: a Dictionary's data, finite when it was built or loaded,
+    or a bare matrix as floats, which must be finite (else NonFiniteInput)."""
     if isinstance(X, Dictionary):
         return X.data
-    return np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("coding matrix contains NaN or inf")
+    return X
 
 
 def _check_dims(X, y):

@@ -5,7 +5,6 @@ from repclass.analysis import (
     coef_distribution_fit,
     geometry_check,
     perturbation_demo,
-    residual_eps_study,
 )
 from repclass.dictionary import build_dictionary
 from repclass.errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
@@ -60,26 +59,6 @@ def test_fit_kl_nonnegative():
 def test_fit_too_few_samples():
     with pytest.raises(TooFewSamples):
         coef_distribution_fit(np.zeros(99))
-
-
-# ---------------------------------------------------------- budget curves
-
-def test_residual_eps_study_shapes_and_monotonicity():
-    rng = np.random.default_rng(4)
-    dicts = [rng.standard_normal((15, 8)) for _ in range(3)]
-    y = rng.standard_normal(15)
-    grid = [0.01, 0.1, 1.0, 10.0]
-    curves = residual_eps_study(dicts, y, p=2, grid=grid)
-    assert len(curves) == 3
-    for curve in curves:
-        res = [r for _, r in curve]
-        assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
-
-
-def test_residual_eps_study_single_dict():
-    rng = np.random.default_rng(5)
-    curves = residual_eps_study(rng.standard_normal((10, 4)), rng.standard_normal(10), 2, [0.1, 1.0])
-    assert len(curves) == 1
 
 
 # --------------------------------------------------------------- geometry

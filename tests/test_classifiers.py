@@ -511,11 +511,12 @@ def test_fit_reuses_a_projector_only_at_its_lambda():
     d, _ = _toy(23)
     proj = build_projector(d, 0.01)
     model = fit(d, ExperimentConfig(lam=0.01), proj)
-    assert model.projector is proj and model.code_map is proj.matrix
+    assert model.code_map is proj.matrix and model.lam == 0.01
     other = fit(d, ExperimentConfig(lam=0.02), proj)
-    assert other.projector.lam == 0.02
+    assert other.lam == 0.02
+    np.testing.assert_array_equal(other.code_map, build_projector(d, 0.02).matrix)
     assert isinstance(other, Model)
-    assert fit(d, ExperimentConfig(classifier="src"), proj).projector is None
+    assert fit(d, ExperimentConfig(classifier="src"), proj).code_map is None
 
 
 def test_model_compares_by_identity():

@@ -57,11 +57,12 @@ def test_ingest_synthetic_bad_config_is_json_error(tmp_path, setting, words, cap
         (["analyze", "--mode", "residual_curve", "--grid", "0.1"], "--query"),
         (["analyze", "--mode", "residual_curve", "--query", "q.rpmat"], "--grid"),
         (["analyze", "--mode", "geometry"], "--query"),
+        (["analyze", "--mode", "geometry", "--query", "q.rpmat"], "--label"),
         (["analyze", "--mode", "perturbation", "--query", "q.rpmat"], "--delta"),
         (["analyze", "--mode", "perturbation", "--delta", "d.rpmat"], "--query"),
     ],
     ids=["ingest-path", "residual-curve-query", "residual-curve-grid", "geometry-query",
-         "perturbation-delta", "perturbation-query"],
+         "geometry-label", "perturbation-delta", "perturbation-query"],
 )
 def test_missing_flag_is_json_error(tmp_path, argv, flag, capsys):
     # the flags are checked before any file is read: none of these exists;

@@ -7,7 +7,6 @@ from repclass.dictionary import (
     build_projector,
     class_coefficients,
     default_lambda,
-    enroll,
     normalize_columns,
 )
 from repclass.errors import (
@@ -86,6 +85,13 @@ def test_build_dictionary_empty_input():
         build_dictionary([])
 
 
+def test_build_dictionary_dimension_mismatch():
+    rng = np.random.default_rng(8)
+    samples = [*_samples(rng, m=15), (rng.standard_normal(9), "a")]
+    with pytest.raises(DimensionMismatch, match="dimension 9, expected 15"):
+        build_dictionary(samples)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_build_dictionary_rejects_non_finite_column(bad):
     samples = _samples(np.random.default_rng(3))
@@ -138,39 +144,6 @@ def test_projector_rejects_bad_lambda():
     for lam in (0.0, -1.0):
         with pytest.raises(NonPositiveLambda):
             build_projector(d, lam)
-
-
-def test_enroll_extends_class_and_rebuilds_projector():
-    rng = np.random.default_rng(6)
-    d = build_dictionary(_samples(rng, m=15, per_class=3))
-    proj = build_projector(d, default_lambda(d.n))
-    new = [(rng.standard_normal(15), "b"), (rng.standard_normal(15), "d")]
-    d2, proj2 = enroll(d, proj, new)
-    assert d2.n == d.n + 2
-    assert "d" in d2.classes
-    lo, hi = d2.class_ranges["b"]
-    assert hi - lo == 4
-    # auto lambda tracks the new column count
-    assert proj2.lam == pytest.approx(default_lambda(d2.n))
-    # the rebuilt projector must agree with a from-scratch build
-    ref = build_projector(d2, default_lambda(d2.n))
-    np.testing.assert_allclose(proj2.matrix, ref.matrix, rtol=1e-12)
-
-
-def test_enroll_keeps_explicit_lambda():
-    rng = np.random.default_rng(7)
-    d = build_dictionary(_samples(rng, m=15, per_class=3))
-    proj = build_projector(d, 0.25)
-    d2, proj2 = enroll(d, proj, [(rng.standard_normal(15), "a")])
-    assert proj2.lam == pytest.approx(0.25)
-
-
-def test_enroll_dimension_mismatch():
-    rng = np.random.default_rng(8)
-    d = build_dictionary(_samples(rng, m=15))
-    proj = build_projector(d, 0.1)
-    with pytest.raises(DimensionMismatch):
-        enroll(d, proj, [(rng.standard_normal(9), "a")])
 
 
 def test_dictionary_is_frozen():

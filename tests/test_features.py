@@ -64,7 +64,7 @@ def test_pca_basis_is_orthonormal():
     data = rng.standard_normal((50, 30))
     model = fit_pca(data, 8)
     np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(8), atol=1e-12)
-    assert model.d == 8 and model.input_dim == 50
+    assert model.basis.shape == (50, 8) and model.input_dim == 50
 
 
 def test_pca_matches_eigendecomposition_oracle():

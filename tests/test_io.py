@@ -7,17 +7,14 @@ import pytest
 from repclass.classifiers import fit
 from repclass.dictionary import build_dictionary, build_projector
 from repclass.errors import BadLabel, FingerprintMismatch, MalformedMatrix, MissingPath
-from repclass.features import fit_pca, project_pca
 from repclass.harness import ExperimentConfig, load_dataset, save_dataset, synthetic_dataset
 from repclass.io import (
     MAGIC,
     load_dictionary,
-    load_pca,
     load_projector,
     read_matrix,
     read_pgm,
     save_dictionary,
-    save_pca,
     save_projector,
     write_matrix,
     write_pgm,
@@ -148,6 +145,24 @@ def test_load_dictionary_checks_fingerprint(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dict.rpmat", "dict.rpmat.json"]
 
 
+def test_save_dataset_refuses_a_non_string_label(tmp_path):
+    # labels 1 and "1" are two classes in memory and would be one class
+    # after a save and load, so an int label is refused before any file is written
+    data = synthetic_dataset(n_classes=2, subspace_dim=2, ambient_dim=6, n_train=2, n_test=1)
+    data.labels[0] = 1
+    with pytest.raises(BadLabel, match="label 1"):
+        save_dataset(data, tmp_path / "data.rpmat")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_dictionary_without_sidecar_is_missing_path(tmp_path):
+    path = tmp_path / "dict.rpmat"
+    save_dictionary(_dictionary(), path)
+    (tmp_path / "dict.rpmat.json").unlink()
+    with pytest.raises(MissingPath, match="dict.rpmat.json"):
+        load_dictionary(path)
+
+
 def test_load_dictionary_checks_unit_norm_columns(tmp_path):
     d = _dictionary()
     path = tmp_path / "dict.rpmat"
@@ -251,51 +266,12 @@ def test_sidecar_missing_key_is_malformed(tmp_path, kind, key):
         load(path)
 
 
-def test_pca_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    data = rng.standard_normal((30, 40))
-    model = fit_pca(data, 6)
-    save_pca(model, tmp_path / "pca.rpmat")
-    back = load_pca(tmp_path / "pca.rpmat")
-    np.testing.assert_array_equal(back.mean, model.mean)
-    np.testing.assert_array_equal(back.basis, model.basis)
-    x = rng.standard_normal(30)
-    np.testing.assert_array_equal(project_pca(back, x), project_pca(model, x))
-
-
-def test_load_pca_checks_its_sidecar(tmp_path):
-    # the packed matrix holds 3 components of dimension 8
-    model = fit_pca(np.random.default_rng(34).standard_normal((8, 10)), 3)
-    path = tmp_path / "pca.rpmat"
-    for changes in ({"d": 5, "input_dim": 2}, {"d": 5}, {"input_dim": 2}):
-        save_pca(model, path)
-        _edit_sidecar(path, **changes)
-        with pytest.raises(MalformedMatrix, match="3 components of dimension 8"):
-            load_pca(path)
-    # a mean with no basis column is no model, whatever the sidecar says
-    write_matrix(path, model.mean)
-    with pytest.raises(MalformedMatrix, match="0 components"):
-        load_pca(path)
-    _edit_sidecar(path, d=0, input_dim=8)
-    with pytest.raises(MalformedMatrix, match="0 components"):
-        load_pca(path)
-
-
-def test_load_pca_without_sidecar_is_missing_path(tmp_path):
-    path = tmp_path / "pca.rpmat"
-    save_pca(fit_pca(np.random.default_rng(35).standard_normal((8, 10)), 3), path)
-    (tmp_path / "pca.rpmat.json").unlink()
-    with pytest.raises(MissingPath, match="pca.rpmat.json"):
-        load_pca(path)
-
-
 def test_every_loader_names_a_sidecar_that_is_not_json(tmp_path):
     # a "{" sidecar used to escape as JSONDecodeError
     d = _dictionary()
     saves = [
         (save_dictionary, d, load_dictionary),
         (save_projector, build_projector(d, 0.1), load_projector),
-        (save_pca, fit_pca(np.random.default_rng(5).standard_normal((8, 10)), 3), load_pca),
         (save_dataset, synthetic_dataset(n_classes=2, subspace_dim=2, ambient_dim=6), load_dataset),
     ]
     for i, (save, obj, load) in enumerate(saves):

@@ -94,18 +94,17 @@ def test_solve_rls_validation():
         solve_rls(X, np.ones(4), 0.1)
 
 
+_CODERS = [
+    pytest.param(lambda X, y: solve_rls(X, y, 0.1), id="rls"),
+    pytest.param(lambda X, y: solve_alm_l1res(X, y, 0.1), id="alm"),
+    pytest.param(lambda X, y: solve_fista_l1(X, y, 0.1), id="fista"),
+    pytest.param(lambda X, y: solve_ssnal_l1(X, y, 0.1), id="ssnal"),
+    pytest.param(lambda X, y: solve_omp(X, y, 3), id="omp"),
+]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "solve",
-    [
-        lambda X, y: solve_rls(X, y, 0.1),
-        lambda X, y: solve_alm_l1res(X, y, 0.1),
-        lambda X, y: solve_fista_l1(X, y, 0.1),
-        lambda X, y: solve_ssnal_l1(X, y, 0.1),
-        lambda X, y: solve_omp(X, y, 3),
-    ],
-    ids=["rls", "alm", "fista", "ssnal", "omp"],
-)
+@pytest.mark.parametrize("solve", _CODERS)
 def test_solvers_reject_non_finite_query(solve, bad):
     # such a query used to give a NaN code (rls, fista, omp; fista after
     # running to its cap) or an untyped scipy ValueError (alm)
@@ -115,6 +114,21 @@ def test_solvers_reject_non_finite_query(solve, bad):
     y[4] = bad
     with pytest.raises(NonFiniteInput):
         solve(X, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "solve",
+    [*_CODERS, pytest.param(lambda X, y: solve_constrained_lp(X, y, 1, [1.0]), id="constrained_lp")],
+)
+def test_solvers_reject_non_finite_matrix(solve, bad):
+    # a bare matrix is checked once, as a query is; with NaN it used to give
+    # rls a NaN code marked converged, fista an untyped scipy ValueError and
+    # alm, ssnal and omp a LinAlgError
+    X = np.eye(3)
+    X[0, 1] = bad
+    with pytest.raises(NonFiniteInput, match="matrix"):
+        solve(X, np.ones(3))
 
 
 # ---------------------------------------------------------------- ALM
