@@ -39,9 +39,12 @@ def default_lambda(n_columns):
 
 
 def normalize_columns(raw):
-    """Return a copy of `raw` with every column scaled to unit l2-norm."""
+    """Return a copy of `raw` with every column scaled to unit l2-norm
+    (NonFiniteInput if a column holds NaN or inf, as its norm then does)."""
     raw = np.asarray(raw, dtype=np.float64)
     norms = np.linalg.norm(raw, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise NonFiniteInput("columns contain NaN or inf")
     if np.any(norms < _ZERO_NORM_TOL):
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has norm {norms[bad]:.3e}")
@@ -59,7 +62,8 @@ def _spectral_norm_sq(X):
 class Dictionary:
     """Column-normalized training matrix with contiguous per-class blocks.
 
-    data: m x n matrix, unit-norm columns.
+    data: m x n matrix, unit-norm columns, finite (else NonFiniteInput; the
+        solvers take it unscanned).
     labels: class identifier per column; each class is one run of columns.
     class_ranges: class -> (start, stop) column range, derived from labels
         in column order (MalformedMatrix when a class is not one run).
@@ -78,6 +82,8 @@ class Dictionary:
     def __post_init__(self):
         if len(self.labels) != self.data.shape[1]:
             raise MalformedMatrix(f"{len(self.labels)} labels for {self.data.shape[1]} columns")
+        if not np.all(np.isfinite(self.data)):
+            raise NonFiniteInput("dictionary data contains NaN or inf")
         ranges = {}
         for i, lab in enumerate(self.labels):
             lo, hi = ranges.get(lab, (i, i))
@@ -140,8 +146,6 @@ def build_dictionary(samples):
     for v, (_, lab) in zip(vecs, samples):
         by_class.setdefault(lab, []).append(v)
     raw = np.column_stack([v for block in by_class.values() for v in block])
-    if not np.all(np.isfinite(raw)):
-        raise NonFiniteInput("training samples contain NaN or inf")
     labels = tuple(lab for lab, block in by_class.items() for _ in block)
     return Dictionary(data=normalize_columns(raw), labels=labels)
 

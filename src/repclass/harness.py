@@ -162,12 +162,17 @@ class Report:
         return sum(1 for rec in self.per_query if rec["converged"] is False)
 
     def to_json(self):
+        """The report as JSON, with two run totals of the query log: the
+        summed iterations and the largest gap (None without gaps)."""
+        gaps = [rec["gap"] for rec in self.per_query if rec["gap"] is not None]
         return {
             "recognition_rate": self.recognition_rate,
             "per_class_rates": self.per_class_rates,
             "confusion": self.confusion,
             "n_queries": self.n_queries,
             "n_not_converged": self.n_not_converged,
+            "solver_iterations": sum(rec["iterations"] for rec in self.per_query),
+            "max_gap": max(gaps, default=None),
             "mean_query_time": self.mean_query_time,
             "median_query_time": self.median_query_time,
             "offline_time": self.offline_time,

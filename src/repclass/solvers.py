@@ -1,7 +1,6 @@
-"""Numerical coders: ridge, l1-residual ALM, l1 semismooth-Newton ALM, l1
-proximal gradient, OMP."""
+"""Numerical coders: ridge, l1-residual interior point, l1 semismooth-Newton
+ALM, l1 proximal gradient, OMP."""
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,17 +38,11 @@ class CodingResult:
     gap: float | None = None
 
 
-# Both ALM coders grow their penalty by _RHO per multiplier step, up to a
-# cap. They share it because they share the inner solver, warm started from
-# the last step: a larger growth buys fewer outer steps with more Newton
-# steps each, and x2 to x3 takes the fewest Newton steps in total (R-CRC on
-# the benchmark's 600 x 80 shape: x1.2 took 3.5 times the outer steps and
-# 1.4 times the Newton steps of x3; x5 and x10 took 1.1 and 1.2 times the
-# Newton steps). Each outer step takes at most _INNER_MAX Newton steps.
+# SSNAL grows its penalty by _RHO per outer step, up to a cap, and warm
+# starts _newton from the last step: a larger growth buys fewer outer steps
+# with more Newton steps each. Each outer step takes at most _INNER_MAX
+# Newton steps.
 _RHO, _INNER_MAX = 3.0, 30
-# R-CRC penalty schedule: mu starts at _MU0 and is capped at _MU_MAX.
-# R-CRC is convex, so these set the path to the optimum, not the optimum.
-_MU0, _MU_MAX = 1.0, 1e4
 # SSNAL penalty schedule: sigma, in units of 1 / (mean squared column norm
 # of X), starts at _SIGMA0 and is capped at _SIGMA_MAX, times
 # lam_max / (lam * _LAM_RATIO) where that is above 1 (see solve_ssnal_l1).
@@ -71,7 +64,9 @@ def _check_stopping(params):
 
 @dataclass(frozen=True)
 class AlmParams:
-    """Stopping settings of the ALM coders (R-CRC's and SRC's default)."""
+    """Stopping settings of R-CRC's interior-point coder and of SSNAL, SRC's
+    default: tol bounds the relative duality gap, and max_iter caps
+    interior-point iterations or SSNAL's outer steps."""
 
     tol: float = 1e-6
     max_iter: int = 500
@@ -90,8 +85,8 @@ class FistaParams:
 
 
 def _as_matrix(X):
-    """X's matrix: a Dictionary's data, finite when it was built or loaded,
-    or a bare matrix as floats, which must be finite (else NonFiniteInput)."""
+    """X's matrix: a Dictionary's data, found finite when it was made, or a
+    bare matrix as floats, which must be finite (else NonFiniteInput)."""
     if isinstance(X, Dictionary):
         return X.data
     X = np.asarray(X, dtype=np.float64)
@@ -145,63 +140,61 @@ def solve_rls(X, y, lam):
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
 
 
-def _spd_solve(A, b):
-    """Solve A x = b for a symmetric positive definite A by its Cholesky
-    factor: LAPACK potrf and potrs, the routines scipy's cho_factor and
-    cho_solve call, without their wrapper cost (about 25 us a call, up to
-    two thirds of a solve at the sizes _newton meets). A is factored as A.T,
-    which equals A, through its lower triangle: a C-ordered A makes A.T
-    Fortran-ordered, so LAPACK's copy of it is a plain one, not a transposing
-    one (with OpenBLAS 0.3.31 on one Haswell thread, the lower potrf and
-    potrs take about 25 us where the upper pair on A takes 36 us at order
-    80, and 35 us where it takes 50 us at order 100). A and b are not changed. Keeps the wrappers' checks:
-    LinAlgError (a ValueError) if A or b is not finite or A is not positive
-    definite. An empty system has the empty solution.
+def _cholesky(A):
+    """The lower Cholesky factor of a symmetric positive definite A, by
+    LAPACK potrf, the routine scipy's cho_factor calls, without its wrapper
+    cost (about 25 us a call, up to two thirds of a solve at the sizes
+    _newton meets). A is factored as A.T, which equals A, through its lower
+    triangle: a C-ordered A makes A.T Fortran-ordered, so LAPACK's copy of it
+    is a plain one, not a transposing one (with OpenBLAS 0.3.31 on one
+    Haswell thread, the lower potrf and potrs take about 25 us where the
+    upper pair on A takes 36 us at order 80, and 35 us where it takes 50 us
+    at order 100). A is not changed. LinAlgError (a ValueError) if A is not
+    finite or not positive definite, as from the wrapper.
     """
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+    c, info = dpotrf(A.T, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization of order {A.shape[0]} failed: info {info}")
+    return c
+
+
+def _spd_solve(A, b):
+    """Solve A x = b for an SPD A by its _cholesky factor and LAPACK potrs; b
+    is not changed and must be finite. An empty system has the empty solution."""
+    if not np.isfinite(b).all():
         raise np.linalg.LinAlgError("array must not contain infs or NaNs")
     if A.shape[0] == 0:
         return b.copy()
-    c, info = dpotrf(A.T, lower=1, clean=0)
-    if info == 0:
-        x, info = dpotrs(c, b, lower=1)
-        if info == 0:
-            return x
-    raise np.linalg.LinAlgError(f"Cholesky solve of order {A.shape[0]} failed: info {info}")
+    return dpotrs(_cholesky(A), b, lower=1)[0]
 
 
-def _newton(M, c, b, kappa, t, huber, v, x, tiny):
-    """Semismooth Newton for F(v) = c/2*||v||^2 - b^T v + kappa/2 * E(M v + w),
-    the inner problem of both ALM coders (Li, Sun & Toh, SIAM J. Optim. 2018).
-
-    With S the soft threshold at t, E(x) = ||x||^2 - ||S(x)||^2 (a Huber
-    function) when huber, else ||S(x)||^2 (the squared distance to the box
-    [-t, t]). x = M v + w is given and carried along. The generalized Hessian
-    is kappa * H with H = M_K^T M_K + (c/kappa) I over the rows K on E's
-    quadratic piece (|x_i| <= t for huber, > t for the box), so the step is
-    d = -H^{-1} g / kappa for the gradient g, and the p x p product M_K^T M_K
-    is never rescaled. H is solved as p x p when p <= |K|, else by the
-    |K| x |K| Woodbury system (c/kappa) I + M_K M_K^T; Armijo backtracking
-    sizes the step. The box gradient kappa * M^T S(x) is taken over K's rows
-    alone, as S(x) is zero off K. Row gathers M[K] are cheapest for a
-    C-ordered M. Stops on a full step that keeps every row on its piece (it
-    solved F exactly), a step below tiny * (1 + ||v||) if tiny > 0, a failed
-    search or _INNER_MAX steps. Returns v, x and S(x).
+def _newton(M, c, b, kappa, t, v, x):
+    """Semismooth Newton for F(v) = c/2*||v||^2 - b^T v + kappa/2 * ||S(M v + w)||^2,
+    SSNAL's inner problem (Li, Sun & Toh, SIAM J. Optim. 2018), with S the
+    soft threshold at t, so ||S(x)||^2 is the squared distance to the box
+    [-t, t]. x = M v + w is given and carried along. The generalized Hessian
+    is kappa * H with H = M_K^T M_K + (c/kappa) I over the rows K outside the
+    box (|x_i| > t), so the step is d = -H^{-1} g / kappa for the gradient g,
+    and the p x p product M_K^T M_K is never rescaled. H is solved as p x p
+    when p <= |K|, else by the |K| x |K| Woodbury system
+    (c/kappa) I + M_K M_K^T; Armijo backtracking sizes the step. The gradient
+    term kappa * M^T S(x) is taken over K's rows alone, as S(x) is zero off
+    K. Row gathers M[K] are cheapest for a C-ordered M. Stops on a full step
+    that keeps every row on its piece (it solved F exactly), a failed search
+    or _INNER_MAX steps. Returns v, x and S(x).
     """
     p = v.shape[0]
     ridge = c / kappa
-    half = (-0.5 if huber else 0.5) * kappa
+    half = 0.5 * kappa
     s = _soft_threshold(x, t)
     piece = np.sign(s)  # each row's piece: above t, below -t, or inside
     for _ in range(_INNER_MAX):
         cv_b = c * v - b
-        if huber:
-            Mk = M[piece == 0]
-            g = M.T @ (x - s)
-        else:
-            K = piece != 0
-            Mk = M[K]
-            g = Mk.T @ s[K]
+        K = piece != 0
+        Mk = M[K]
+        g = Mk.T @ s[K]
         g *= kappa
         g += cv_b
         k = Mk.shape[0]
@@ -214,10 +207,7 @@ def _newton(M, c, b, kappa, t, huber, v, x, tiny):
             W.flat[:: k + 1] += ridge
             d = (Mk.T @ _spd_solve(W, Mk @ g) - g) / c
         md = M @ d
-        dd = d @ d
-        slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * dd
-        if huber:
-            lin, quad = lin + kappa * (x @ md), quad + 0.5 * kappa * (md @ md)
+        slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * (d @ d)
         step = 1.0
         while step > 1e-10:
             x_new = x + md if step == 1.0 else x + step * md
@@ -235,67 +225,84 @@ def _newton(M, c, b, kappa, t, huber, v, x, tiny):
         stay, piece = piece, np.sign(s)
         if step == 1.0 and np.array_equal(stay, piece):
             break
-        if tiny and step * math.sqrt(dd) <= tiny * (1.0 + math.sqrt(v @ v)):
-            break
     return v, x, s
 
 
 def solve_alm_l1res(X, y, lam, params=None):
-    """l1-residual ridge coding: min ||e||_1 + lam*||a||_2^2 s.t. y = X a + e.
+    """l1-residual ridge coding: min ||y - X a||_1 + lam*||a||_2^2.
 
-    Method of multipliers under a geometrically growing penalty mu, capped so
-    the late iterations retain contraction (an unbounded schedule freezes
-    the primal iterate off the optimum). With w0 = y + z/mu and e minimized
-    out, each multiplier step minimizes lam*||a||^2 plus the Huber function
-    of w0 - X a by _newton (M = -X, c = 2 lam, kappa = mu, t = 1/mu) from the
-    previous a; then e = shrink(w0 - X a, 1/mu) and z += mu*(y - X a - e).
-    converged means the infeasibility, the move of (a, e) and the
-    stationarity 2 lam a - X^T z passed their tol tests and, checked only
-    once they have, gap <= tol: gap is the relative duality gap (P - D)/P of
-    the feasible pair (a, y - X a), with D = z^T y - ||X^T z||^2/(4 lam) at
-    z clipped into the box [-1, 1]. objective is P, the value of that
-    feasible pair, so it never reads below the optimum.
+    Mehrotra predictor-corrector interior-point method (Mehrotra, SIAM J.
+    Optim. 1992) on the split y - X a = u - w, u, w >= 0, whose multiplier z
+    stays strictly inside the box [-1, 1]. With D = u/(1 - z) + w/(1 + z),
+    each iteration factors 2 lam I + X^T D^-1 X once (when n > m, the m x m
+    X X^T + 2 lam D of the same step in z) and solves by that factor for the
+    predictor step, then for the corrector step, taken 0.999 of the way to
+    the boundary. gap is the relative duality gap of the feasible pair
+    (a, y - X a) against z (_l1res_gap), and converged means gap <= tol. It
+    iterates until gap <= 1e-4 * tol, as a row of e that is zero at the
+    optimum shrinks only with the gap (at 1e-3 * tol one read -3.0e-6, its z
+    1.6e-3 inside the box), or until max_iter iterations, a failed
+    factorization or an iterate that rounding put on the boundary.
+    objective is the pair's value, never below the optimum; residual_vec is
+    e = y - X a and multiplier is z.
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
     lam = check_lambda(lam)
     params = params or AlmParams()
-    tol = params.tol
     m, n = X.shape
-    alpha, e, z = np.zeros(n), np.zeros(m), np.zeros(m)
-    mu = _MU0
-    ynorm = np.sqrt(y @ y)
-    if ynorm == 0.0:
-        return CodingResult(alpha=alpha, objective=0.0, residual_vec=e, multiplier=z, gap=0.0)
-    converged, it = False, 0
-    xa, M = np.zeros(m), -X
-    while it < params.max_iter:
-        it += 1
-        inv_mu = 1.0 / mu
-        w0 = y + z * inv_mu
-        alpha_prev, e_prev = alpha, e
-        alpha = _newton(M, 2.0 * lam, 0.0, mu, inv_mu, True, alpha, w0 - xa, 1e-4 * tol)[0]
-        xa = X @ alpha
-        e = _soft_threshold(w0 - xa, inv_mu)
-        change = np.sqrt(np.sum((alpha - alpha_prev) ** 2) + np.sum((e - e_prev) ** 2))
-        infeas = y - xa - e
-        z = z + mu * infeas
-        grad = 2.0 * lam * alpha - X.T @ z
-        stat = np.sqrt(grad @ grad)
-        anorm_sq = alpha @ alpha
-        scale = np.sqrt(anorm_sq + e @ e) + 1e-30
-        feas = np.sqrt(infeas @ infeas)
-        if (
-            feas <= tol * ynorm
-            and change <= tol * scale
-            and stat <= 100.0 * tol * (1.0 + np.sqrt(anorm_sq))
-            and _l1res_gap(X, y, lam, alpha, xa, z)[1] <= tol
-        ):
-            converged = True
-            break
-        mu = min(mu * _RHO, _MU_MAX)
+    alpha, z, xa = np.zeros(n), np.zeros(m), np.zeros(m)
+    if not y.any():
+        return CodingResult(alpha=alpha, objective=0.0, residual_vec=xa, multiplier=z, gap=0.0)
+    r, wide = 2.0 * lam, n > m
+    gram = X @ X.T if wide else None
+    shift = np.mean(np.abs(y))  # a start inside the cone, on the split of y
+    u, w = np.maximum(y, 0.0) + shift, np.maximum(-y, 0.0) + shift
     obj, gap = _l1res_gap(X, y, lam, alpha, xa, z)
-    return CodingResult(alpha, obj, it, converged, residual_vec=e, multiplier=z, gap=gap)
+    it = 0
+    while it < params.max_iter:
+        s1, s2 = 1.0 - z, 1.0 + z
+        comp = u @ s1 + w @ s2  # the split's own gap, at least P - D
+        if min(gap, comp / obj) <= 1e-4 * params.tol or min(u.min(), w.min(), s1.min(), s2.min()) <= 0.0:
+            break
+        it += 1
+        d = u / s1 + w / s2
+        rp, rd = xa + u - w - y, r * alpha - X.T @ z
+        if wide:
+            A = gram.copy()
+            A.flat[:: m + 1] += r * d
+        else:
+            B = X / np.sqrt(d)[:, None]
+            A = B.T @ B
+            A.flat[:: n + 1] += r
+        try:
+            c = _cholesky(A)
+        except np.linalg.LinAlgError:
+            break
+
+        def newton_step(c1, c2, eta):
+            # the step with complementarity rows s1*du - u*dz = c1 and
+            # s2*dw + w*dz = c2, and eta of its longest length in the cone, up to 1
+            rho = c1 / s1 - c2 / s2 + rp
+            if wide:
+                dz = dpotrs(c, X @ rd - r * rho, lower=1)[0]
+                da = (X.T @ dz - rd) / r
+            else:
+                da = dpotrs(c, -rd - X.T @ (rho / d), lower=1)[0]
+                dz = -(rho + X @ da) / d
+            du, dw = (c1 + u * dz) / s1, (c2 - w * dz) / s2
+            worst = max(np.max(-du / u), np.max(-dw / w), np.max(dz / s1), np.max(-dz / s2))
+            return da, dz, du, dw, 1.0 if worst <= eta else eta / worst
+
+        mu = comp / (2 * m)
+        da, dz, du, dw, t = newton_step(-u * s1, -w * s2, 1.0)
+        mu_aff = ((u + t * du) @ (s1 - t * dz) + (w + t * dw) @ (s2 + t * dz)) / (2 * m)
+        cm = (mu_aff / mu) ** 3 * mu  # the centring target, sigma * mu
+        da, dz, du, dw, t = newton_step(cm - u * s1 + du * dz, cm - w * s2 - dw * dz, 0.999)
+        alpha, z, u, w = alpha + t * da, z + t * dz, u + t * du, w + t * dw
+        xa = X @ alpha
+        obj, gap = _l1res_gap(X, y, lam, alpha, xa, z)
+    return CodingResult(alpha, obj, it, gap <= params.tol, residual_vec=y - xa, multiplier=z, gap=gap)
 
 
 def _l1res_gap(X, y, lam, alpha, xa, z):
@@ -354,7 +361,7 @@ def solve_ssnal_l1(X, y, lam, params=None):
     while it < params.max_iter:
         it += 1
         w0 = alpha / sigma
-        u, w, s = _newton(Xt, 1.0, y, sigma, t, False, u, xtu + w0, 0.0)
+        u, w, s = _newton(Xt, 1.0, y, sigma, t, u, xtu + w0)
         alpha = sigma * s
         xtu = w - w0
         r = y - X @ alpha

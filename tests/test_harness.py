@@ -396,9 +396,39 @@ def test_run_experiment_logs_the_duality_gap():
         assert report.to_json()["n_not_converged"] == (6 if cap == 1 else 0)
     fista = ExperimentConfig(classifier="src", fista=FistaParams(max_iter=3))
     assert [rec["gap"] for rec in run_experiment(fista, data).per_query] == [None] * 6
-    # R-CRC logs its gap too, though its converged flag is a KKT test
+    # R-CRC logs its gap too; its converged flag means gap <= tol
     rcrc = run_experiment(ExperimentConfig(classifier="rcrc"), data)
     assert all(isinstance(rec["gap"], float) for rec in rcrc.per_query)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(classifier="rcrc"),
+        ExperimentConfig(classifier="src", alm=AlmParams(max_iter=2)),
+        ExperimentConfig(classifier="src", fista=FistaParams(max_iter=3)),
+        ExperimentConfig(classifier="crc_rls"),
+    ],
+    ids=["rcrc", "ssnal-capped", "fista-no-gap", "crc_rls"],
+)
+def test_report_run_totals_match_the_query_log(config, tmp_path):
+    # the report sums the log's iterations and takes its largest gap; the
+    # log is written as before, with no new field
+    report = run_experiment(config, _small_data(seed=4, n_classes=3, n_train=4, n_test=2))
+    before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+    report.write_query_log(before)
+    out = json.loads(json.dumps(report.to_json()))
+    report.write_query_log(after)
+    assert before.read_bytes() == after.read_bytes()
+    rows = [json.loads(line) for line in before.read_text().splitlines()]
+    assert {key for row in rows for key in row} == {
+        "query", "true", "predicted", "residuals", "sci", "wall_time",
+        "iterations", "converged", "objective", "gap",
+    }
+    assert out["solver_iterations"] == sum(row["iterations"] for row in rows)
+    gaps = [row["gap"] for row in rows]
+    assert out["max_gap"] == (None if None in gaps else max(gaps))
+    assert (out["max_gap"] is None) == (config.classifier == "crc_rls" or config.fista is not None)
 
 
 def test_n_not_converged_counts_the_ssnal_stall_exit():

@@ -12,7 +12,13 @@ from hypothesis.extra.numpy import arrays
 from repclass import dictionary as dictionary_mod
 from repclass import solvers
 from repclass.classifiers import fit
-from repclass.dictionary import _spectral_norm_sq, build_dictionary, build_projector, default_lambda
+from repclass.dictionary import (
+    Dictionary,
+    _spectral_norm_sq,
+    build_dictionary,
+    build_projector,
+    default_lambda,
+)
 from repclass.errors import (
     BadGrid,
     BadSparsity,
@@ -129,6 +135,18 @@ def test_solvers_reject_non_finite_matrix(solve, bad):
     X[0, 1] = bad
     with pytest.raises(NonFiniteInput, match="matrix"):
         solve(X, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [solve_rls, solve_alm_l1res, solve_ssnal_l1])
+def test_solvers_reject_non_finite_dictionary(solve, bad):
+    # a Dictionary made directly, not by build_dictionary, used to reach the
+    # solvers unscanned: rls returned an all-NaN code marked converged and
+    # R-CRC raised an untyped LinAlgError; its own constructor now rejects it
+    data = np.eye(3)
+    data[0, 1] = bad
+    with pytest.raises(NonFiniteInput, match="dictionary"):
+        solve(Dictionary(data, ("a", "a", "b")), np.ones(3), 0.1)
 
 
 # ---------------------------------------------------------------- ALM
@@ -422,7 +440,7 @@ def test_alm_converges_on_benchmark_shape():
         res = solve_alm_l1res(d, y, default_lambda(d.n))
         assert res.converged
         assert res.objective <= capped
-        # mu grows x3 per step to its cap; at x1.2 these took 52, 38 and 41
+        # interior-point iterations: 13 for each of these queries
         assert res.iterations <= 20
 
 
@@ -436,6 +454,33 @@ def test_alm_converged_only_when_gap_within_tol():
     rep = run_experiment(ExperimentConfig(classifier="rcrc"), data)
     assert rep.n_not_converged == 0
     assert max(rec["gap"] for rec in rep.per_query) <= AlmParams().tol
+
+
+def test_alm_capped_run_is_not_converged():
+    # two iterations leave the gap above tol: the coder says so without
+    # raising, and its objective, the value of a feasible pair, is no lower
+    # than the optimum
+    X, y = _corrupted_problem()
+    res = solve_alm_l1res(X, y, 0.01, AlmParams(max_iter=2))
+    assert res.iterations == 2 and not res.converged
+    assert res.gap > AlmParams().tol
+    assert res.objective >= _alm_reference_optimum(X, y, 0.01)
+
+
+def test_alm_factors_m_by_m_systems_on_a_wide_problem(monkeypatch):
+    # with n > m each iteration factors the m x m system in z, once
+    X, y = _wide_problem()
+    orders, cholesky = [], solvers._cholesky
+
+    def spy(A):
+        orders.append(A.shape)
+        return cholesky(A)
+
+    monkeypatch.setattr(solvers, "_cholesky", spy)
+    res = solve_alm_l1res(X, y, 0.3)
+    assert res.converged
+    assert len(orders) == res.iterations >= 1
+    assert set(orders) == {(30, 30)}
 
 
 @pytest.mark.parametrize(
@@ -641,7 +686,7 @@ def test_newton_box_gradient_from_the_active_rows(monkeypatch):
         return solve(A, g)
 
     monkeypatch.setattr(solvers, "_spd_solve", spy)
-    solvers._newton(M, c, b, kappa, t, False, v, x, 0.0)
+    solvers._newton(M, c, b, kappa, t, v, x)
     s = shrink(x, t)
     K = s != 0
     assert 8 < K.sum() < 40  # the p x p system, over some of the rows
