@@ -40,11 +40,11 @@ def default_lambda(n_columns):
 
 def normalize_columns(raw):
     """Return a copy of `raw` with every column scaled to unit l2-norm
-    (NonFiniteInput if a column holds NaN or inf, as its norm then does)."""
+    (NonFiniteInput when a column's norm is not finite: NaN, inf or overflow)."""
     raw = np.asarray(raw, dtype=np.float64)
     norms = np.linalg.norm(raw, axis=0)
     if not np.all(np.isfinite(norms)):
-        raise NonFiniteInput("columns contain NaN or inf")
+        raise NonFiniteInput("a column holds NaN or inf, or its norm overflows")
     if np.any(norms < _ZERO_NORM_TOL):
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has norm {norms[bad]:.3e}")

@@ -23,8 +23,8 @@ class CodingResult:
     """Coding coefficients plus solver diagnostics.
 
     residual_vec is the explicit outlier vector e of l1-residual coding and
-    is None for the other solvers; multiplier is the final Lagrange
-    multiplier of the ALM solver (diagnostic, used by optimality checks);
+    is None for the other solvers; multiplier is the final dual z of
+    l1-residual coding (diagnostic, used by optimality checks);
     gap is the relative duality gap of alpha for the coders that certify
     their result by one (None for the others).
     """
