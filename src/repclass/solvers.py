@@ -239,10 +239,12 @@ def solve_alm_l1res(X, y, lam, params=None):
     predictor step, then for the corrector step, taken 0.999 of the way to
     the boundary. gap is the relative duality gap of the feasible pair
     (a, y - X a) against z (_l1res_gap), and converged means gap <= tol. It
-    iterates until gap <= 1e-4 * tol, as a row of e that is zero at the
-    optimum shrinks only with the gap (at 1e-3 * tol one read -3.0e-6, its z
-    1.6e-3 inside the box), or until max_iter iterations, a failed
-    factorization or an iterate that rounding put on the boundary.
+    iterates until gap, or the split's own gap u^T(1 - z) + w^T(1 + z) over
+    the pair's value (a bound on gap that still falls where rounding floors
+    gap), is at most 1e-4 * tol, as a row of e that is zero at the optimum
+    shrinks only with the gap (at 1e-3 * tol one read -3.0e-6, its z 1.6e-3
+    inside the box); or until max_iter iterations, a failed factorization
+    or an iterate that rounding put on the boundary.
     objective is the pair's value, never below the optimum; residual_vec is
     e = y - X a and multiplier is z.
     """
