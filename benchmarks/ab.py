@@ -10,11 +10,16 @@ Each seed is one pair: `perfbench/run.py --workload W --seed S --seconds T`
 runs once in each checkout, one after the other, parent first on odd pairs
 and change first on even ones, so a drift of the machine's speed does not
 favour one side. A run that perfbench reports incorrect, or that has no
-metrics, stops the A/B with its side, seed and perfbench's problems. The
-output holds every pair's end-to-end metrics and checks, each side's
-environment stamp (git SHA, whether `src/` is at it, source digest, nproc,
-BLAS build and thread count), and per metric the median and quartiles of
-each side plus the number of pairs the change wins.
+metrics, stops the A/B with its side, seed and perfbench's problems. Each
+side of a pair also runs one untimed `repclass experiment` on the pair's
+data (perfbench's generator, one BLAS thread) and records that report's
+`stages` and solver totals (`solver_iterations`, `solver_inner_iterations`
+where the side reports it, `n_not_converged`, `max_gap`), so the A/B shows
+whether both sides did the same solver work. The output holds every pair's
+end-to-end metrics, checks and report record, each side's environment stamp
+(git SHA, whether `src/` is at it, source digest, nproc, BLAS build and
+thread count), and per metric the median and quartiles of each side plus the
+number of pairs the change wins.
 
 --out keeps every A/B run into it: the file is {"workload", "points"},
 where points maps the change side's git SHA (its HEAD, or its source digest
@@ -24,10 +29,33 @@ whose SHA is already there replaces it.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# the report fields that an A/B point records from each side's experiment run
+REPORT_FIELDS = ("stages", "solver_iterations", "solver_inner_iterations", "n_not_converged", "max_gap")
+
+# run in a checkout: write perfbench's data for one workload and seed to a
+# temporary directory, run `repclass experiment` on it, print the report
+_EXPERIMENT = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from repclass import cli
+from repclass.harness import save_dataset
+data, config, _ = workloads.build(workloads.WORKLOADS[sys.argv[1]], int(sys.argv[2]))
+with tempfile.TemporaryDirectory() as work:
+    work = Path(work)
+    save_dataset(data, work / "data.rpm")
+    (work / "config.json").write_text(json.dumps(config))
+    cli.main(["experiment", "--data", str(work / "data.rpm"), "--config", str(work / "config.json"),
+              "--out", str(work / "report.json"), "--log", str(work / "queries.jsonl")])
+    print((work / "report.json").read_text())
+"""
 
 
 def run_side(checkout, workload, seed, seconds):
@@ -41,6 +69,20 @@ def run_side(checkout, workload, seed, seconds):
     if len(lines) < 2:
         raise SystemExit(f"{checkout}: perfbench printed no result (exit {proc.returncode})\n{proc.stderr}")
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def run_report(checkout, workload, seed):
+    """The REPORT_FIELDS of one untimed `repclass experiment` run in
+    `checkout` on the data of (workload, seed), with one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXPERIMENT, workload, str(seed)],
+        cwd=checkout, capture_output=True, text=True, env=env,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: repclass experiment failed (exit {proc.returncode})\n{proc.stderr}")
+    report = json.loads(proc.stdout)
+    return {k: report[k] for k in REPORT_FIELDS if k in report}
 
 
 def src_at_git_sha(checkout):
@@ -112,6 +154,7 @@ def main(argv=None):
                 "failed": result["failed"],
                 "digest": detail["digest"],
                 "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                "report": run_report(sides[side], args.workload, seed),
             }
         pairs.append(pair)
         print(json.dumps(pair), file=sys.stderr, flush=True)

@@ -18,10 +18,11 @@ from .errors import (
     MalformedMatrix,
     SingleClass,
 )
-from .solvers import CodingResult, _check_block, solve_alm_l1res, solve_fista_l1
+from .solvers import CodingResult, _check_block, solve_fista_l1, solve_l1res_block
 from .solvers import solve_ssnal_l1
 
 _ZERO_COEF_TOL = 1e-12
+_RCRC_SLICE = 64  # rcrc codes at most this many queries at once: its memory is ~20 x slice x m
 
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
@@ -47,8 +48,11 @@ class Decisions:
     column's least score. alpha is the n x q code (for rns_* each class
     block's code of the query alone, zeros for nn), residual rcrc's m x q
     outlier estimate and gap the relative duality gaps of the SSNAL and
-    R-CRC codes (None for the other coders).
+    R-CRC codes (None for the other coders). inner_iterations counts SSNAL's
+    Newton steps (0 for the other coders).
     seconds is each query's own coding time plus an equal share of the rest.
+    rcrc codes the queries in lockstep slices, so its own coding time is its
+    slice's coding time shared in proportion to the queries' iterations.
     """
 
     scores: np.ndarray
@@ -60,6 +64,7 @@ class Decisions:
     objective: np.ndarray
     gap: np.ndarray | None
     seconds: np.ndarray
+    inner_iterations: np.ndarray
 
 
 @dataclass
@@ -77,13 +82,17 @@ def _residual_sq(T, A, B):
     return np.vecdot(R, R)
 
 
-def _timed_rows(coder, rows, seconds):
-    """coder(r) for each row r, adding each call's wall time to seconds."""
+def _timed_slices(coder, rows, seconds, size=1):
+    """coder(slice) for each slice of size rows, one coding per row; each call's wall time
+    goes to seconds, shared in proportion to iterations (equally when none iterated)."""
     out = []
-    for j, r in enumerate(rows):
+    for lo in range(0, len(rows), size):
         t0 = time.perf_counter()
-        out.append(coder(r))
-        seconds[j] += time.perf_counter() - t0
+        part = coder(rows[lo : lo + size])
+        dt = time.perf_counter() - t0
+        its = np.array([r.iterations for r in part], dtype=float)
+        seconds[lo : lo + size] += dt * its / its.sum() if its.sum() else dt / len(part)
+        out += part
     return out
 
 
@@ -113,6 +122,7 @@ class Model:
             b.alpha[:, 0], float(b.objective[0]), int(b.iterations[0]), bool(b.converged[0]),
             None if b.residual is None else b.residual[:, 0],
             gap=None if b.gap is None else float(b.gap[0]),
+            inner_iterations=int(b.inner_iterations[0]),
         )
         scores = b.scores[:, 0].tolist()
         return Decision(classes[best], dict(zip(classes, scores)), coding, scores[best] == np.inf)
@@ -124,9 +134,9 @@ class Model:
         by ||t - X_i a_i|| (over ||a_i|| under regularized_residual); rns_* by
         the objective of coding with block i alone, nn by the nearest column,
         ns by the least-squares residual. crc_rls, rns_l2 and ns code the
-        block by one code_map product; src, rcrc and rns_l1 by solvers run
-        query by query, looked up as module globals at call time, so tracing
-        can wrap them.
+        block by one code_map product; src and rns_l1 by solvers run query by
+        query, rcrc by its block coder run over slices of the block, all
+        looked up as module globals at call time, so tracing can wrap them.
         """
         d, c, rule = self.dictionary, self.config, self.config.classifier
         X = d.data
@@ -140,11 +150,12 @@ class Model:
         if rule == "crc_rls":
             objective = _residual_sq(Yt, At, X) + self.lam * np.vecdot(At, At)
         elif rule in ("src", "rcrc"):
-            coder = self._lasso if rule == "src" else self._l1_residual
-            codings = _timed_rows(lambda y: coder(d, y), Yt, seconds)
-            At = np.reshape([r.alpha for r in codings], (q, d.n))
-            if rule == "rcrc":
+            if rule == "src":
+                codings = _timed_slices(lambda R: [self._lasso(d, R[0])], Yt, seconds)
+            else:
+                codings = _timed_slices(self._l1_residual, Yt, seconds, _RCRC_SLICE)
                 Et = np.reshape([r.residual_vec for r in codings], Yt.shape)
+            At = np.reshape([r.alpha for r in codings], (q, d.n))
         T = Yt if Et is None else Yt - Et  # the query less rcrc's outlier estimate
         code_sq = np.empty((d.k, q))  # squared norm of each class's code
         for i, (lo, hi) in enumerate(d.class_ranges.values()):
@@ -156,7 +167,7 @@ class Model:
                 scores[i] = cdist(Yt, B.T).min(axis=1)
                 continue
             if rule == "rns_l1":
-                per_class.append(_timed_rows(lambda y: self._lasso(B, y), Yt, seconds))
+                per_class.append(_timed_slices(lambda R: [self._lasso(B, R[0])], Yt, seconds))
                 At[:, lo:hi] = np.reshape([r.alpha for r in per_class[i]], (q, hi - lo))
                 scores[i] = [r.objective for r in per_class[i]]
                 continue
@@ -176,18 +187,20 @@ class Model:
         elif rule == "rns_l1":
             codings = [per_class[i][j] for j, i in enumerate(predicted)]
         iterations, converged, gap = np.zeros(q, int), np.ones(q, bool), None
+        inner = np.zeros(q, int)
         if codings is not None:
             iterations = np.array([r.iterations for r in codings], dtype=int)
+            inner = np.array([r.inner_iterations for r in codings], dtype=int)
             converged = np.array([r.converged for r in codings], dtype=bool)
             objective = np.array([r.objective for r in codings], dtype=float)
             gaps = [r.gap for r in codings]  # None from a coder without a gap
             gap = None if None in gaps else np.array(gaps, dtype=float)
         seconds += (time.perf_counter() - t_start - seconds.sum()) / max(q, 1)
         E = None if Et is None else Et.T
-        return Decisions(scores, predicted, At.T, E, iterations, converged, objective, gap, seconds)
+        return Decisions(scores, predicted, At.T, E, iterations, converged, objective, gap, seconds, inner)
 
-    def _l1_residual(self, X, y):
-        return solve_alm_l1res(X, y, self.lam, self.config.alm)
+    def _l1_residual(self, R):
+        return solve_l1res_block(self.dictionary, R.T, self.lam, self.config.alm)
 
     def _lasso(self, X, y):
         c = self.config

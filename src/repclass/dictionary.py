@@ -40,9 +40,17 @@ def default_lambda(n_columns):
 
 def normalize_columns(raw):
     """Return a copy of `raw` with every column scaled to unit l2-norm
-    (NonFiniteInput when a column's norm is not finite: NaN, inf or overflow)."""
+    (NonFiniteInput when a column holds NaN or inf, or its norm is above the
+    largest float). The norm of a finite column whose squares overflow is
+    taken over the column scaled by its largest |entry|."""
     raw = np.asarray(raw, dtype=np.float64)
-    norms = np.linalg.norm(raw, axis=0)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, checked below
+        norms = np.linalg.norm(raw, axis=0)
+        if np.isinf(norms).any():
+            big = np.flatnonzero(np.isinf(norms))
+            big = big[np.isfinite(raw[:, big]).all(axis=0)]  # finite, but their squares overflow
+            top = np.abs(raw[:, big]).max(axis=0)
+            norms[big] = top * np.linalg.norm(raw[:, big] / top, axis=0)
     if not np.all(np.isfinite(norms)):
         raise NonFiniteInput("a column holds NaN or inf, or its norm overflows")
     if np.any(norms < _ZERO_NORM_TOL):

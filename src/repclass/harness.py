@@ -162,8 +162,9 @@ class Report:
         return sum(1 for rec in self.per_query if rec["converged"] is False)
 
     def to_json(self):
-        """The report as JSON, with two run totals of the query log: the
-        summed iterations and the largest gap (None without gaps)."""
+        """The report as JSON, with three run totals of the query log: the
+        summed iterations and inner iterations and the largest gap (None
+        without gaps)."""
         gaps = [rec["gap"] for rec in self.per_query if rec["gap"] is not None]
         return {
             "recognition_rate": self.recognition_rate,
@@ -172,6 +173,7 @@ class Report:
             "n_queries": self.n_queries,
             "n_not_converged": self.n_not_converged,
             "solver_iterations": sum(rec["iterations"] for rec in self.per_query),
+            "solver_inner_iterations": sum(rec["inner_iterations"] for rec in self.per_query),
             "max_gap": max(gaps, default=None),
             "mean_query_time": self.mean_query_time,
             "median_query_time": self.median_query_time,
@@ -407,11 +409,12 @@ def run_experiment(config, data):
     t0 = clock()
     names = [str(lab) for lab in classes]
     keys = ("query", "true", "predicted", "residuals", "sci", "wall_time",
-            "iterations", "converged", "objective", "gap")
+            "iterations", "inner_iterations", "converged", "objective", "gap")
     columns = (
         range(n), map(str, test_labels), map(str, predicted),
         (dict(zip(names, row)) for row in _jsonable(block.scores.T)), sci, times,
-        block.iterations.tolist(), block.converged.tolist(), _jsonable(block.objective), gap,
+        block.iterations.tolist(), block.inner_iterations.tolist(), block.converged.tolist(),
+        _jsonable(block.objective), gap,
     )
     per_query = [dict(zip(keys, row)) for row in zip(*columns)]
     stages["rows"] = clock() - t0

@@ -26,7 +26,8 @@ class CodingResult:
     is None for the other solvers; multiplier is the final dual z of
     l1-residual coding (diagnostic, used by optimality checks);
     gap is the relative duality gap of alpha for the coders that certify
-    their result by one (None for the others).
+    their result by one (None for the others); inner_iterations counts
+    SSNAL's Newton steps over all its outer steps (0 for the others).
     """
 
     alpha: np.ndarray
@@ -36,6 +37,7 @@ class CodingResult:
     residual_vec: np.ndarray | None = None
     multiplier: np.ndarray | None = None
     gap: float | None = None
+    inner_iterations: int = 0
 
 
 # SSNAL grows its penalty by _RHO per outer step, up to a cap, and warm
@@ -183,14 +185,15 @@ def _newton(M, c, b, kappa, t, v, x):
     term kappa * M^T S(x) is taken over K's rows alone, as S(x) is zero off
     K. Row gathers M[K] are cheapest for a C-ordered M. Stops on a full step
     that keeps every row on its piece (it solved F exactly), a failed search
-    or _INNER_MAX steps. Returns v, x and S(x).
+    or _INNER_MAX steps. Returns v, x, S(x) and the number of steps (Newton
+    systems solved).
     """
     p = v.shape[0]
     ridge = c / kappa
     half = 0.5 * kappa
     s = _soft_threshold(x, t)
     piece = np.sign(s)  # each row's piece: above t, below -t, or inside
-    for _ in range(_INNER_MAX):
+    for steps in range(1, _INNER_MAX + 1):
         cv_b = c * v - b
         K = piece != 0
         Mk = M[K]
@@ -225,11 +228,17 @@ def _newton(M, c, b, kappa, t, v, x):
         stay, piece = piece, np.sign(s)
         if step == 1.0 and np.array_equal(stay, piece):
             break
-    return v, x, s
+    return v, x, s, steps
 
 
 def solve_alm_l1res(X, y, lam, params=None):
-    """l1-residual ridge coding: min ||y - X a||_1 + lam*||a||_2^2.
+    """R-CRC's coder for one query y: solve_l1res_block on the one-column block."""
+    return solve_l1res_block(X, np.reshape(y, (-1, 1)), lam, params)[0]
+
+
+def solve_l1res_block(X, Y, lam, params=None):
+    """l1-residual ridge coding of each column y of the m x q block Y:
+    min ||y - X a||_1 + lam*||a||_2^2, one CodingResult per column.
 
     Mehrotra predictor-corrector interior-point method (Mehrotra, SIAM J.
     Optim. 1992) on the split y - X a = u - w, u, w >= 0, whose multiplier z
@@ -244,78 +253,105 @@ def solve_alm_l1res(X, y, lam, params=None):
     gap), is at most 1e-4 * tol, as a row of e that is zero at the optimum
     shrinks only with the gap (at 1e-3 * tol one read -3.0e-6, its z 1.6e-3
     inside the box); or until max_iter iterations, a failed factorization
-    or an iterate that rounding put on the boundary.
+    (counted as an iteration) or an iterate that rounding put on the boundary.
     objective is the pair's value, never below the optimum; residual_vec is
     e = y - X a and multiplier is z.
+
+    The queries iterate in lockstep, one per row, each leaving when its own
+    stop rule fires. Elementwise work and row reductions are batched; the
+    products with X (a GEMM would round apart), the factors and the centring
+    target are per query, so each result is the one-column call's bit for bit.
     """
     X = _as_matrix(X)
-    y = _check_dims(X, y)
+    Yt = np.ascontiguousarray(_check_block(X, Y).T)  # one query per row
     lam = check_lambda(lam)
     params = params or AlmParams()
-    m, n = X.shape
-    alpha, z, xa = np.zeros(n), np.zeros(m), np.zeros(m)
-    if not y.any():
-        return CodingResult(alpha=alpha, objective=0.0, residual_vec=xa, multiplier=z, gap=0.0)
-    r, wide = 2.0 * lam, n > m
+    (m, n), tol = X.shape, params.tol
+    out = [CodingResult(np.zeros(n), 0.0, 0, True, np.zeros(m), np.zeros(m), 0.0) for _ in Yt]
+    idx = np.flatnonzero(Yt.any(axis=1))  # a zero query keeps the zero code
+    if not idx.size:
+        return out
+    r, wide, Yt = 2.0 * lam, n > m, Yt[idx]
     gram = X @ X.T if wide else None
-    shift = np.mean(np.abs(y))  # a start inside the cone, on the split of y
-    u, w = np.maximum(y, 0.0) + shift, np.maximum(-y, 0.0) + shift
-    obj, gap = _l1res_gap(X, y, lam, alpha, xa, z)
-    it = 0
-    while it < params.max_iter:
-        s1, s2 = 1.0 - z, 1.0 + z
-        comp = u @ s1 + w @ s2  # the split's own gap, at least P - D
-        if min(gap, comp / obj) <= 1e-4 * params.tol or min(u.min(), w.min(), s1.min(), s2.min()) <= 0.0:
-            break
-        it += 1
-        d = u / s1 + w / s2
-        rp, rd = xa + u - w - y, r * alpha - X.T @ z
-        if wide:
-            A = gram.copy()
-            A.flat[:: m + 1] += r * d
-        else:
-            B = X / np.sqrt(d)[:, None]
-            A = B.T @ B
-            A.flat[:: n + 1] += r
-        try:
-            c = _cholesky(A)
-        except np.linalg.LinAlgError:
-            break
+    shift = np.mean(np.abs(Yt), axis=1)[:, None]  # a start inside the cone, on the split of y
+    U, W = np.maximum(Yt, 0.0) + shift, np.maximum(-Yt, 0.0) + shift
+    Alpha, Z, XA = np.zeros((idx.size, n)), np.zeros(Yt.shape), np.zeros(Yt.shape)
+    obj, gap = _l1res_gap(X, Yt, lam, Alpha, XA, Z)
 
-        def newton_step(c1, c2, eta):
-            # the step with complementarity rows s1*du - u*dz = c1 and
-            # s2*dw + w*dz = c2, and eta of its longest length in the cone, up to 1
-            rho = c1 / s1 - c2 / s2 + rp
+    def stop(keep, its):  # the rows outside keep stop after its iterations
+        nonlocal idx, Yt, Alpha, Z, XA, U, W, obj, gap
+        for j in np.flatnonzero(~keep):
+            fields = float(obj[j]), its, bool(gap[j] <= tol), Yt[j] - XA[j], Z[j].copy(), float(gap[j])
+            out[idx[j]] = CodingResult(Alpha[j].copy(), *fields)
+        idx, Yt, Alpha, Z, XA, U, W, obj, gap = (a[keep] for a in (idx, Yt, Alpha, Z, XA, U, W, obj, gap))
+
+    def factor(d):  # the Cholesky factor of one query's system, None if it fails
+        B = None if wide else X / np.sqrt(d)[:, None]
+        A, ridge = (gram.copy(), r * d) if wide else (B.T @ B, r)
+        A.flat[:: A.shape[0] + 1] += ridge
+        try:
+            return _cholesky(A)
+        except np.linalg.LinAlgError:
+            return None
+
+    it = 0
+    while idx.size and it < params.max_iter:  # a pass that stops queries starts over without them
+        S1, S2 = 1.0 - Z, 1.0 + Z
+        comp = np.vecdot(U, S1) + np.vecdot(W, S2)  # the split's own gap, at least P - D
+        edge = np.minimum.reduce([U.min(axis=1), W.min(axis=1), S1.min(axis=1), S2.min(axis=1)])
+        done = (np.minimum(gap, comp / obj) <= 1e-4 * tol) | (edge <= 0.0)
+        if done.any():
+            stop(~done, it)
+            continue
+        D = U / S1 + W / S2
+        factors = [factor(d) for d in D]
+        ok = np.array([c is not None for c in factors])
+        if not ok.all():  # a failed factorization stops its query alone
+            stop(ok, it + 1)
+            continue
+        it += 1
+        RP, RD = XA + U - W - Yt, r * Alpha - np.array([X.T @ z for z in Z])
+
+        def newton_step(C1, C2, eta):
+            # the steps with complementarity rows s1*du - u*dz = c1 and
+            # s2*dw + w*dz = c2, each eta of its longest length in the cone, up to 1
+            rho = C1 / S1 - C2 / S2 + RP
             if wide:
-                dz = dpotrs(c, X @ rd - r * rho, lower=1)[0]
-                da = (X.T @ dz - rd) / r
+                rhs = np.array([X @ rd for rd in RD]) - r * rho
+                DZ = np.array([dpotrs(c, b, lower=1)[0] for c, b in zip(factors, rhs)])
+                DA = (np.array([X.T @ dz for dz in DZ]) - RD) / r
             else:
-                da = dpotrs(c, -rd - X.T @ (rho / d), lower=1)[0]
-                dz = -(rho + X @ da) / d
-            du, dw = (c1 + u * dz) / s1, (c2 - w * dz) / s2
-            worst = max(np.max(-du / u), np.max(-dw / w), np.max(dz / s1), np.max(-dz / s2))
-            return da, dz, du, dw, 1.0 if worst <= eta else eta / worst
+                rhs = -RD - np.array([X.T @ v for v in rho / D])
+                DA = np.array([dpotrs(c, b, lower=1)[0] for c, b in zip(factors, rhs)])
+                DZ = -(rho + np.array([X @ da for da in DA])) / D
+            DU, DW = (C1 + U * DZ) / S1, (C2 - W * DZ) / S2
+            worst = np.maximum.reduce(
+                [(-DU / U).max(axis=1), (-DW / W).max(axis=1), (DZ / S1).max(axis=1), (-DZ / S2).max(axis=1)]
+            )
+            return DA, DZ, DU, DW, (eta / np.maximum(worst, eta))[:, None]  # 1 where worst <= eta
 
         mu = comp / (2 * m)
-        da, dz, du, dw, t = newton_step(-u * s1, -w * s2, 1.0)
-        mu_aff = ((u + t * du) @ (s1 - t * dz) + (w + t * dw) @ (s2 + t * dz)) / (2 * m)
-        cm = (mu_aff / mu) ** 3 * mu  # the centring target, sigma * mu
-        da, dz, du, dw, t = newton_step(cm - u * s1 + du * dz, cm - w * s2 - dw * dz, 0.999)
-        alpha, z, u, w = alpha + t * da, z + t * dz, u + t * du, w + t * dw
-        xa = X @ alpha
-        obj, gap = _l1res_gap(X, y, lam, alpha, xa, z)
-    return CodingResult(alpha, obj, it, gap <= params.tol, residual_vec=y - xa, multiplier=z, gap=gap)
+        DA, DZ, DU, DW, T = newton_step(-U * S1, -W * S2, 1.0)
+        mu_aff = (np.vecdot(U + T * DU, S1 - T * DZ) + np.vecdot(W + T * DW, S2 + T * DZ)) / (2 * m)
+        # the centring target sigma * mu, per query: a cube over the array rounds apart
+        cm = np.array([(a / b) ** 3 * b for a, b in zip(mu_aff, mu)])[:, None]
+        DA, DZ, DU, DW, T = newton_step(cm - U * S1 + DU * DZ, cm - W * S2 - DW * DZ, 0.999)
+        Alpha, Z, U, W = Alpha + T * DA, Z + T * DZ, U + T * DU, W + T * DW
+        XA = np.array([X @ a for a in Alpha])
+        obj, gap = _l1res_gap(X, Yt, lam, Alpha, XA, Z)
+    stop(np.zeros(idx.size, bool), it)
+    return out
 
 
-def _l1res_gap(X, y, lam, alpha, xa, z):
-    """(P, (P - D)/P): the value P = ||y - X a||_1 + lam*||a||^2 of R-CRC's
-    feasible pair (a, y - X a), given xa = X a, and its relative duality gap
-    against the multiplier z clipped into the box [-1, 1], with
-    D = z^T y - ||X^T z||^2/(4 lam)."""
-    primal = float(np.sum(np.abs(y - xa)) + lam * (alpha @ alpha))
-    zc = np.clip(z, -1.0, 1.0)  # rounding moves z out of the box by up to 3e-14
-    xtz = X.T @ zc
-    return primal, float((primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal)
+def _l1res_gap(X, Y, lam, Alpha, XA, Z):
+    """(P, (P - D)/P) per row: the value P = ||y - X a||_1 + lam*||a||^2 of
+    R-CRC's feasible pair (a, y - X a), given the row xa = X a, and its
+    relative duality gap against the multiplier z clipped into the box
+    [-1, 1], with D = z^T y - ||X^T z||^2/(4 lam)."""
+    primal = np.sum(np.abs(Y - XA), axis=1) + lam * np.vecdot(Alpha, Alpha)
+    Zc = np.clip(Z, -1.0, 1.0)  # rounding moves z out of the box by up to 3e-14
+    XtZ = np.array([X.T @ z for z in Zc])
+    return primal, (primal - (np.vecdot(Zc, Y) - np.vecdot(XtZ, XtZ) / (4.0 * lam))) / primal
 
 
 def solve_ssnal_l1(X, y, lam, params=None):
@@ -341,8 +377,8 @@ def solve_ssnal_l1(X, y, lam, params=None):
     relative duality gap of a is at most params.tol (converged) or after
     params.max_iter outer steps, or once sigma is at its cap and the gap
     has not halved over _STALL_STEPS outer steps (a tol below the gap that
-    rounding lets it reach). iterations counts outer steps, and objective is
-    the primal value at a.
+    rounding lets it reach). iterations counts outer steps, inner_iterations
+    their Newton steps, and objective is the primal value at a.
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
@@ -359,11 +395,12 @@ def solve_ssnal_l1(X, y, lam, params=None):
     best, stalled = np.inf, 0
     u, xtu = np.zeros(m), np.zeros(n)
     Xt = np.ascontiguousarray(X.T)  # C-ordered, for _newton's row gathers
-    converged, it = False, 0
+    converged, it, inner = False, 0, 0
     while it < params.max_iter:
         it += 1
         w0 = alpha / sigma
-        u, w, s = _newton(Xt, 1.0, y, sigma, t, u, xtu + w0)
+        u, w, s, steps = _newton(Xt, 1.0, y, sigma, t, u, xtu + w0)
+        inner += steps
         alpha = sigma * s
         xtu = w - w0
         r = y - X @ alpha
@@ -382,7 +419,8 @@ def solve_ssnal_l1(X, y, lam, params=None):
                 break
         sigma = min(sigma * _RHO, cap)
     return CodingResult(
-        alpha=alpha, objective=float(obj), iterations=it, converged=converged, gap=float(gap)
+        alpha=alpha, objective=float(obj), iterations=it, converged=converged, gap=float(gap),
+        inner_iterations=inner,
     )
 
 

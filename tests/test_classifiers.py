@@ -488,7 +488,7 @@ def test_decide_calls_the_module_solvers(monkeypatch):
     d, rng = _toy(22)
     y = rng.standard_normal(d.m)
     calls = []
-    for name in ("solve_alm_l1res", "solve_fista_l1", "solve_ssnal_l1"):
+    for name in ("solve_l1res_block", "solve_fista_l1", "solve_ssnal_l1"):
         orig = getattr(repclass.classifiers, name)
 
         def spy(*args, _orig=orig, _name=name, **kwargs):
@@ -499,12 +499,37 @@ def test_decide_calls_the_module_solvers(monkeypatch):
     _decide(d, y, "rcrc", 0.1, alm=AlmParams(max_iter=3))
     _decide(d, y, "src", 0.1, fista=FistaParams(max_iter=3))
     _decide(d, y, "rns_l1", 0.1, fista=FistaParams(max_iter=3))
-    assert calls == ["solve_alm_l1res", "solve_fista_l1"] + ["solve_fista_l1"] * d.k
+    assert calls == ["solve_l1res_block", "solve_fista_l1"] + ["solve_fista_l1"] * d.k
     # without fista settings, src and rns_l1 run the Newton coder
     calls.clear()
     _decide(d, y, "src", 0.1, alm=AlmParams(max_iter=3))
     _decide(d, y, "rns_l1", 0.1)
     assert calls == ["solve_ssnal_l1"] * (1 + d.k)
+
+
+def test_rcrc_codes_a_block_in_slices(monkeypatch):
+    # rcrc feeds its block coder at most _RCRC_SLICE queries at a time; the
+    # decisions do not depend on the slicing, and a slice's coding time goes
+    # to its queries in proportion to their iterations, none to a zero query
+    d, rng = _toy(24)
+    Y = rng.standard_normal((d.m, 5))
+    Y[:, 3] = 0.0
+    model = fit(d, ExperimentConfig(classifier="rcrc", lam=0.05))
+    whole = model.decide_block(Y)
+    widths, block = [], repclass.classifiers.solve_l1res_block
+
+    def spy(X, R, *args):
+        widths.append(R.shape[1])
+        return block(X, R, *args)
+
+    monkeypatch.setattr(repclass.classifiers, "_RCRC_SLICE", 2)
+    monkeypatch.setattr(repclass.classifiers, "solve_l1res_block", spy)
+    sliced = model.decide_block(Y)
+    assert widths == [2, 2, 1]
+    for f in ("scores", "predicted", "alpha", "residual", "iterations", "converged", "objective", "gap"):
+        assert getattr(sliced, f).tobytes() == getattr(whole, f).tobytes(), f
+    assert sliced.iterations[3] == 0 < sliced.iterations[2]
+    assert 0 < sliced.seconds[3] < sliced.seconds[2]
 
 
 def test_fit_reuses_a_projector_only_at_its_lambda():

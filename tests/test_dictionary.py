@@ -100,6 +100,20 @@ def test_build_dictionary_rejects_non_finite_column(bad):
         build_dictionary(samples)
 
 
+def test_build_dictionary_normalizes_a_column_whose_squares_overflow():
+    # a finite column of 1e200 entries used to overflow np.linalg.norm, warn
+    # and raise NonFiniteInput; it is normalized by its largest entry (Tier-1
+    # turns the warning into an error), and the other column is divided by
+    # its plain norm as before
+    raw = np.array([[1e200, 1.0], [1e200, 2.0], [0.0, 3.0]])
+    d = build_dictionary(zip(raw.T, ["a", "b"]))
+    np.testing.assert_allclose(d.data[:, 0], [2**-0.5, 2**-0.5, 0.0], rtol=1e-15)
+    assert d.data[:, 1].tobytes() == (raw[:, 1] / np.linalg.norm(raw[:, 1])).tobytes()
+    # a norm above the largest float is still refused
+    with pytest.raises(NonFiniteInput):
+        normalize_columns(np.full((4, 1), 1e308))
+
+
 def test_fingerprint_stability_and_sensitivity():
     rng = np.random.default_rng(2)
     samples = _samples(rng)

@@ -412,8 +412,8 @@ def test_run_experiment_logs_the_duality_gap():
     ids=["rcrc", "ssnal-capped", "fista-no-gap", "crc_rls"],
 )
 def test_report_run_totals_match_the_query_log(config, tmp_path):
-    # the report sums the log's iterations and takes its largest gap; the
-    # log is written as before, with no new field
+    # the report sums the log's iterations and inner iterations and takes
+    # its largest gap; writing the report leaves the log's bytes as they are
     report = run_experiment(config, _small_data(seed=4, n_classes=3, n_train=4, n_test=2))
     before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
     report.write_query_log(before)
@@ -423,9 +423,15 @@ def test_report_run_totals_match_the_query_log(config, tmp_path):
     rows = [json.loads(line) for line in before.read_text().splitlines()]
     assert {key for row in rows for key in row} == {
         "query", "true", "predicted", "residuals", "sci", "wall_time",
-        "iterations", "converged", "objective", "gap",
+        "iterations", "inner_iterations", "converged", "objective", "gap",
     }
     assert out["solver_iterations"] == sum(row["iterations"] for row in rows)
+    assert out["solver_inner_iterations"] == sum(row["inner_iterations"] for row in rows)
+    # Newton steps come from SSNAL alone, at least one per outer step
+    ssnal = config.classifier == "src" and config.fista is None
+    assert (out["solver_inner_iterations"] >= out["solver_iterations"] > 0) if ssnal else (
+        out["solver_inner_iterations"] == 0
+    )
     gaps = [row["gap"] for row in rows]
     assert out["max_gap"] == (None if None in gaps else max(gaps))
     assert (out["max_gap"] is None) == (config.classifier == "crc_rls" or config.fista is not None)

@@ -483,6 +483,197 @@ def test_alm_factors_m_by_m_systems_on_a_wide_problem(monkeypatch):
     assert set(orders) == {(30, 30)}
 
 
+# ---------------------------------------------- R-CRC over a block of queries
+
+def _assert_same_coding(a, b):
+    """Two R-CRC results equal bit for bit."""
+    for f in ("alpha", "residual_vec", "multiplier"):
+        assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+    assert (a.objective, a.iterations, a.converged, a.gap) == (b.objective, b.iterations, b.converged, b.gap)
+
+
+def _corrupted_block(X, q, seed=5):
+    """q queries in the span of X with half their entries replaced."""
+    rng = np.random.default_rng(seed)
+    Y = X @ rng.standard_normal((X.shape[1], q))
+    hit = rng.random(Y.shape) < 0.5
+    Y[hit] = rng.uniform(-3.0, 3.0, hit.sum())
+    return Y
+
+
+def _l1res_reference(X, y, lam, params):
+    """The interior-point loop of solve_l1res_block for one query, written
+    for one vector: (alpha, objective, iterations, converged, e, z, gap)."""
+    m, n = X.shape
+    alpha, z, xa = np.zeros(n), np.zeros(m), np.zeros(m)
+    r, wide = 2.0 * lam, n > m
+    shift = np.mean(np.abs(y))
+    u, w = np.maximum(y, 0.0) + shift, np.maximum(-y, 0.0) + shift
+
+    def gap_of(alpha, xa, z):
+        primal = float(np.sum(np.abs(y - xa)) + lam * (alpha @ alpha))
+        zc = np.clip(z, -1.0, 1.0)
+        xtz = X.T @ zc
+        return primal, float((primal - (zc @ y - xtz @ xtz / (4.0 * lam))) / primal)
+
+    obj, gap = gap_of(alpha, xa, z)
+    it = 0
+    while it < params.max_iter:
+        s1, s2 = 1.0 - z, 1.0 + z
+        comp = u @ s1 + w @ s2
+        if min(gap, comp / obj) <= 1e-4 * params.tol or min(u.min(), w.min(), s1.min(), s2.min()) <= 0.0:
+            break
+        it += 1
+        d = u / s1 + w / s2
+        rp, rd = xa + u - w - y, r * alpha - X.T @ z
+        if wide:
+            A = X @ X.T
+            A.flat[:: m + 1] += r * d
+        else:
+            B = X / np.sqrt(d)[:, None]
+            A = B.T @ B
+            A.flat[:: n + 1] += r
+        c = solvers._cholesky(A)
+
+        def newton_step(c1, c2, eta):
+            rho = c1 / s1 - c2 / s2 + rp
+            if wide:
+                dz = scipy.linalg.lapack.dpotrs(c, X @ rd - r * rho, lower=1)[0]
+                da = (X.T @ dz - rd) / r
+            else:
+                da = scipy.linalg.lapack.dpotrs(c, -rd - X.T @ (rho / d), lower=1)[0]
+                dz = -(rho + X @ da) / d
+            du, dw = (c1 + u * dz) / s1, (c2 - w * dz) / s2
+            worst = max(np.max(-du / u), np.max(-dw / w), np.max(dz / s1), np.max(-dz / s2))
+            return da, dz, du, dw, 1.0 if worst <= eta else eta / worst
+
+        mu = comp / (2 * m)
+        da, dz, du, dw, t = newton_step(-u * s1, -w * s2, 1.0)
+        mu_aff = ((u + t * du) @ (s1 - t * dz) + (w + t * dw) @ (s2 + t * dz)) / (2 * m)
+        cm = (mu_aff / mu) ** 3 * mu
+        da, dz, du, dw, t = newton_step(cm - u * s1 + du * dz, cm - w * s2 - dw * dz, 0.999)
+        alpha, z, u, w = alpha + t * da, z + t * dz, u + t * du, w + t * dw
+        xa = X @ alpha
+        obj, gap = gap_of(alpha, xa, z)
+    return alpha, obj, it, gap <= params.tol, y - xa, z, gap
+
+
+@pytest.mark.parametrize(
+    "shape, lam, max_iter",
+    [((30, 12), 0.01, 500), ((120, 30), 0.3, 500), ((12, 30), 0.3, 500), ((120, 30), 0.01, 4)],
+    ids=["tall", "tall-lam", "wide", "capped"],
+)
+def test_block_coder_matches_one_vector_reference(shape, lam, max_iter):
+    # the lockstep block rounds as the loop over one vector does, the
+    # centring target's cube included (over an array it rounds apart)
+    X = np.random.default_rng(sum(shape)).standard_normal(shape)
+    X /= np.linalg.norm(X, axis=0)
+    Y = _corrupted_block(X, 6, seed=shape[0])
+    params = AlmParams(max_iter=max_iter)
+    for y, res in zip(Y.T, solvers.solve_l1res_block(X, Y, lam, params)):
+        alpha, obj, it, converged, e, z, gap = _l1res_reference(X, y.copy(), lam, params)
+        assert (res.objective, res.iterations, res.converged, res.gap) == (obj, it, converged, gap)
+        for a, b in ((res.alpha, alpha), (res.residual_vec, e), (res.multiplier, z)):
+            assert a.tobytes() == b.tobytes()
+
+
+def _benchmark_shape_block():
+    d, queries = _benchmark_shape_queries()
+    return d, np.insert(queries, 1, 0.0, axis=1)
+
+
+@pytest.mark.parametrize(
+    "problem, lam",
+    [
+        (lambda: (_corrupted_problem()[0], _corrupted_block(_corrupted_problem()[0], 5)), 0.01),
+        (lambda: (_wide_problem()[0], _corrupted_block(_wide_problem()[0], 5)), 0.3),
+        (_benchmark_shape_block, default_lambda(80)),
+    ],
+    ids=["tall", "wide", "dictionary"],
+)
+def test_block_coder_equals_one_query_calls(problem, lam):
+    # each column of a block, a zero column among them, is coded as by the
+    # one-column call, bit for bit
+    X, Y = problem()
+    Y[:, 1] = 0.0
+    block = solvers.solve_l1res_block(X, Y, lam)
+    assert len(block) == Y.shape[1]
+    assert block[1].iterations == 0 and not block[1].alpha.any() and block[1].gap == 0.0
+    assert all(res.converged for res in block)
+    for y, res in zip(Y.T, block):
+        _assert_same_coding(res, solve_alm_l1res(X, y.copy(), lam))
+    assert solvers.solve_l1res_block(X, Y[:, :0], lam) == []
+
+
+def test_block_coder_keeps_each_capped_query_where_it_stopped():
+    # a cap between the queries' own counts stops some of them at it and
+    # leaves the others where their own stop rule put them
+    X, _ = _corrupted_problem()
+    Y = _corrupted_block(X, 8, seed=6)
+    free = solvers.solve_l1res_block(X, Y, 0.01)
+    counts = sorted(res.iterations for res in free)
+    cap = counts[len(counts) // 2]
+    assert counts[0] < cap < counts[-1]
+    params = AlmParams(max_iter=cap)
+    block = solvers.solve_l1res_block(X, Y, 0.01, params)
+    for y, res, own in zip(Y.T, block, free):
+        assert res.iterations == min(own.iterations, cap)
+        if own.iterations <= cap:
+            _assert_same_coding(res, own)
+        _assert_same_coding(res, solve_alm_l1res(X, y.copy(), 0.01, params))
+
+
+def _fail_cholesky_call(monkeypatch, k):
+    """Make the k-th call (from 0) of solvers._cholesky fail."""
+    calls, cholesky = [], solvers._cholesky
+
+    def spy(A):
+        calls.append(A.shape)
+        if len(calls) == k + 1:
+            raise np.linalg.LinAlgError("injected")
+        return cholesky(A)
+
+    monkeypatch.setattr(solvers, "_cholesky", spy)
+
+
+def test_block_coder_failed_factorization_stops_its_query_alone(monkeypatch):
+    # the queries factor in turn, so call 3 + 1 is query 1's second
+    # iteration; it stops there, counted, and the others finish as alone
+    X, _ = _corrupted_problem()
+    Y = _corrupted_block(X, 3)
+    alone = [solve_alm_l1res(X, y.copy(), 0.01) for y in Y.T]
+    assert min(res.iterations for res in alone) > 2
+    with monkeypatch.context() as patch:
+        _fail_cholesky_call(patch, 3 + 1)
+        block = solvers.solve_l1res_block(X, Y, 0.01)
+    with monkeypatch.context() as patch:
+        _fail_cholesky_call(patch, 1)
+        failed = solve_alm_l1res(X, Y[:, 1].copy(), 0.01)
+    assert failed.iterations == 2 and not failed.converged
+    _assert_same_coding(block[1], failed)
+    for j in (0, 2):
+        _assert_same_coding(block[j], alone[j])
+
+
+def test_ssnal_counts_its_newton_steps(monkeypatch):
+    # inner_iterations is the sum of _newton's steps over the outer steps;
+    # the coders without inner steps report 0
+    X, y = _seed77_problem()
+    steps, newton = [], solvers._newton
+
+    def spy(*args):
+        out = newton(*args)
+        steps.append(out[-1])
+        return out
+
+    monkeypatch.setattr(solvers, "_newton", spy)
+    res = solve_ssnal_l1(X, y, 0.3)
+    assert len(steps) == res.iterations and sum(steps) == res.inner_iterations
+    assert all(1 <= k <= solvers._INNER_MAX for k in steps)
+    assert solve_alm_l1res(X, y, 0.3).inner_iterations == 0
+    assert solve_fista_l1(X, y, 0.3, FistaParams(max_iter=5)).inner_iterations == 0
+
+
 @pytest.mark.parametrize(
     "seed, shape, lam",
     [(5, (40, 120), 0.01), (77, (12, 20), 0.3)],
