@@ -1,7 +1,7 @@
 """Batch CLI: ingest, train, classify, experiment, sweep, roc, bench, analyze.
 
-ingest, experiment, sweep and roc read a JSON config (--config) whose
-fields can be overridden with --set key=value (dotted keys reach nested
+ingest --synthetic, experiment, sweep and roc read a JSON config (--config)
+whose fields can be overridden with --set key=value (dotted keys reach nested
 sections). Errors exit nonzero with a machine-readable JSON object on
 stderr.
 """
@@ -23,8 +23,7 @@ from .solvers import solve_constrained_lp
 
 
 def _load_config(args, path=None):
-    """The JSON config object at path (default --config), with --set and
-    --seed applied."""
+    """The JSON config object at path (default --config), with --set applied."""
     path = path or getattr(args, "config", None)
     obj = {}
     if path:
@@ -44,8 +43,6 @@ def _load_config(args, path=None):
             if not isinstance(node, dict):
                 raise ConfigInvalid(f"cannot set {key!r}: {part!r} is not an object")
         node[parts[-1]] = val
-    if getattr(args, "seed", None) is not None:
-        obj["seed"] = args.seed
     return obj
 
 
@@ -67,21 +64,28 @@ def _write_csv(path, header, rows):
     _write_text(path, "\n".join(lines) + "\n", end="")
 
 
+# the flags of the other source, which ingest rejects rather than ignores
+_INGEST_EXCLUDES = {"synthetic": ("path", "train_per_class"), "path": ("config", "set", "seed")}
+
+
 def cmd_ingest(args):
-    if not args.synthetic and args.path is None:
+    source = "synthetic" if args.synthetic else "path" if args.path is not None else None
+    if source is None:
         raise ConfigInvalid("ingest needs --path or --synthetic")
-    cfg = _load_config(args)
+    for flag in _INGEST_EXCLUDES[source]:
+        if getattr(args, flag) is not None:
+            raise ConfigInvalid(f"--{flag.replace('_', '-')} does not go with --{source}")
     if args.synthetic:
         if args.seed is None:
             raise ConfigInvalid("--seed is required for synthetic generation")
+        cfg = _load_config(args)
+        cfg["seed"] = args.seed
         unknown = set(cfg) - set(inspect.signature(harness.synthetic_dataset).parameters)
         if unknown:
             raise ConfigInvalid(f"synthetic config has unknown key {min(unknown)!r}")
         data = harness.synthetic_dataset(**cfg)
     else:
-        data = harness.ingest_dataset(
-            args.path, layout=args.layout, train_per_class=args.train_per_class
-        )
+        data = harness.ingest_dataset(args.path, train_per_class=args.train_per_class)
     harness.save_dataset(data, args.out)
     print(json.dumps({"columns": data.n_columns, "classes": len(set(data.labels))}))
 
@@ -200,12 +204,11 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("ingest", help="load or generate a dataset")
     common(p)
-    p.add_argument("--path", help="source directory or matrix file")
-    p.add_argument("--layout", choices=("class_dirs", "matrix_file"), default="class_dirs")
+    p.add_argument("--seed", type=int, help="seed of --synthetic generation")
+    p.add_argument("--path", help="directory with one subdirectory of PGM images per class")
     p.add_argument("--synthetic", action="store_true")
     p.add_argument("--train-per-class", type=int)
     p.add_argument("--out", required=True)
@@ -251,7 +254,6 @@ def build_parser():
     p.add_argument("--configs", required=True, help="comma-separated config paths")
     p.add_argument("--data", required=True)
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -254,26 +254,15 @@ def _environment_stamp():
     }
 
 
-def ingest_dataset(path, layout="class_dirs", train_per_class=None):
-    """Load a dataset from class subdirectories of PGM images or a matrix file.
-
-    class_dirs: one subdirectory per class of same-size P5 images, vectorized
-    column-major, ordered lexicographically by class then filename. The
-    train/test split takes the first train_per_class images per class (all
-    "train" when None).
-
-    matrix_file: a dataset file as save_dataset writes it, read by
-    load_dataset; the provenance names the file.
+def ingest_dataset(path, train_per_class=None):
+    """Load a dataset from class subdirectories of PGM images: one
+    subdirectory per class of same-size P5 images, vectorized column-major,
+    ordered lexicographically by class then filename. The train/test split
+    takes the first train_per_class images per class (all "train" when None).
     """
     path = Path(path)
     if not path.exists():
         raise MissingPath(str(path))
-    if layout == "matrix_file":
-        return replace(
-            load_dataset(path), provenance={"path": str(path), "layout": "matrix_file"}
-        )
-    if layout != "class_dirs":
-        raise ConfigInvalid(f"unknown layout {layout!r}")
     cols, labels = [], []
     shape = None
     for class_dir in sorted(p for p in path.iterdir() if p.is_dir()):

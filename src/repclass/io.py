@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dictionary import Dictionary, Projector
+from .dictionary import Dictionary, Projector, is_number
 from .errors import BadLabel, FingerprintMismatch, MalformedMatrix, MissingPath
 
 MAGIC = b"RPMATv1\x00"
@@ -187,13 +187,20 @@ def save_projector(projector, path):
 
 def load_projector(path):
     """Read a projector saved by save_projector, in the Fortran order that
-    build_projector gives it (a block decide's product is faster on it)."""
+    build_projector gives it (a block decide's product is faster on it).
+    MalformedMatrix names a matrix with a NaN or infinite entry and a sidecar
+    lambda that is not a finite number > 0."""
     path = Path(path)
     matrix = read_matrix(path, order="F")
     sidecar = read_sidecar(path, ("lambda", "dictionary_fingerprint"))
+    if not np.isfinite(matrix).all():
+        raise MalformedMatrix(f"{path}: projector has a NaN or infinite entry")
+    lam = sidecar["lambda"]
+    if not (is_number(lam) and 0.0 < lam < np.inf):
+        raise MalformedMatrix(f"{path}: sidecar 'lambda' {lam!r} is not finite and positive")
     return Projector(
         matrix=matrix,
-        lam=float(sidecar["lambda"]),
+        lam=float(lam),
         dictionary_fingerprint=sidecar["dictionary_fingerprint"],
     )
 

@@ -172,16 +172,16 @@ def _spd_solve(A, b):
     return dpotrs(_cholesky(A), b, lower=1)[0]
 
 
-def _newton(M, c, b, kappa, t, v, x):
-    """Semismooth Newton for F(v) = c/2*||v||^2 - b^T v + kappa/2 * ||S(M v + w)||^2,
+def _newton(M, b, kappa, t, v, x):
+    """Semismooth Newton for F(v) = ||v||^2/2 - b^T v + kappa/2 * ||S(M v + w)||^2,
     SSNAL's inner problem (Li, Sun & Toh, SIAM J. Optim. 2018), with S the
     soft threshold at t, so ||S(x)||^2 is the squared distance to the box
     [-t, t]. x = M v + w is given and carried along. The generalized Hessian
-    is kappa * H with H = M_K^T M_K + (c/kappa) I over the rows K outside the
+    is kappa * H with H = M_K^T M_K + (1/kappa) I over the rows K outside the
     box (|x_i| > t), so the step is d = -H^{-1} g / kappa for the gradient g,
     and the p x p product M_K^T M_K is never rescaled. H is solved as p x p
     when p <= |K|, else by the |K| x |K| Woodbury system
-    (c/kappa) I + M_K M_K^T; Armijo backtracking sizes the step. The gradient
+    (1/kappa) I + M_K M_K^T; Armijo backtracking sizes the step. The gradient
     term kappa * M^T S(x) is taken over K's rows alone, as S(x) is zero off
     K. Row gathers M[K] are cheapest for a C-ordered M. Stops on a full step
     that keeps every row on its piece (it solved F exactly), a failed search
@@ -189,17 +189,17 @@ def _newton(M, c, b, kappa, t, v, x):
     systems solved).
     """
     p = v.shape[0]
-    ridge = c / kappa
+    ridge = 1.0 / kappa
     half = 0.5 * kappa
     s = _soft_threshold(x, t)
     piece = np.sign(s)  # each row's piece: above t, below -t, or inside
     for steps in range(1, _INNER_MAX + 1):
-        cv_b = c * v - b
+        v_b = v - b
         K = piece != 0
         Mk = M[K]
         g = Mk.T @ s[K]
         g *= kappa
-        g += cv_b
+        g += v_b
         k = Mk.shape[0]
         if p <= k:
             H = Mk.T @ Mk
@@ -208,9 +208,9 @@ def _newton(M, c, b, kappa, t, v, x):
         else:
             W = Mk @ Mk.T
             W.flat[:: k + 1] += ridge
-            d = (Mk.T @ _spd_solve(W, Mk @ g) - g) / c
+            d = Mk.T @ _spd_solve(W, Mk @ g) - g
         md = M @ d
-        slope, lin, quad = g @ d, cv_b @ d, 0.5 * c * (d @ d)
+        slope, lin, quad = g @ d, v_b @ d, 0.5 * (d @ d)
         step = 1.0
         while step > 1e-10:
             x_new = x + md if step == 1.0 else x + step * md
@@ -363,7 +363,7 @@ def solve_ssnal_l1(X, y, lam, params=None):
     max y^T u - ||u||^2/2 s.t. ||X^T u||_inf <= t. The method of multipliers
     on the dual, with a the box's multiplier and sigma the penalty, minimizes
     psi(u) = ||u||^2/2 - y^T u + sigma/2 * ||S(w)||^2, w = X^T u + a/sigma,
-    in each outer step by _newton (M = X^T, c = 1, b = y, kappa = sigma and
+    in each outer step by _newton (M = X^T, b = y, kappa = sigma and
     the box) from the previous u, then sets a = sigma * S(w). sigma grows
     geometrically up to a cap: a = sigma * S(w) multiplies the rounding of w
     by sigma, so an unbounded sigma would put a floor under the gap that the
@@ -399,7 +399,7 @@ def solve_ssnal_l1(X, y, lam, params=None):
     while it < params.max_iter:
         it += 1
         w0 = alpha / sigma
-        u, w, s, steps = _newton(Xt, 1.0, y, sigma, t, u, xtu + w0)
+        u, w, s, steps = _newton(Xt, y, sigma, t, u, xtu + w0)
         inner += steps
         alpha = sigma * s
         xtu = w - w0

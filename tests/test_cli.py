@@ -8,7 +8,7 @@ import pytest
 from repclass import analysis, harness
 from repclass.classifiers import fit
 from repclass.cli import main
-from repclass.io import load_dictionary, load_projector, read_matrix, write_matrix
+from repclass.io import load_dictionary, load_projector, read_matrix, write_matrix, write_pgm
 
 
 @pytest.fixture
@@ -78,8 +78,88 @@ def test_missing_flag_is_json_error(tmp_path, argv, flag, capsys):
     assert flag in err["message"]
 
 
-def test_ingest_reports_shape(dataset, capsys):
-    pass  # fixture already ran; nothing else to assert here
+def _pgm_tree(root):
+    """Two class directories of three 4 x 3 PGM images each under root."""
+    rng = np.random.default_rng(9)
+    for lab in ("s1", "s2"):
+        (root / lab).mkdir(parents=True)
+        for i in range(3):
+            write_pgm(root / lab / f"{i}.pgm", np.round(rng.uniform(0, 255, size=(4, 3))))
+    return str(root)
+
+
+def test_ingest_path_reads_class_dirs(tmp_path, capsys):
+    tree = _pgm_tree(tmp_path / "faces")
+    out = str(tmp_path / "faces.rpmat")
+    rc = main(["ingest", "--path", tree, "--train-per-class", "2", "--out", out])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"columns": 6, "classes": 2}
+    back, want = harness.load_dataset(out), harness.ingest_dataset(tree, train_per_class=2)
+    np.testing.assert_array_equal(back.features, want.features)
+    assert back.labels == want.labels == ["s1"] * 3 + ["s2"] * 3
+    assert back.split == want.split == ["train", "train", "test"] * 2
+    assert back.image_shape == want.image_shape == (4, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--path", "TREE", "--synthetic", "--seed", "1"], "--path"),
+        (["--path", "TREE", "--config", "CONFIG"], "--config"),
+        (["--path", "TREE", "--set", "n_classes=2"], "--set"),
+        (["--path", "TREE", "--seed", "1"], "--seed"),
+        (["--synthetic", "--seed", "1", "--train-per-class", "2"], "--train-per-class"),
+    ],
+    ids=["path-with-synthetic", "config-with-path", "set-with-path", "seed-with-path",
+         "train-per-class-with-synthetic"],
+)
+def test_ingest_takes_one_source(tmp_path, argv, flag, capsys):
+    # the other source's flags used to be ignored, with exit 0
+    tree = _pgm_tree(tmp_path / "faces")
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    argv = [{"TREE": tree, "CONFIG": str(config)}.get(a, a) for a in argv]
+    out = tmp_path / "d.rpmat"
+    rc = main(["ingest", *argv, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert flag in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ingest", "--path", "d", "--layout", "class_dirs", "--out", "o"], "--layout"),
+        (["experiment", "--data", "d", "--seed", "1"], "--seed"),
+        (["sweep", "--data", "d", "--lambdas", "1", "--seed", "1"], "--seed"),
+        (["roc", "--gallery", "g", "--customers", "c", "--imposters", "i", "--seed", "1"],
+         "--seed"),
+        (["bench", "--configs", "c", "--data", "d", "--seed", "1"], "--seed"),
+    ],
+    ids=["ingest-layout", "experiment-seed", "sweep-seed", "roc-seed", "bench-seed"],
+)
+def test_removed_flags_are_usage_errors(argv, flag, capsys):
+    # ingest reads class directories only, and the top-level seed seeds
+    # nothing, so these flags are not options
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_output_goes_to_stdout_without_out(dataset, capsys):
+    capsys.readouterr()
+    assert main(["experiment", "--data", dataset]) == 0
+    assert json.loads(capsys.readouterr().out)["n_queries"] == 12
+    assert main(["sweep", "--data", dataset, "--lambdas", "0.01,1"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "lambda,recognition_rate" and len(lines) == 4 and lines[-1] == ""
+
+
+def test_ingest_reports_shape(capsys, dataset):
+    # capsys is set up before the fixture runs, so it holds ingest's summary
+    assert json.loads(capsys.readouterr().out) == {"columns": 36, "classes": 4}
 
 
 def test_train_and_classify(dataset, tmp_path, capsys):
@@ -139,6 +219,20 @@ def test_classify_nan_query_is_json_error(trained, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NonFiniteInput"
+
+
+def test_classify_non_finite_projector_is_json_error(trained, capsys):
+    # a NaN projector entry used to give exit 0 and an "inf" residual
+    dict_path, query_path, _ = trained
+    proj_path = dict_path + ".proj"
+    matrix = read_matrix(proj_path)
+    matrix[0, 0] = np.nan
+    write_matrix(proj_path, matrix)
+    rc = main(["classify", "--dict", dict_path, "--query", query_path])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedMatrix"
+    assert proj_path in err["message"]
 
 
 def test_classify_lambda_option_is_used(trained, capsys):
@@ -336,11 +430,11 @@ def test_bench_command(dataset, tmp_path):
 
 
 def test_bench_config_not_an_object_is_json_error(dataset, tmp_path, capsys):
-    # bench reads its configs as experiment does; with --seed a top-level
-    # list used to end in a TypeError traceback
+    # bench reads its configs as experiment does; a top-level list used to
+    # end in a TypeError traceback
     cfg = tmp_path / "list.json"
     cfg.write_text("[]")
-    rc = main(["bench", "--configs", str(cfg), "--data", dataset, "--seed", "1"])
+    rc = main(["bench", "--configs", str(cfg), "--data", dataset])
     assert rc == 1
     err_text = capsys.readouterr().err
     assert "Traceback" not in err_text

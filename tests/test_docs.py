@@ -1,10 +1,13 @@
-"""The README's Python example runs, and every name the package exports
-resolves, so a deleted entry point cannot stay behind in either."""
+"""The README's Python example runs, every name the package exports
+resolves, and every flag the README's CLI section names is a CLI option, so
+a deleted entry point or flag cannot stay behind in any of them."""
 
+import argparse
 import re
 from pathlib import Path
 
 import repclass
+from repclass.cli import build_parser
 from repclass.harness import synthetic_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,3 +25,13 @@ def test_readme_example_runs(capsys):
 
 def test_every_exported_name_resolves():
     assert [name for name in repclass.__all__ if not hasattr(repclass, name)] == []
+
+
+def test_every_readme_cli_flag_is_an_option():
+    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings}
+    assert "--synthetic" in flags and "--set" in flags
+    assert sorted(flags - options) == []

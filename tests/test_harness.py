@@ -65,7 +65,8 @@ def test_synthetic_dataset_seeded():
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
-    data = _small_data(seed=1)
+    data = _small_data(seed=1, ambient_dim=12)
+    data.image_shape = (4, 3)
     p = tmp_path / "data.rpmat"
     save_dataset(data, p)
     back = load_dataset(p)
@@ -73,6 +74,7 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert back.labels == data.labels
     assert back.split == data.split
     assert back.provenance == data.provenance
+    assert back.image_shape == (4, 3)
 
 
 @pytest.mark.parametrize(
@@ -113,31 +115,6 @@ def test_load_dataset_rejects_bad_labels_and_split(tmp_path, sidecar, words):
     p.with_suffix(p.suffix + ".json").write_text(json.dumps(sidecar))
     with pytest.raises(MalformedMatrix, match=r"feats\.rpmat: sidecar " + words):
         load_dataset(p)
-
-
-def test_ingest_matrix_file(tmp_path):
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((8, 6))
-    p = tmp_path / "feats.rpmat"
-    write_matrix(p, M)
-    sidecar = {"labels": ["a"] * 3 + ["b"] * 3, "split": ["train", "train", "test"] * 2}
-    p.with_suffix(p.suffix + ".json").write_text(json.dumps(sidecar))
-    data = ingest_dataset(p, layout="matrix_file")
-    np.testing.assert_array_equal(data.features, M)
-    assert data.labels == sidecar["labels"]
-    assert data.split == sidecar["split"]
-    assert data.provenance == {"path": str(p), "layout": "matrix_file"}
-
-
-def test_ingest_matrix_file_keeps_image_shape(tmp_path):
-    data = _small_data(seed=2, ambient_dim=12)
-    data.image_shape = (4, 3)
-    p = tmp_path / "data.rpmat"
-    save_dataset(data, p)
-    back = ingest_dataset(p, layout="matrix_file")
-    assert back.image_shape == (4, 3)
-    np.testing.assert_array_equal(back.features, data.features)
-    assert back.provenance == {"path": str(p), "layout": "matrix_file"}
 
 
 def test_ingest_class_dirs(tmp_path):
@@ -343,6 +320,16 @@ def test_run_experiment_leaves_the_dataset_unchanged():
     for dim in (None, 12):
         run_experiment(ExperimentConfig(feature_dim=dim, degradation=spec), data)
         assert data.features.tobytes() == before.tobytes()
+
+
+def test_run_experiment_block_occlusion_needs_image_shape():
+    data = _small_data(seed=4, ambient_dim=12)
+    spec = DegradationSpec("block_occlusion", 0.3, seed=1, low=-1.0, high=1.0)
+    config = ExperimentConfig(degradation=spec)
+    with pytest.raises(ConfigInvalid, match="block occlusion needs image-shaped data"):
+        run_experiment(config, data)
+    data.image_shape = (4, 3)
+    assert run_experiment(config, data).n_queries == 16
 
 
 def test_run_experiment_report_contents():

@@ -238,6 +238,25 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "entry, lam",
+    [(np.nan, 0.07), (np.inf, 0.07), (None, float("nan")), (None, float("inf")),
+     (None, 0.0), (None, -1.0), (None, "0.07"), (None, True)],
+    ids=["nan-entry", "inf-entry", "nan-lambda", "inf-lambda", "zero-lambda",
+         "negative-lambda", "string-lambda", "bool-lambda"],
+)
+def test_load_projector_rejects_non_finite_input(tmp_path, entry, lam):
+    # a NaN entry used to load, and classify printed a prediction from it
+    path = tmp_path / "proj.rpmat"
+    proj = build_projector(_dictionary(), 0.07)
+    if entry is not None:
+        proj.matrix[1, 2] = entry
+    save_projector(proj, path)
+    _edit_sidecar(path, **{"lambda": lam})
+    with pytest.raises(MalformedMatrix, match=r"proj\.rpmat: "):
+        load_projector(path)
+
+
+@pytest.mark.parametrize(
     "kind, key",
     [
         ("dictionary", "labels"),

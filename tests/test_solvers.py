@@ -219,6 +219,15 @@ def test_fista_identity_matches_soft_threshold():
         np.testing.assert_allclose(res.alpha, shrink(y, lam / 2.0), atol=1e-6)
 
 
+def test_fista_zero_matrix_gives_zero_code():
+    # with X = 0 every code has the objective ||y||^2, and a = 0 is returned
+    # without an iteration (the step 1/(2 ||X||^2) does not exist)
+    y = np.random.default_rng(18).standard_normal(5)
+    res = solve_fista_l1(np.zeros((5, 3)), y, 0.3)
+    np.testing.assert_array_equal(res.alpha, np.zeros(3))
+    assert res.objective == y @ y and res.iterations == 0 and res.converged
+
+
 def test_fista_objective_not_worse_than_zero_and_ls():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((20, 8))
@@ -787,7 +796,6 @@ def test_ssnal_zero_query_and_identity():
     res = solve_ssnal_l1(np.zeros((6, 0)), np.ones(6), 0.5)
     assert res.converged and res.gap == 0.0 and res.objective == 6.0
     assert res.alpha.shape == (0,)
-    # with X = I the lasso separates into soft thresholds at lam/2
     # with X = I the lasso separates into soft thresholds at lam/2, and the
     # objective is 2-strongly convex, so the gap bounds ||a - a*||^2
     y = np.random.default_rng(16).standard_normal(12)
@@ -864,12 +872,12 @@ def test_spd_solve_leaves_its_system_unchanged(order):
 
 def test_newton_box_gradient_from_the_active_rows(monkeypatch):
     # _newton forms the box gradient kappa * M^T S(x) from the rows K where
-    # S(x) is nonzero and solves M_K^T M_K + (c/kappa) I; on a random problem
+    # S(x) is nonzero and solves M_K^T M_K + (1/kappa) I; on a random problem
     # its first system equals the one built from all of M
     rng = np.random.default_rng(19)
     M = rng.standard_normal((40, 8))
     v, b, x = rng.standard_normal(8), rng.standard_normal(8), 2.0 * rng.standard_normal(40)
-    c, kappa, t = 1.0, 3.0, 0.5
+    kappa, t = 3.0, 0.5
     systems, solve = [], solvers._spd_solve
 
     def spy(A, g):
@@ -877,13 +885,13 @@ def test_newton_box_gradient_from_the_active_rows(monkeypatch):
         return solve(A, g)
 
     monkeypatch.setattr(solvers, "_spd_solve", spy)
-    solvers._newton(M, c, b, kappa, t, v, x)
+    solvers._newton(M, b, kappa, t, v, x)
     s = shrink(x, t)
     K = s != 0
     assert 8 < K.sum() < 40  # the p x p system, over some of the rows
     A, g = systems[0]
-    np.testing.assert_allclose(g, c * v - b + kappa * (M.T @ s), rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(A, M[K].T @ M[K] + (c / kappa) * np.eye(8), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(g, v - b + kappa * (M.T @ s), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(A, M[K].T @ M[K] + (1 / kappa) * np.eye(8), rtol=1e-13, atol=1e-13)
 
 
 # ------------------------------------------------- per-dictionary factors
@@ -995,6 +1003,17 @@ def test_omp_residual_decreases_with_k():
     y = rng.standard_normal(20)
     objs = [solve_omp(X, y, k).objective for k in (1, 3, 6, 12)]
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+
+
+def test_omp_stops_when_the_residual_is_orthogonal_to_the_unused_atoms():
+    # after the first atom the residual e4 has no correlation with e2 and e3,
+    # so OMP stops at one atom below k = 3
+    X = np.eye(4)[:, :3]
+    y = np.array([2.0, 0.0, 0.0, 1.0])
+    res = solve_omp(X, y, 3)
+    assert res.iterations == 1
+    np.testing.assert_array_equal(res.alpha, [2.0, 0.0, 0.0])
+    assert res.objective == 1.0
 
 
 def test_omp_bad_sparsity():
