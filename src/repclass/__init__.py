@@ -10,17 +10,13 @@ from .classifiers import (
     SCI_CLASSIFIERS,
     Decision,
     Model,
-    ValidationOutcome,
-    compute_sci,
     fit,
-    validate,
 )
 from .dictionary import (
     Dictionary,
     Projector,
     build_dictionary,
     build_projector,
-    class_coefficients,
     default_lambda,
     normalize_columns,
 )
@@ -49,11 +45,8 @@ __all__ = [
     "Model",
     "PcaModel",
     "Projector",
-    "ValidationOutcome",
     "build_dictionary",
     "build_projector",
-    "class_coefficients",
-    "compute_sci",
     "default_lambda",
     "fit",
     "fit_pca",
@@ -66,7 +59,6 @@ __all__ = [
     "solve_omp",
     "solve_rls",
     "solve_ssnal_l1",
-    "validate",
     "vectorize_image",
 ]
 

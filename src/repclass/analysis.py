@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import class_coefficients
 from .errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
 
 
@@ -105,8 +104,9 @@ def geometry_check(dictionary, y, label):
     X = dictionary.data
     alpha, *_ = np.linalg.lstsq(X, y, rcond=None)
     y_hat = X @ alpha
-    ai = class_coefficients(dictionary, alpha, label)
-    chi = dictionary.class_block(label) @ ai
+    block = dictionary.class_block(label)  # UnknownClass for a label not in the dictionary
+    lo, hi = dictionary.class_ranges[label]
+    chi = block @ alpha[lo:hi]
     chibar = y_hat - chi
     r_total_sq = float(np.sum((y - chi) ** 2))
     r_perp_sq = float(np.sum((y - y_hat) ** 2))

@@ -12,7 +12,6 @@ import numpy as np
 
 from .dictionary import Dictionary, _ridge_map
 from .errors import (
-    ConfigInvalid,
     DimensionMismatch,
     FingerprintMismatch,
     MalformedMatrix,
@@ -22,7 +21,9 @@ from .solvers import CodingResult, _check_block, solve_fista_l1, solve_l1res_blo
 from .solvers import solve_ssnal_l1
 
 _ZERO_COEF_TOL = 1e-12
-_RCRC_SLICE = 64  # rcrc codes at most this many queries at once: its memory is ~20 x slice x m
+# rcrc codes at most this many queries at once. Each holds its min(m, n)^2 Cholesky
+# factor through an iteration: 11.3 MiB at min(m, n) = 1216, about 760 MiB for 64 queries
+_RCRC_SLICE = 64
 
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
@@ -65,13 +66,6 @@ class Decisions:
     gap: np.ndarray | None
     seconds: np.ndarray
     inner_iterations: np.ndarray
-
-
-@dataclass
-class ValidationOutcome:
-    accepted: bool
-    sci: float
-    threshold: float
 
 
 def _residual_sq(T, A, B):
@@ -240,11 +234,6 @@ def fit(dictionary, config, projector=None):
     return Model(dictionary, config, lam, code_map)
 
 
-def compute_sci(dictionary, coding):
-    """Sparsity concentration index of one coding vector: block_sci of it."""
-    return float(block_sci(dictionary, np.reshape(coding.alpha, (-1, 1)))[0])
-
-
 def block_sci(dictionary, A):
     """Sparsity concentration index of each column of the n x q code block A.
 
@@ -265,11 +254,3 @@ def block_sci(dictionary, A):
     k = dictionary.k
     sci = (k * (best / np.where(live, total, 1.0)) - 1.0) / (k - 1.0)
     return np.where(live, np.clip(sci, 0.0, 1.0), 0.0)
-
-
-def validate(dictionary, coding, threshold):
-    """Accept the coding as a known subject iff its SCI reaches the threshold."""
-    if not (0.0 <= threshold <= 1.0):
-        raise ConfigInvalid(f"threshold must lie in [0, 1], got {threshold}")
-    sci = compute_sci(dictionary, coding)
-    return ValidationOutcome(accepted=sci >= threshold, sci=sci, threshold=threshold)

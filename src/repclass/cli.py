@@ -79,6 +79,8 @@ def cmd_ingest(args):
         if args.seed is None:
             raise ConfigInvalid("--seed is required for synthetic generation")
         cfg = _load_config(args)
+        if "seed" in cfg:
+            raise ConfigInvalid("the synthetic seed is --seed; drop 'seed' from the config")
         cfg["seed"] = args.seed
         unknown = set(cfg) - set(inspect.signature(harness.synthetic_dataset).parameters)
         if unknown:

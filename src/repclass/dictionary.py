@@ -158,19 +158,6 @@ def build_dictionary(samples):
     return Dictionary(data=normalize_columns(raw), labels=labels)
 
 
-def class_coefficients(dictionary, alpha, label):
-    """Slice of a length-n coefficient vector belonging to one class block."""
-    alpha = np.asarray(alpha)
-    if alpha.shape[0] != dictionary.n:
-        raise DimensionMismatch(
-            f"alpha has length {alpha.shape[0]}, dictionary has {dictionary.n} columns"
-        )
-    if label not in dictionary.class_ranges:
-        raise UnknownClass(f"no class {label!r} in dictionary")
-    lo, hi = dictionary.class_ranges[label]
-    return alpha[lo:hi]
-
-
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Precomputed ridge projection (X^T X + lambda I)^{-1} X^T.

@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repclass.classifiers
-from repclass.classifiers import CLASSIFIERS, Model, block_sci, compute_sci, fit, validate
+from repclass.classifiers import CLASSIFIERS, Model, block_sci, fit
 from repclass.dictionary import (
     Projector,
     build_dictionary,
     build_projector,
-    class_coefficients,
     default_lambda,
 )
 from repclass.errors import (
-    ConfigInvalid,
     DimensionMismatch,
     FingerprintMismatch,
     MalformedMatrix,
@@ -24,7 +22,7 @@ from repclass.errors import (
     SingleClass,
 )
 from repclass.harness import ExperimentConfig
-from repclass.solvers import AlmParams, CodingResult, FistaParams
+from repclass.solvers import AlmParams, FistaParams
 from repclass.synthetic import make_subspace_dataset
 
 
@@ -248,14 +246,14 @@ def test_rns_l2_factors_each_class_once_at_fit(monkeypatch):
         assert block.scores.shape == (d.k, 7)
 
 
-def test_block_sci_equals_compute_sci_per_column():
+def test_block_sci_equals_one_column_block_sci():
     d, rng = _toy(26)
     A = rng.standard_normal((d.n, 5))
     A[:, 1] = 0.0
     A[5:, 2] = 0.0  # all mass in the first class block
     sci = block_sci(d, A)
     for j in range(5):
-        assert sci[j] == pytest.approx(compute_sci(d, _coding(A[:, j])), rel=1e-12, abs=1e-15)
+        assert sci[j] == pytest.approx(_sci(d, A[:, j]), rel=1e-12, abs=1e-15)
     assert sci[1] == 0.0 and sci[2] == pytest.approx(1.0)
     with pytest.raises(DimensionMismatch):
         block_sci(d, A[1:])
@@ -367,7 +365,8 @@ def test_src_plain_vs_regularized_variant():
 def _plain_residuals_reference(dictionary, y, alpha):
     out = {}
     for lab in dictionary.classes:
-        ai = class_coefficients(dictionary, alpha, lab)
+        lo, hi = dictionary.class_ranges[lab]
+        ai = alpha[lo:hi]
         out[lab] = float(np.linalg.norm(y - dictionary.class_block(lab) @ ai))
     return out
 
@@ -376,7 +375,8 @@ def _regularized_residuals_reference(dictionary, y, alpha, e=None):
     target = y if e is None else y - e
     out = {}
     for lab in dictionary.classes:
-        ai = class_coefficients(dictionary, alpha, lab)
+        lo, hi = dictionary.class_ranges[lab]
+        ai = alpha[lo:hi]
         nai = float(np.linalg.norm(ai))
         if nai < 1e-12:
             out[lab] = np.inf
@@ -409,23 +409,24 @@ def test_residuals_bit_equal_to_per_class_reference(classifier, variant):
 
 # ------------------------------------------------------------------ SCI
 
-def _coding(vec):
-    return CodingResult(alpha=np.asarray(vec, dtype=float), objective=0.0)
+def _sci(d, vec):
+    """SCI of one code vector: block_sci of the one-column block."""
+    return float(block_sci(d, np.asarray(vec, dtype=float)[:, None])[0])
 
 
 def test_sci_extremes():
     d, _ = _toy(14, per_class=2, classes=("a", "b", "c"))
     one_class = np.zeros(d.n)
     one_class[0:2] = [1.0, -2.0]
-    assert compute_sci(d, _coding(one_class)) == pytest.approx(1.0)
-    assert compute_sci(d, _coding(np.ones(d.n))) == pytest.approx(0.0)
-    assert compute_sci(d, _coding(np.zeros(d.n))) == 0.0
+    assert _sci(d, one_class) == pytest.approx(1.0)
+    assert _sci(d, np.ones(d.n)) == pytest.approx(0.0)
+    assert _sci(d, np.zeros(d.n)) == 0.0
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=6, max_size=6))
 def test_sci_bounds(vals):
     d, _ = _toy(15, per_class=2, classes=("a", "b", "c"))
-    sci = compute_sci(d, _coding(vals))
+    sci = _sci(d, vals)
     assert 0.0 <= sci <= 1.0
 
 
@@ -443,44 +444,20 @@ def test_sci_matches_per_class_formula():
     for _ in range(50):
         alpha = rng.standard_normal(d.n) * rng.uniform(0, 3, size=d.n)
         alpha[rng.random(d.n) < 0.5] = 0.0
-        sci = compute_sci(d, _coding(alpha))
+        sci = _sci(d, alpha)
         assert sci == pytest.approx(_sci_reference(d, alpha), abs=1e-12)
 
 
 def test_sci_single_class_error():
     d, _ = _toy(16, classes=("only",))
     with pytest.raises(SingleClass):
-        compute_sci(d, _coding(np.ones(d.n)))
+        _sci(d, np.ones(d.n))
 
 
 def test_sci_length_mismatch():
     d, _ = _toy(17)
     with pytest.raises(DimensionMismatch):
-        compute_sci(d, _coding(np.ones(d.n + 1)))
-
-
-def test_validate_threshold_semantics():
-    d, _ = _toy(18, per_class=2, classes=("a", "b"))
-    conc = np.zeros(d.n)
-    conc[0] = 1.0
-    out = validate(d, _coding(conc), 0.9)
-    assert out.accepted and out.sci == pytest.approx(1.0)
-    out = validate(d, _coding(np.ones(d.n)), 0.1)
-    assert not out.accepted
-    with pytest.raises(ConfigInvalid):
-        validate(d, _coding(conc), 1.5)
-
-
-def test_validate_acceptance_monotone_in_threshold():
-    d, rng = _toy(19)
-    y = rng.standard_normal(d.m)
-    proj = build_projector(d, 0.01)
-    dec = _decide(d, y, projector=proj)
-    accepted = [
-        validate(d, dec.coding, t).accepted for t in np.linspace(0, 1, 11)
-    ]
-    # once rejected, stays rejected
-    assert all(a >= b for a, b in zip(accepted, accepted[1:]))
+        _sci(d, np.ones(d.n + 1))
 
 
 def test_decide_calls_the_module_solvers(monkeypatch):

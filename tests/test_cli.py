@@ -31,6 +31,23 @@ def test_ingest_synthetic_requires_seed(tmp_path, capsys):
     assert "seed" in err["message"]
 
 
+@pytest.mark.parametrize("route", ["config", "set"])
+def test_ingest_synthetic_seed_is_taken_one_way(tmp_path, route, capsys):
+    # a config seed used to be overwritten by --seed unread, with exit 0
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 5, "n_classes": 2}')
+    given = ["--config", str(config)] if route == "config" else ["--set", "seed=5", "--set", "n_classes=2"]
+    out = tmp_path / "d.rpmat"
+    rc = main(["ingest", "--synthetic", "--seed", "3", *given, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid" and "--seed" in err["message"]
+    # without --seed, a config seed still does not stand in for it
+    rc = main(["ingest", "--synthetic", *given, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert "--seed is required" in json.loads(capsys.readouterr().err)["message"]
+
+
 @pytest.mark.parametrize(
     "setting, words",
     [("n_clases=2", ("n_clases",)), ('n_classes="3"', ("n_classes",)),

@@ -5,7 +5,6 @@ from repclass.dictionary import (
     Dictionary,
     build_dictionary,
     build_projector,
-    class_coefficients,
     default_lambda,
     normalize_columns,
 )
@@ -131,10 +130,6 @@ def test_class_block_and_coefficients():
     blk = d.class_block("b")
     assert blk.shape == (12, 3)
     np.testing.assert_array_equal(blk, d.data[:, 3:6])
-    alpha = np.arange(d.n, dtype=float)
-    np.testing.assert_array_equal(class_coefficients(d, alpha, "b"), alpha[3:6])
-    with pytest.raises(UnknownClass):
-        class_coefficients(d, alpha, "zz")
     with pytest.raises(UnknownClass):
         d.class_block("zz")
 
