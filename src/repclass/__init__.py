@@ -8,7 +8,6 @@ baselines, plus the supporting analyses and a batch experiment harness.
 from .classifiers import (
     CLASSIFIERS,
     SCI_CLASSIFIERS,
-    Decision,
     Model,
     fit,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SCI_CLASSIFIERS",
     "AlmParams",
     "CodingResult",
-    "Decision",
     "Dictionary",
     "FistaParams",
     "Model",

@@ -2,7 +2,8 @@
 
 fit(dictionary, config) binds one of CLASSIFIERS to a dictionary; its
 Model.decide_block(Y) scores each class for each query of a block and picks
-the argmin, ties going to the earliest class block; decide(y) is q = 1.
+the argmin, ties going to the earliest class block. One query is the block
+of one column.
 """
 
 import time
@@ -17,13 +18,11 @@ from .errors import (
     MalformedMatrix,
     SingleClass,
 )
-from .solvers import CodingResult, _check_block, solve_fista_l1, solve_l1res_block
-from .solvers import solve_ssnal_l1
+from .solvers import _check_block, solve_fista_l1, solve_l1res_block, solve_ssnal_l1
 
 _ZERO_COEF_TOL = 1e-12
-# rcrc codes at most this many queries at once. Each holds its min(m, n)^2 Cholesky
-# factor through an iteration: 11.3 MiB at min(m, n) = 1216, about 760 MiB for 64 queries
-_RCRC_SLICE = 64
+# rcrc codes a block in slices whose queries hold at most this many bytes together
+_RCRC_BYTES = 128 << 20
 
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
@@ -34,23 +33,14 @@ SCI_CLASSIFIERS = ("src", "crc_rls", "rcrc", "ns")
 
 
 @dataclass
-class Decision:
-    predicted: object
-    per_class_residuals: dict
-    coding: CodingResult
-    degenerate: bool = False
-
-
-@dataclass
 class Decisions:
     """Decisions on a block of q queries; column (or entry) j is query j.
 
     scores is K x q with rows in class order; predicted the row of each
     column's least score. alpha is the n x q code (for rns_* each class
-    block's code of the query alone, zeros for nn), residual rcrc's m x q
-    outlier estimate and gap the relative duality gaps of the SSNAL and
-    R-CRC codes (None for the other coders). inner_iterations counts SSNAL's
-    Newton steps (0 for the other coders).
+    block's code of the query alone, zeros for nn) and gap the relative
+    duality gaps of the SSNAL and R-CRC codes (None for the other coders).
+    inner_iterations counts SSNAL's Newton steps (0 for the other coders).
     seconds is each query's own coding time plus an equal share of the rest.
     rcrc codes the queries in lockstep slices, so its own coding time is its
     slice's coding time shared in proportion to the queries' iterations.
@@ -59,7 +49,6 @@ class Decisions:
     scores: np.ndarray
     predicted: np.ndarray
     alpha: np.ndarray
-    residual: np.ndarray | None
     iterations: np.ndarray
     converged: np.ndarray
     objective: np.ndarray
@@ -74,6 +63,18 @@ def _residual_sq(T, A, B):
     R = A @ B.T
     np.subtract(T, R, out=R)
     return np.vecdot(R, R)
+
+
+def _rcrc_query_bytes(m, n):
+    """The bytes one query holds in solve_l1res_block on an m x n dictionary: its
+    min(m, n)^2 Cholesky factor and its rows of the lockstep state, which
+    tracemalloc put at up to 22 m-vectors and 7 n-vectors, so bounded by 24 and 8."""
+    return 8 * (min(m, n) ** 2 + 24 * m + 8 * n)
+
+
+def _rcrc_slice(m, n):
+    """How many queries rcrc codes at once: as many as fit in _RCRC_BYTES, at least one."""
+    return max(1, _RCRC_BYTES // _rcrc_query_bytes(m, n))
 
 
 def _timed_slices(coder, rows, seconds, size=1):
@@ -106,21 +107,6 @@ class Model:
     lam: float
     code_map: np.ndarray | None = None
 
-    def decide(self, y):
-        """Classify one query: decide_block on the one-column block. A strided
-        y (a column of a row-major matrix) is copied first, so its products
-        round as its contiguous copy's do."""
-        b = self.decide_block(np.reshape(np.ascontiguousarray(y), (-1, 1)))
-        best, classes = int(b.predicted[0]), self.dictionary.classes
-        coding = CodingResult(
-            b.alpha[:, 0], float(b.objective[0]), int(b.iterations[0]), bool(b.converged[0]),
-            None if b.residual is None else b.residual[:, 0],
-            gap=None if b.gap is None else float(b.gap[0]),
-            inner_iterations=int(b.inner_iterations[0]),
-        )
-        scores = b.scores[:, 0].tolist()
-        return Decision(classes[best], dict(zip(classes, scores)), coding, scores[best] == np.inf)
-
     def decide_block(self, Y):
         """Classify the m x q block Y of queries at once, as Decisions.
 
@@ -147,7 +133,7 @@ class Model:
             if rule == "src":
                 codings = _timed_slices(lambda R: [self._lasso(d, R[0])], Yt, seconds)
             else:
-                codings = _timed_slices(self._l1_residual, Yt, seconds, _RCRC_SLICE)
+                codings = _timed_slices(self._l1_residual, Yt, seconds, _rcrc_slice(*X.shape))
                 Et = np.reshape([r.residual_vec for r in codings], Yt.shape)
             At = np.reshape([r.alpha for r in codings], (q, d.n))
         T = Yt if Et is None else Yt - Et  # the query less rcrc's outlier estimate
@@ -190,8 +176,7 @@ class Model:
             gaps = [r.gap for r in codings]  # None from a coder without a gap
             gap = None if None in gaps else np.array(gaps, dtype=float)
         seconds += (time.perf_counter() - t_start - seconds.sum()) / max(q, 1)
-        E = None if Et is None else Et.T
-        return Decisions(scores, predicted, At.T, E, iterations, converged, objective, gap, seconds, inner)
+        return Decisions(scores, predicted, At.T, iterations, converged, objective, gap, seconds, inner)
 
     def _l1_residual(self, R):
         return solve_l1res_block(self.dictionary, R.T, self.lam, self.config.alm)

@@ -92,16 +92,22 @@ def cmd_ingest(args):
     print(json.dumps({"columns": data.n_columns, "classes": len(set(data.labels))}))
 
 
-def _lambda_arg(text):
-    """--lambda value: "auto" or a number."""
-    return text if text == "auto" else float(text)
+def _number(flag, text):
+    """text, an entry of --flag, as a float; ConfigInvalid names the flag and
+    the entry when it is not a number. Commands parse their numbers before
+    they read a file."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigInvalid(f"--{flag}: {text!r} is not a number") from None
 
 
 def cmd_train(args):
+    lam = args.lam if args.lam == "auto" else _number("lambda", args.lam)
     data = harness.load_dataset(args.data)
     feats, labels = data.columns("train")
     dictionary = build_dictionary(zip(feats.T, labels))
-    lam = ExperimentConfig(lam=_lambda_arg(args.lam)).resolve_lambda(dictionary.n)
+    lam = ExperimentConfig(lam=lam).resolve_lambda(dictionary.n)
     projector = build_projector(dictionary, lam)
     io.save_dictionary(dictionary, args.out)
     io.save_projector(projector, args.out + ".proj")
@@ -109,16 +115,15 @@ def cmd_train(args):
 
 
 def cmd_classify(args):
+    lam = args.lam if args.lam == "auto" else _number("lambda", args.lam)
     dictionary = io.load_dictionary(args.dict)
     y = io.read_matrix(args.query).ravel()
-    config = ExperimentConfig(classifier=args.classifier, lam=_lambda_arg(args.lam))
+    config = ExperimentConfig(classifier=args.classifier, lam=lam)
     # fit reuses the trained projector when it was built at the requested lambda
     projector = io.load_projector(args.dict + ".proj") if args.classifier == "crc_rls" else None
-    decision = fit(dictionary, config, projector).decide(y)
-    residuals = {
-        str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
-    }
-    print(json.dumps({"predicted": str(decision.predicted), "residuals": residuals}))
+    b = fit(dictionary, config, projector).decide_block(y[:, None])
+    residuals = dict(zip(map(str, dictionary.classes), harness._jsonable(b.scores[:, 0])))
+    print(json.dumps({"predicted": str(dictionary.classes[b.predicted[0]]), "residuals": residuals}))
 
 
 def cmd_experiment(args):
@@ -141,8 +146,8 @@ def cmd_experiment(args):
 
 def cmd_sweep(args):
     config = ExperimentConfig.from_json(_load_config(args))
+    lambdas = sorted(_number("lambdas", x) for x in args.lambdas.split(","))
     data = harness.load_dataset(args.data)
-    lambdas = sorted(float(x) for x in args.lambdas.split(","))
     reports = harness.lambda_sweep(config, data, lambdas)
     rates = [r.recognition_rate for r in reports]
     _write_csv(args.out, "lambda,recognition_rate", zip(lambdas, rates))
@@ -150,10 +155,10 @@ def cmd_sweep(args):
 
 def cmd_roc(args):
     config = ExperimentConfig.from_json(_load_config(args))
+    thresholds = [_number("thresholds", x) for x in args.thresholds.split(",")]
     gallery = harness.load_dataset(args.gallery)
     customers = harness.load_dataset(args.customers)
     imposters = harness.load_dataset(args.imposters)
-    thresholds = [float(x) for x in args.thresholds.split(",")]
     points = harness.run_roc(config, gallery, customers, imposters, thresholds)
     _write_json(args.out, {"points": points, "auc": harness.roc_auc(points)})
 
@@ -183,9 +188,9 @@ def cmd_analyze(args):
         del rep["bin_edges"], rep["counts"]
         _write_json(args.out, rep)
     elif args.mode == "residual_curve":
+        grid = [_number("grid", x) for x in args.grid.split(",")]
         Phi = io.read_matrix(args.input)
         y = io.read_matrix(args.query).ravel()
-        grid = [float(x) for x in args.grid.split(",")]
         _write_csv(args.out, "epsilon,residual", solve_constrained_lp(Phi, y, args.p, grid))
     elif args.mode == "geometry":
         dictionary = io.load_dictionary(args.input)

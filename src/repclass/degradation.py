@@ -37,6 +37,8 @@ class DegradationSpec:
             raise ConfigInvalid(f"degradation 'seed' must be a whole number >= 0, got {self.seed!r}")
         if not (0.0 <= self.fraction <= 1.0):
             raise BadFraction(f"fraction must lie in [0, 1], got {self.fraction}")
+        if self.kind == "block_occlusion" and self.fraction == 1.0:
+            raise BadFraction("block_occlusion's fraction must lie in [0, 1), got 1.0")
         if self.low > self.high:
             raise ConfigInvalid(f"degradation 'low' {self.low} exceeds 'high' {self.high}")
 

@@ -304,6 +304,7 @@ def solve_l1res_block(X, Y, lam, params=None):
             stop(~done, it)
             continue
         D = U / S1 + W / S2
+        factors = None  # drop the last factors first, so a query holds one factor at a time
         factors = [factor(d) for d in D]
         ok = np.array([c is not None for c in factors])
         if not ok.all():  # a failed factorization stops its query alone

@@ -22,7 +22,7 @@ from repclass.errors import (
     SingleClass,
 )
 from repclass.harness import ExperimentConfig
-from repclass.solvers import AlmParams, FistaParams
+from repclass.solvers import AlmParams, FistaParams, solve_l1res_block
 from repclass.synthetic import make_subspace_dataset
 
 
@@ -37,11 +37,12 @@ def _toy(seed=0, m=20, per_class=5, classes=("a", "b", "c", "d")):
 
 
 def _decide(d, y, classifier="crc_rls", lam="auto", projector=None, **config):
-    """fit(...).decide(y) for one query; a given projector fixes lambda."""
+    """fit(...).decide_block on the one-column block of y; a given projector
+    fixes lambda."""
     if projector is not None:
         lam = projector.lam
     model = fit(d, ExperimentConfig(classifier=classifier, lam=lam, **config), projector)
-    return model.decide(y)
+    return model.decide_block(np.reshape(y, (-1, 1)))
 
 
 def test_crc_rls_matches_manual_computation():
@@ -49,15 +50,14 @@ def test_crc_rls_matches_manual_computation():
     lam = default_lambda(d.n)
     proj = build_projector(d, lam)
     y = rng.standard_normal(d.m)
-    dec = _decide(d, y, projector=proj)
+    b = _decide(d, y, projector=proj)
     alpha = np.linalg.solve(d.data.T @ d.data + lam * np.eye(d.n), d.data.T @ y)
-    for lab in d.classes:
-        lo, hi = d.class_ranges[lab]
+    for i, (lo, hi) in enumerate(d.class_ranges.values()):
         ai = alpha[lo:hi]
         ref = np.linalg.norm(y - d.data[:, lo:hi] @ ai) / np.linalg.norm(ai)
-        assert dec.per_class_residuals[lab] == pytest.approx(ref, rel=1e-10)
-    assert dec.predicted == min(dec.per_class_residuals, key=dec.per_class_residuals.get)
-    assert not dec.degenerate
+        assert b.scores[i, 0] == pytest.approx(ref, rel=1e-10)
+    assert b.predicted[0] == np.argmin(b.scores[:, 0])
+    assert not np.isinf(b.scores[:, 0]).all()
 
 
 def test_crc_rls_classifies_clean_subspace_data():
@@ -65,7 +65,7 @@ def test_crc_rls_classifies_clean_subspace_data():
     d = build_dictionary([(train[:, i], trl[i]) for i in range(train.shape[1])])
     proj = build_projector(d, default_lambda(d.n))
     hits = sum(
-        _decide(d, test[:, j], projector=proj).predicted == tel[j]
+        d.classes[_decide(d, test[:, j], projector=proj).predicted[0]] == tel[j]
         for j in range(test.shape[1])
     )
     assert hits == test.shape[1]
@@ -115,9 +115,9 @@ def test_scale_invariance_of_argmin():
     ns = fit(d, ExperimentConfig(classifier="ns"))
     for c in (0.5, 3.0, 250.0):
         assert _decide(d, c * y, projector=proj).predicted == _decide(d, y, projector=proj).predicted
-        assert src.decide(c * y).predicted == src.decide(y).predicted
-        assert nn.decide(c * y / c).predicted == nn.decide(y).predicted
-        assert ns.decide(c * y).predicted == ns.decide(y).predicted
+        assert src.decide_block(c * y[:, None]).predicted == src.decide_block(y[:, None]).predicted
+        assert nn.decide_block(c * y[:, None] / c).predicted == nn.decide_block(y[:, None]).predicted
+        assert ns.decide_block(c * y[:, None]).predicted == ns.decide_block(y[:, None]).predicted
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)
@@ -131,17 +131,17 @@ def test_class_permutation_equivariance(classifier):
     lam = 0.01
 
     def residuals(order):
-        samples = [(blocks[lab][:, j], lab) for lab in order for j in range(4)]
-        return _decide(build_dictionary(samples), y, classifier, lam)
+        """The predicted class and each class's score, by class."""
+        d = build_dictionary([(blocks[lab][:, j], lab) for lab in order for j in range(4)])
+        b = _decide(d, y, classifier, lam)
+        return d.classes[b.predicted[0]], dict(zip(d.classes, b.scores[:, 0]))
 
-    d1 = residuals(("a", "b", "c"))
-    d2 = residuals(("c", "a", "b"))
-    assert d1.predicted == d2.predicted
+    p1, r1 = residuals(("a", "b", "c"))
+    p2, r2 = residuals(("c", "a", "b"))
+    assert p1 == p2
     rel = 1e-10 if classifier == "crc_rls" else 1e-6
     for lab in ("a", "b", "c"):
-        assert d1.per_class_residuals[lab] == pytest.approx(
-            d2.per_class_residuals[lab], rel=rel
-        )
+        assert r1[lab] == pytest.approx(r2[lab], rel=rel)
 
 
 # decision variants each classifier reads; the others score without one
@@ -174,19 +174,19 @@ def test_block_decide_equals_single_decide(classifier, variant, seed, q, zero_co
     block = model.decide_block(Y)
     assert block.scores.shape == (d.k, q + 1)
     for j in range(q + 1):
-        one = model.decide(Y[:, j])
-        assert d.classes[block.predicted[j]] == one.predicted
-        assert _rel_equal(block.scores[:, j], list(one.per_class_residuals.values()))
+        one = model.decide_block(Y[:, [j]])
+        assert block.predicted[j] == one.predicted[0]
+        assert _rel_equal(block.scores[:, j], one.scores[:, 0])
         # a solve over q right-hand sides rounds apart from one over a single
         # one, by the conditioning of the class block
-        scale = 1e-10 * (1.0 + np.max(np.abs(one.coding.alpha)))
-        assert np.allclose(block.alpha[:, j], one.coding.alpha, rtol=0.0, atol=scale)
-        assert _rel_equal(block.objective[j], one.coding.objective)
-        assert block.iterations[j] == one.coding.iterations
-        assert block.converged[j] == one.coding.converged
+        scale = 1e-10 * (1.0 + np.max(np.abs(one.alpha[:, 0])))
+        assert np.allclose(block.alpha[:, j], one.alpha[:, 0], rtol=0.0, atol=scale)
+        assert _rel_equal(block.objective[j], one.objective[0])
+        assert block.iterations[j] == one.iterations[0]
+        assert block.converged[j] == one.converged[0]
     if variant == "regularized_residual" and classifier in ("crc_rls", "src", "rcrc"):
         assert np.all(np.isinf(block.scores[:, zero_col]))
-        assert model.decide(Y[:, zero_col]).degenerate
+        assert np.isinf(model.decide_block(Y[:, [zero_col]]).scores[:, 0]).all()
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)
@@ -197,18 +197,6 @@ def test_empty_block_gives_empty_decisions(classifier):
     assert block.scores.shape == (d.k, 0) and block.alpha.shape == (d.n, 0)
     for v in (block.predicted, block.iterations, block.converged, block.objective, block.seconds):
         assert v.shape == (0,)
-    assert block.residual is None or block.residual.shape == (d.m, 0)
-
-
-@pytest.mark.parametrize("classifier", CLASSIFIERS)
-def test_decide_strided_query_equals_its_copy(classifier):
-    # a column of a row-major matrix is a strided vector; decide used to pass
-    # it on as a strided block, whose products rounded apart from the copy's
-    d, rng = _toy(29, m=30, per_class=6)
-    wide = rng.standard_normal((d.m, 36))
-    model = fit(d, ExperimentConfig(classifier=classifier))
-    strided = model.decide(wide[:, 3])
-    assert strided.per_class_residuals == model.decide(wide[:, 3].copy()).per_class_residuals
 
 
 def test_block_decide_times_each_query():
@@ -227,7 +215,7 @@ def test_block_decide_times_each_query():
 
 def test_rns_l2_factors_each_class_once_at_fit(monkeypatch):
     # rns_l2's ridge maps and ns's pseudo-inverses are made once per class at
-    # fit; decide_block and decide only multiply by the stacked code map
+    # fit; decide_block only multiplies by the stacked code map
     d, rng = _toy(25)
     calls = []
     for module, name in [(scipy.linalg, "cho_factor"), (np.linalg, "pinv"), (np.linalg, "lstsq")]:
@@ -241,7 +229,7 @@ def test_rns_l2_factors_each_class_once_at_fit(monkeypatch):
         assert calls == [factor] * d.k
         assert model.code_map.shape == (d.n, d.m)
         block = model.decide_block(rng.standard_normal((d.m, 7)))
-        model.decide(rng.standard_normal(d.m))
+        model.decide_block(rng.standard_normal((d.m, 1)))
         assert calls == [factor] * d.k
         assert block.scores.shape == (d.k, 7)
 
@@ -276,17 +264,16 @@ def test_tie_break_earliest_class():
     d = build_dictionary([(X[:, 0], "p"), (X[:, 1], "q")])
     proj = build_projector(d, 0.1)
     y = np.array([1.0, 1.0, 0.0])
-    dec = _decide(d, y, projector=proj)
-    assert dec.per_class_residuals["p"] == pytest.approx(dec.per_class_residuals["q"])
-    assert dec.predicted == "p"
+    b = _decide(d, y, projector=proj)
+    assert b.scores[0, 0] == pytest.approx(b.scores[1, 0])
+    assert d.classes[b.predicted[0]] == "p"
 
 
 def test_degenerate_zero_query():
     d, _ = _toy(7)
     proj = build_projector(d, 0.01)
-    dec = _decide(d, np.zeros(d.m), projector=proj)
-    assert dec.degenerate
-    assert all(np.isinf(v) for v in dec.per_class_residuals.values())
+    b = _decide(d, np.zeros(d.m), projector=proj)
+    assert np.isinf(b.scores[:, 0]).all()
 
 
 def test_rcrc_ignores_gross_corruption():
@@ -297,10 +284,10 @@ def test_rcrc_ignores_gross_corruption():
     rng = np.random.default_rng(9)
     idx = rng.choice(60, size=15, replace=False)
     y[idx] = rng.uniform(1.0, 2.0, size=15) * rng.choice([-1.0, 1.0], size=15)
-    dec = _decide(d, y, "rcrc", lam)
-    assert dec.predicted == tel[0]
+    b = _decide(d, y, "rcrc", lam)
+    assert d.classes[b.predicted[0]] == tel[0]
     # most of the outlier-estimate mass lands on the corrupted coordinates
-    e = dec.coding.residual_vec
+    e = solve_l1res_block(d, y[:, None], lam)[0].residual_vec
     mass_in = np.sum(np.abs(e[idx]))
     assert mass_in >= 0.6 * np.sum(np.abs(e))
 
@@ -311,12 +298,12 @@ def test_rns_l2_matches_per_class_ridge_objective():
     for d, rng in (_toy(10), _toy(10, m=4, per_class=6)):
         y = rng.standard_normal(d.m)
         lam = 0.05
-        dec = _decide(d, y, "rns_l2", lam)
-        for lab in d.classes:
+        b = _decide(d, y, "rns_l2", lam)
+        for i, lab in enumerate(d.classes):
             B = d.class_block(lab)
             coef = np.linalg.solve(B.T @ B + lam * np.eye(B.shape[1]), B.T @ y)
             r = y - B @ coef
-            assert dec.per_class_residuals[lab] == pytest.approx(
+            assert b.scores[i, 0] == pytest.approx(
                 float(r @ r + lam * coef @ coef), rel=1e-8
             )
 
@@ -324,23 +311,22 @@ def test_rns_l2_matches_per_class_ridge_objective():
 def test_nn_matches_brute_force():
     d, rng = _toy(11)
     y = rng.standard_normal(d.m)
-    dec = _decide(d, y, "nn")
+    b = _decide(d, y, "nn")
     dists = np.linalg.norm(d.data - y[:, None], axis=0)
     best_col = int(np.argmin(dists))
-    assert dec.predicted == d.labels[best_col]
-    for lab in d.classes:
-        lo, hi = d.class_ranges[lab]
-        assert dec.per_class_residuals[lab] == pytest.approx(float(np.min(dists[lo:hi])))
+    assert d.classes[b.predicted[0]] == d.labels[best_col]
+    for i, (lo, hi) in enumerate(d.class_ranges.values()):
+        assert b.scores[i, 0] == pytest.approx(float(np.min(dists[lo:hi])))
 
 
 def test_ns_matches_pseudoinverse():
     d, rng = _toy(12, per_class=3)
     y = rng.standard_normal(d.m)
-    dec = _decide(d, y, "ns")
-    for lab in d.classes:
+    b = _decide(d, y, "ns")
+    for i, lab in enumerate(d.classes):
         B = d.class_block(lab)
         ref = np.linalg.norm(y - B @ np.linalg.pinv(B) @ y)
-        assert dec.per_class_residuals[lab] == pytest.approx(ref, rel=1e-8)
+        assert b.scores[i, 0] == pytest.approx(ref, rel=1e-8)
 
 
 def test_src_plain_vs_regularized_variant():
@@ -349,14 +335,13 @@ def test_src_plain_vs_regularized_variant():
     lam = 0.05
     plain = _decide(d, y, "src", lam, decision_variant="plain_residual")
     reg = _decide(d, y, "src", lam, decision_variant="regularized_residual")
-    a = plain.coding.alpha
-    for lab in d.classes:
-        lo, hi = d.class_ranges[lab]
+    a = plain.alpha[:, 0]
+    for i, (lo, hi) in enumerate(d.class_ranges.values()):
         r = np.linalg.norm(y - d.data[:, lo:hi] @ a[lo:hi])
-        assert plain.per_class_residuals[lab] == pytest.approx(r, rel=1e-8)
+        assert plain.scores[i, 0] == pytest.approx(r, rel=1e-8)
         na = np.linalg.norm(a[lo:hi])
         expect = r / na if na > 1e-12 else np.inf
-        assert reg.per_class_residuals[lab] == pytest.approx(expect, rel=1e-8)
+        assert reg.scores[i, 0] == pytest.approx(expect, rel=1e-8)
 
 
 # The per-class residual loops as they stood before they sliced alpha and the
@@ -394,17 +379,18 @@ def test_residuals_bit_equal_to_per_class_reference(classifier, variant):
     for _ in range(3):
         y = rng.standard_normal(d.m)
         if classifier == "crc_rls":
-            dec = _decide(d, y, projector=proj, decision_variant=variant)
+            b = _decide(d, y, projector=proj, decision_variant=variant)
         else:
-            dec = _decide(d, y, classifier, lam, decision_variant=variant)
-        e = dec.coding.residual_vec
+            b = _decide(d, y, classifier, lam, decision_variant=variant)
+        # rcrc scores the query less its outlier estimate, which its coder returns
+        e = solve_l1res_block(d, y[:, None], lam)[0].residual_vec if classifier == "rcrc" else None
         if variant == "plain_residual":
             target = y if e is None else y - e
-            ref = _plain_residuals_reference(d, target, dec.coding.alpha)
+            ref = _plain_residuals_reference(d, target, b.alpha[:, 0])
         else:
-            ref = _regularized_residuals_reference(d, y, dec.coding.alpha, e=e)
-        assert list(dec.per_class_residuals) == list(ref)
-        assert dec.per_class_residuals == ref
+            ref = _regularized_residuals_reference(d, y, b.alpha[:, 0], e=e)
+        assert list(ref) == d.classes
+        assert b.scores[:, 0].tolist() == list(ref.values())
 
 
 # ------------------------------------------------------------------ SCI
@@ -485,8 +471,8 @@ def test_decide_calls_the_module_solvers(monkeypatch):
 
 
 def test_rcrc_codes_a_block_in_slices(monkeypatch):
-    # rcrc feeds its block coder at most _RCRC_SLICE queries at a time; the
-    # decisions do not depend on the slicing, and a slice's coding time goes
+    # rcrc feeds its block coder as many queries at a time as fit in
+    # _RCRC_BYTES; the decisions do not depend on the slicing, and a slice's coding time goes
     # to its queries in proportion to their iterations, none to a zero query
     d, rng = _toy(24)
     Y = rng.standard_normal((d.m, 5))
@@ -499,14 +485,28 @@ def test_rcrc_codes_a_block_in_slices(monkeypatch):
         widths.append(R.shape[1])
         return block(X, R, *args)
 
-    monkeypatch.setattr(repclass.classifiers, "_RCRC_SLICE", 2)
+    budget = 2 * repclass.classifiers._rcrc_query_bytes(d.m, d.n)
+    monkeypatch.setattr(repclass.classifiers, "_RCRC_BYTES", budget)
     monkeypatch.setattr(repclass.classifiers, "solve_l1res_block", spy)
     sliced = model.decide_block(Y)
     assert widths == [2, 2, 1]
-    for f in ("scores", "predicted", "alpha", "residual", "iterations", "converged", "objective", "gap"):
+    for f in ("scores", "predicted", "alpha", "iterations", "converged", "objective", "gap"):
         assert getattr(sliced, f).tobytes() == getattr(whole, f).tobytes(), f
     assert sliced.iterations[3] == 0 < sliced.iterations[2]
     assert 0 < sliced.seconds[3] < sliced.seconds[2]
+
+
+def test_rcrc_slice_is_sized_from_the_dictionary_shape():
+    # a fixed slice of 64 queries held about 760 MiB of Cholesky factors on
+    # raw pixels at Extended Yale B scale (2016 x 1216); the slice now fits
+    # the byte budget, and a 100-query block on 600 x 80 stays one slice
+    slice_of = repclass.classifiers._rcrc_slice
+    budget = repclass.classifiers._RCRC_BYTES
+    assert slice_of(2016, 1216) == 10 and 10 * 8 * 1216**2 < budget
+    assert min(100, slice_of(600, 80)) == 100
+    # a tall, thin dictionary's state rows count, not only its tiny factor
+    assert slice_of(10**7, 2) * 10**7 * 8 < budget
+    assert slice_of(10**10, 2) == 1
 
 
 def test_fit_reuses_a_projector_only_at_its_lambda():

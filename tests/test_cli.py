@@ -95,6 +95,31 @@ def test_missing_flag_is_json_error(tmp_path, argv, flag, capsys):
     assert flag in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, entry",
+    [
+        (["train", "--data", "d.rpmat", "--lambda", "abc", "--out", "m.rpmat"], "--lambda", "abc"),
+        (["classify", "--dict", "m.rpmat", "--query", "q.rpmat", "--lambda", "abc"], "--lambda", "abc"),
+        (["sweep", "--data", "d.rpmat", "--lambdas", "1,x"], "--lambdas", "x"),
+        (["roc", "--gallery", "g.rpmat", "--customers", "c.rpmat", "--imposters", "i.rpmat",
+          "--thresholds", "0.1,zz"], "--thresholds", "zz"),
+        (["analyze", "--mode", "residual_curve", "--input", "p.rpmat", "--query", "q.rpmat",
+          "--grid", "1,b"], "--grid", "b"),
+    ],
+    ids=["train-lambda", "classify-lambda", "sweep-lambdas", "roc-thresholds", "analyze-grid"],
+)
+def test_bad_number_flag_is_config_invalid(tmp_path, monkeypatch, argv, flag, entry, capsys):
+    # these used to give an untyped ValueError; the numbers are parsed before
+    # any file is read, so none of the files named here exists
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err_text = capsys.readouterr().err
+    assert "Traceback" not in err_text
+    err = json.loads(err_text)
+    assert err["error"] == "ConfigInvalid"
+    assert flag in err["message"] and repr(entry) in err["message"]
+
+
 def _pgm_tree(root):
     """Two class directories of three 4 x 3 PGM images each under root."""
     rng = np.random.default_rng(9)
@@ -220,11 +245,9 @@ def test_classify_matches_harness_runner(trained, classifier, capsys):
     d = load_dictionary(dict_path)
     proj = load_projector(dict_path + ".proj") if classifier == "crc_rls" else None
     config = harness.ExperimentConfig(classifier=classifier)
-    decision = fit(d, config, proj).decide(query)
-    assert out["predicted"] == str(decision.predicted)
-    assert out["residuals"] == {
-        str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
-    }
+    b = fit(d, config, proj).decide_block(query[:, None])
+    assert out["predicted"] == str(d.classes[b.predicted[0]])
+    assert out["residuals"] == dict(zip(map(str, d.classes), harness._jsonable(b.scores[:, 0])))
 
 
 def test_classify_nan_query_is_json_error(trained, capsys):
@@ -263,10 +286,8 @@ def test_classify_lambda_option_is_used(trained, capsys):
 
     d = load_dictionary(dict_path)
     config = harness.ExperimentConfig(classifier="crc_rls", lam=5.0)
-    decision = fit(d, config).decide(query)
-    assert out["residuals"] == {
-        str(k): harness._jsonable(v) for k, v in decision.per_class_residuals.items()
-    }
+    b = fit(d, config).decide_block(query[:, None])
+    assert out["residuals"] == dict(zip(map(str, d.classes), harness._jsonable(b.scores[:, 0])))
 
 
 def test_classify_malformed_sidecar_is_json_error(trained, capsys):

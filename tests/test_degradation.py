@@ -118,3 +118,13 @@ def test_spec_json_roundtrip():
         DegradationSpec("saltpepper", 0.4, seed=0)
     with pytest.raises(BadFraction):
         DegradationSpec("pixel_corruption", -0.1, seed=0)
+
+
+def test_whole_image_block_occlusion_refused_when_the_config_is_read():
+    # occlude_block needs a fraction below 1; a config of 1.0 used to be
+    # accepted and raise only at the first query, after the PCA fit
+    obj = {"degradation": {"kind": "block_occlusion", "fraction": 1.0, "seed": 1}}
+    with pytest.raises(BadFraction, match=r"\[0, 1\)"):
+        ExperimentConfig.from_json(obj)
+    obj["degradation"]["kind"] = "pixel_corruption"
+    assert ExperimentConfig.from_json(obj).degradation.fraction == 1.0

@@ -544,10 +544,10 @@ def test_run_roc_rejects_classifiers_without_sci(classifier, monkeypatch):
     # rns_* used to crash inside compute_sci and nn scored SCI 0 for every query
     gallery, customers, imposters = _roc_datasets()
 
-    def no_query(self, y):
+    def no_query(self, Y):
         raise AssertionError("a query ran before the classifier was rejected")
 
-    monkeypatch.setattr(Model, "decide", no_query)
+    monkeypatch.setattr(Model, "decide_block", no_query)
     with pytest.raises(ConfigInvalid, match=classifier):
         run_roc(ExperimentConfig(classifier=classifier), gallery, customers, imposters, [0.5])
 
@@ -561,10 +561,10 @@ def test_run_roc_rejects_features_and_degradation(name, value, monkeypatch):
     # both used to be ignored: the ROC equalled the default config's
     gallery, customers, imposters = _roc_datasets()
 
-    def no_query(self, y):
+    def no_query(self, Y):
         raise AssertionError("a query ran before the config was rejected")
 
-    monkeypatch.setattr(Model, "decide", no_query)
+    monkeypatch.setattr(Model, "decide_block", no_query)
     config = ExperimentConfig(**{name: value})
     with pytest.raises(ConfigInvalid, match=name):
         run_roc(config, gallery, customers, imposters, [0.5])
@@ -590,11 +590,7 @@ def test_experiment_and_roc_decide_each_query_set_in_one_block(monkeypatch):
         calls.append(Y.shape[1])
         return block(self, Y)
 
-    def no_query(self, y):
-        raise AssertionError("a one-query decide ran")
-
     monkeypatch.setattr(Model, "decide_block", spy)
-    monkeypatch.setattr(Model, "decide", no_query)
     run_experiment(ExperimentConfig(classifier="src"), _small_data(seed=4))
     assert calls == [16]
     calls.clear()

@@ -206,9 +206,9 @@ def test_swapped_class_ranges_in_sidecar_change_nothing(tmp_path):
     assert back.class_ranges == d.class_ranges == {"a": (0, 4), "b": (4, 8)}
     query = basis["a"] @ rng.standard_normal(2)
     config = ExperimentConfig()
-    got, want = fit(back, config).decide(query), fit(d, config).decide(query)
-    assert got.predicted == want.predicted == "a"
-    assert got.per_class_residuals == want.per_class_residuals
+    got, want = (fit(x, config).decide_block(query[:, None]) for x in (back, d))
+    assert back.classes[got.predicted[0]] == d.classes[want.predicted[0]] == "a"
+    assert got.scores.tobytes() == want.scores.tobytes()
 
 
 def test_projector_roundtrip_and_reattachment(tmp_path):
@@ -230,11 +230,11 @@ def test_projector_roundtrip_and_reattachment(tmp_path):
     assert loaded.dictionary_fingerprint == d.fingerprint
 
     # a loaded projector reattaches to its dictionary by fingerprint only
-    res = fit(d, config, loaded).decide(np.ones(10))
+    res = fit(d, config, loaded).decide_block(np.ones((10, 1)))
     ref = solve_rls(d.data, np.ones(10), 0.07)
-    np.testing.assert_allclose(res.coding.alpha, ref.alpha, rtol=1e-12)
+    np.testing.assert_allclose(res.alpha[:, 0], ref.alpha, rtol=1e-12)
     with pytest.raises(FingerprintMismatch):
-        fit(_dictionary(4), config, loaded).decide(np.ones(10))
+        fit(_dictionary(4), config, loaded).decide_block(np.ones((10, 1)))
 
 
 @pytest.mark.parametrize(

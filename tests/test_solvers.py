@@ -931,12 +931,12 @@ def test_dictionary_factors_equal_direct_computation():
     "classify, factors",
     [
         (lambda d, y: fit(d, ExperimentConfig(
-            classifier="rcrc", lam=0.1, alm=AlmParams(max_iter=3))).decide(y), {}),
+            classifier="rcrc", lam=0.1, alm=AlmParams(max_iter=3))).decide_block(y[:, None]), {}),
         (lambda d, y: fit(d, ExperimentConfig(
             classifier="src", lam=0.1, fista=FistaParams(max_iter=3),
-            decision_variant="plain_residual")).decide(y), {"sigma": 1}),
+            decision_variant="plain_residual")).decide_block(y[:, None]), {"sigma": 1}),
         (lambda d, y: fit(d, ExperimentConfig(
-            classifier="src", lam=0.1, alm=AlmParams(max_iter=3))).decide(y), {}),
+            classifier="src", lam=0.1, alm=AlmParams(max_iter=3))).decide_block(y[:, None]), {}),
     ],
     ids=["rcrc-no-factor", "src-sigma", "src-ssnal-no-factor"],
 )
