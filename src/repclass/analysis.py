@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
+from .errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples, UnknownClass
 
 
 @dataclass
@@ -104,9 +104,10 @@ def geometry_check(dictionary, y, label):
     X = dictionary.data
     alpha, *_ = np.linalg.lstsq(X, y, rcond=None)
     y_hat = X @ alpha
-    block = dictionary.class_block(label)  # UnknownClass for a label not in the dictionary
+    if label not in dictionary.class_ranges:
+        raise UnknownClass(f"no class {label!r} in dictionary")
     lo, hi = dictionary.class_ranges[label]
-    chi = block @ alpha[lo:hi]
+    chi = X[:, lo:hi] @ alpha[lo:hi]
     chibar = y_hat - chi
     r_total_sq = float(np.sum((y - chi) ** 2))
     r_perp_sq = float(np.sum((y - y_hat) ** 2))

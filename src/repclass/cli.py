@@ -122,8 +122,8 @@ def cmd_classify(args):
     # fit reuses the trained projector when it was built at the requested lambda
     projector = io.load_projector(args.dict + ".proj") if args.classifier == "crc_rls" else None
     b = fit(dictionary, config, projector).decide_block(y[:, None])
-    residuals = dict(zip(map(str, dictionary.classes), harness._jsonable(b.scores[:, 0])))
-    print(json.dumps({"predicted": str(dictionary.classes[b.predicted[0]]), "residuals": residuals}))
+    residuals = dict(zip(dictionary.classes, harness._jsonable(b.scores[:, 0])))
+    print(json.dumps({"predicted": dictionary.classes[b.predicted[0]], "residuals": residuals}))
 
 
 def cmd_experiment(args):

@@ -101,16 +101,12 @@ def fit_pca(training, d):
 
 
 def project_pca(model, x):
-    """Project a vector (or D x N matrix of columns) into the PCA space."""
+    """Project the columns of a D x N matrix into the PCA space (a single
+    vector is the D x 1 block); DimensionMismatch for any other shape."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    if cols.shape[0] != model.input_dim:
-        raise DimensionMismatch(
-            f"input has dimension {cols.shape[0]}, model expects {model.input_dim}"
-        )
-    out = model.basis.T @ (cols - model.mean[:, None])
-    return out[:, 0] if single else out
+    if x.ndim != 2 or x.shape[0] != model.input_dim:
+        raise DimensionMismatch(f"input has shape {x.shape}, model expects {model.input_dim} x N")
+    return model.basis.T @ (x - model.mean[:, None])
 
 
 def vectorize_image(image):

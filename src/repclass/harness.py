@@ -310,6 +310,16 @@ def synthetic_dataset(
     for name, size in sizes.items():
         if not (is_number(size, numbers.Integral) and size >= 0):
             raise ConfigInvalid(f"synthetic size {name!r} must be a whole number >= 0, got {size!r}")
+    if n_classes < 1:
+        raise ConfigInvalid(f"synthetic 'n_classes' must be >= 1, got {n_classes}")
+    if subspace_dim > ambient_dim:
+        raise ConfigInvalid(f"synthetic 'subspace_dim' {subspace_dim} exceeds 'ambient_dim' {ambient_dim}")
+    if not (is_number(seed, numbers.Integral) and seed >= 0):
+        raise ConfigInvalid(f"synthetic 'seed' must be a whole number >= 0, got {seed!r}")
+    if not (is_number(noise_sigma) and 0 <= noise_sigma < math.inf):
+        raise ConfigInvalid(f"synthetic 'noise_sigma' must be finite and >= 0, got {noise_sigma!r}")
+    if not (is_number(shared_fraction) and 0 <= shared_fraction < 1):
+        raise ConfigInvalid(f"synthetic 'shared_fraction' must be in [0, 1), got {shared_fraction!r}")
     train, train_labels, test, test_labels = make_subspace_dataset(
         n_classes, subspace_dim, ambient_dim, n_train, n_test, noise_sigma, seed,
         shared_fraction=shared_fraction,
@@ -331,8 +341,6 @@ def synthetic_dataset(
 
 def _degrade_queries(queries, spec, image_shape):
     """Apply the configured degradation to each test column (pre-PCA)."""
-    if spec.kind == "block_occlusion" and image_shape is None:
-        raise ConfigInvalid("block occlusion needs image-shaped data")
     shape = image_shape if image_shape is not None else (queries.shape[0], 1)
     out = queries.copy()
     for j in range(queries.shape[1]):
@@ -345,6 +353,11 @@ def run_experiment(config, data):
     """Train on the train split, classify the test split, return a Report."""
     if "test" not in data.split:
         raise ConfigInvalid("dataset has no test split")
+    check_labels_saveable(data.labels)  # the report keys by label
+    spec = config.degradation
+    degrade = spec is not None and spec.fraction > 0
+    if degrade and spec.kind == "block_occlusion" and data.image_shape is None:
+        raise ConfigInvalid("block occlusion needs image-shaped data")
     train_raw, train_labels = data.columns("train")
 
     clock = time.perf_counter
@@ -366,8 +379,8 @@ def run_experiment(config, data):
 
     test_raw, test_labels = data.columns("test")
     t0 = clock()
-    if config.degradation is not None and config.degradation.fraction > 0:
-        test_raw = _degrade_queries(test_raw, config.degradation, data.image_shape)
+    if degrade:
+        test_raw = _degrade_queries(test_raw, spec, data.image_shape)
     stages["degrade"] = clock() - t0
     test_feats = test_raw
     if pca is not None:
@@ -396,12 +409,11 @@ def run_experiment(config, data):
         sci = block_sci(dictionary, block.alpha).tolist()
         stages["sci"] = clock() - t0
     t0 = clock()
-    names = [str(lab) for lab in classes]
     keys = ("query", "true", "predicted", "residuals", "sci", "wall_time",
             "iterations", "inner_iterations", "converged", "objective", "gap")
     columns = (
-        range(n), map(str, test_labels), map(str, predicted),
-        (dict(zip(names, row)) for row in _jsonable(block.scores.T)), sci, times,
+        range(n), test_labels, predicted,
+        (dict(zip(classes, row)) for row in _jsonable(block.scores.T)), sci, times,
         block.iterations.tolist(), block.inner_iterations.tolist(), block.converged.tolist(),
         _jsonable(block.objective), gap,
     )
@@ -410,13 +422,11 @@ def run_experiment(config, data):
     total_by_class = Counter(test_labels)
     correct_by_class = Counter(t for t, p in zip(test_labels, predicted) if p == t)
     confusion = {}
-    for (true, pred), count in Counter(zip(map(str, test_labels), map(str, predicted))).items():
+    for (true, pred), count in Counter(zip(test_labels, predicted)).items():
         confusion.setdefault(true, {})[pred] = count
     return Report(
         recognition_rate=sum(correct_by_class.values()) / n,
-        per_class_rates={
-            str(lab): correct_by_class[lab] / cnt for lab, cnt in total_by_class.items()
-        },
+        per_class_rates={lab: correct_by_class[lab] / cnt for lab, cnt in total_by_class.items()},
         confusion=confusion,
         n_queries=n,
         mean_query_time=float(np.mean(times)),
@@ -450,8 +460,9 @@ def run_roc(config, gallery, customers, imposters, thresholds):
     A customer query counts as a true positive when it is both accepted at
     the threshold and correctly identified. The classifier must code over
     the whole dictionary (SCI_CLASSIFIERS). Queries are used as given, so a
-    config that asks for features or degradation is rejected, and so is an
-    empty customer or imposter set (EmptyInput).
+    config that asks for features or degradation is rejected, and so is a
+    NaN or infinite threshold, and an empty customer or imposter set
+    (EmptyInput).
     """
     if config.classifier not in SCI_CLASSIFIERS:
         raise ConfigInvalid(
@@ -464,6 +475,10 @@ def run_roc(config, gallery, customers, imposters, thresholds):
     for name, queries in (("customer", customers), ("imposter", imposters)):
         if queries.n_columns == 0:
             raise EmptyInput(f"run_roc needs at least one {name} query")
+    thresholds = list(thresholds)
+    for thr in thresholds:
+        if not (is_number(thr) and math.isfinite(thr)):
+            raise ConfigInvalid(f"ROC threshold must be a finite number, got {thr!r}")
     train_feats, train_labels = gallery.columns("train")
     gallery_classes = set(train_labels)
     imposter_feats, imposter_labels = imposters.features, imposters.labels

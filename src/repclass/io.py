@@ -131,10 +131,11 @@ def read_sidecar(path, required):
 
 
 def check_labels_saveable(labels):
-    """BadLabel unless every label is a string, the only type a sidecar keeps."""
+    """BadLabel unless every label is a string, the only type a sidecar keeps
+    and a report can key by without merging two labels."""
     bad = [lab for lab in labels if not isinstance(lab, str)]
     if bad:
-        raise BadLabel(f"cannot save non-string label {bad[0]!r}; labels must be strings")
+        raise BadLabel(f"non-string label {bad[0]!r}; labels must be strings")
 
 
 def save_dictionary(dictionary, path):

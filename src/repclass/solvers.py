@@ -5,9 +5,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 
-from .dictionary import Dictionary, _spectral_norm_sq, check_lambda, is_number
+from .dictionary import Dictionary, _cholesky, _spectral_norm_sq, check_lambda, is_number
 from .errors import (
     BadGrid,
     BadSparsity,
@@ -140,26 +140,6 @@ def solve_rls(X, y, lam):
     r = y - Xm @ alpha
     obj = float(r @ r + lam * alpha @ alpha)
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
-
-
-def _cholesky(A):
-    """The lower Cholesky factor of a symmetric positive definite A, by
-    LAPACK potrf, the routine scipy's cho_factor calls, without its wrapper
-    cost (about 25 us a call, up to two thirds of a solve at the sizes
-    _newton meets). A is factored as A.T, which equals A, through its lower
-    triangle: a C-ordered A makes A.T Fortran-ordered, so LAPACK's copy of it
-    is a plain one, not a transposing one (with OpenBLAS 0.3.31 on one
-    Haswell thread, the lower potrf and potrs take about 25 us where the
-    upper pair on A takes 36 us at order 80, and 35 us where it takes 50 us
-    at order 100). A is not changed. LinAlgError (a ValueError) if A is not
-    finite or not positive definite, as from the wrapper.
-    """
-    if not np.isfinite(A).all():
-        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
-    c, info = dpotrf(A.T, lower=1, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Cholesky factorization of order {A.shape[0]} failed: info {info}")
-    return c
 
 
 def _spd_solve(A, b):
@@ -523,15 +503,15 @@ def solve_constrained_lp(X, y, p, grid):
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
     grid = list(grid)
-    if not grid or any(b >= a for a, b in zip(grid[1:], grid)):
-        raise BadGrid("grid must be nonempty and strictly increasing")
+    if not grid or np.isnan(grid).any() or any(b >= a for a, b in zip(grid[1:], grid)):
+        raise BadGrid("grid must be nonempty, free of NaN and strictly increasing")
     if p not in (0, 1, 2):
         raise BadGrid(f"p must be 0, 1, or 2, got {p}")
     ynorm = float(np.linalg.norm(y))
     if p == 0:
         out = []
         for eps in grid:
-            k = min(max(int(eps), 0), Xm.shape[1])  # zero atoms leave ||y||
+            k = int(min(max(eps, 0), Xm.shape[1]))  # zero atoms leave ||y||
             out.append((eps, float(np.sqrt(solve_omp(Xm, y, k).objective)) if k else ynorm))
         return _monotone(out)
     # Lagrangian sweep; the unregularized least-squares point anchors the

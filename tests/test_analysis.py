@@ -7,7 +7,13 @@ from repclass.analysis import (
     perturbation_demo,
 )
 from repclass.dictionary import build_dictionary
-from repclass.errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples
+from repclass.errors import (
+    ConfigInvalid,
+    DegenerateAngle,
+    RankDeficient,
+    TooFewSamples,
+    UnknownClass,
+)
 
 
 # ------------------------------------------------------- distribution fit
@@ -95,6 +101,12 @@ def test_geometry_degenerate_query():
     d, _ = _geometry_instance(99)
     with pytest.raises(DegenerateAngle):
         geometry_check(d, np.zeros(d.m), "a")
+
+
+def test_geometry_unknown_label_is_unknown_class():
+    d, y = _geometry_instance(5)
+    with pytest.raises(UnknownClass, match="'zz'"):
+        geometry_check(d, y, "zz")
 
 
 # ------------------------------------------------------------ perturbation

@@ -2,11 +2,11 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repclass.classifiers
+import repclass.dictionary
 from repclass.classifiers import CLASSIFIERS, Model, block_sci, fit
 from repclass.dictionary import (
     Projector,
@@ -218,12 +218,12 @@ def test_rns_l2_factors_each_class_once_at_fit(monkeypatch):
     # fit; decide_block only multiplies by the stacked code map
     d, rng = _toy(25)
     calls = []
-    for module, name in [(scipy.linalg, "cho_factor"), (np.linalg, "pinv"), (np.linalg, "lstsq")]:
+    for module, name in [(repclass.dictionary, "_cholesky"), (np.linalg, "pinv"), (np.linalg, "lstsq")]:
         orig = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, _f=orig, _n=name, **k: calls.append(_n) or _f(*a, **k)
         )
-    for rule, factor in [("rns_l2", "cho_factor"), ("ns", "pinv")]:
+    for rule, factor in [("rns_l2", "_cholesky"), ("ns", "pinv")]:
         calls.clear()
         model = fit(d, ExperimentConfig(classifier=rule, lam=0.05))
         assert calls == [factor] * d.k
@@ -299,8 +299,8 @@ def test_rns_l2_matches_per_class_ridge_objective():
         y = rng.standard_normal(d.m)
         lam = 0.05
         b = _decide(d, y, "rns_l2", lam)
-        for i, lab in enumerate(d.classes):
-            B = d.class_block(lab)
+        for i, (lo, hi) in enumerate(d.class_ranges.values()):
+            B = d.data[:, lo:hi]
             coef = np.linalg.solve(B.T @ B + lam * np.eye(B.shape[1]), B.T @ y)
             r = y - B @ coef
             assert b.scores[i, 0] == pytest.approx(
@@ -323,8 +323,8 @@ def test_ns_matches_pseudoinverse():
     d, rng = _toy(12, per_class=3)
     y = rng.standard_normal(d.m)
     b = _decide(d, y, "ns")
-    for i, lab in enumerate(d.classes):
-        B = d.class_block(lab)
+    for i, (lo, hi) in enumerate(d.class_ranges.values()):
+        B = d.data[:, lo:hi]
         ref = np.linalg.norm(y - B @ np.linalg.pinv(B) @ y)
         assert b.scores[i, 0] == pytest.approx(ref, rel=1e-8)
 
@@ -352,7 +352,7 @@ def _plain_residuals_reference(dictionary, y, alpha):
     for lab in dictionary.classes:
         lo, hi = dictionary.class_ranges[lab]
         ai = alpha[lo:hi]
-        out[lab] = float(np.linalg.norm(y - dictionary.class_block(lab) @ ai))
+        out[lab] = float(np.linalg.norm(y - dictionary.data[:, lo:hi] @ ai))
     return out
 
 
@@ -366,7 +366,7 @@ def _regularized_residuals_reference(dictionary, y, alpha, e=None):
         if nai < 1e-12:
             out[lab] = np.inf
         else:
-            out[lab] = float(np.linalg.norm(target - dictionary.class_block(lab) @ ai)) / nai
+            out[lab] = float(np.linalg.norm(target - dictionary.data[:, lo:hi] @ ai)) / nai
     return out
 
 

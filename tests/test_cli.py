@@ -51,14 +51,22 @@ def test_ingest_synthetic_seed_is_taken_one_way(tmp_path, route, capsys):
 @pytest.mark.parametrize(
     "setting, words",
     [("n_clases=2", ("n_clases",)), ('n_classes="3"', ("n_classes",)),
-     ("n_classes=true", ("n_classes",)), ("n_train=2.5", ("n_train",))],
-    ids=["unknown-key", "size-string", "size-bool", "size-fraction"],
+     ("n_classes=true", ("n_classes",)), ("n_train=2.5", ("n_train",)),
+     ("n_classes=0", ("n_classes",)), ("subspace_dim=60", ("subspace_dim", "ambient_dim")),
+     (["--seed", "-3"], ("seed",)), ('noise_sigma="x"', ("noise_sigma",)),
+     ("noise_sigma=NaN", ("noise_sigma",)), ("shared_fraction=1.5", ("shared_fraction",))],
+    ids=["unknown-key", "size-string", "size-bool", "size-fraction", "no-classes",
+         "subspace-above-ambient", "negative-seed", "noise-string", "noise-nan",
+         "shared-fraction-above-one"],
 )
 def test_ingest_synthetic_bad_config_is_json_error(tmp_path, setting, words, capsys):
-    # an unknown key used to be ignored, a string size to end in a TypeError
-    # traceback and n_classes=true to give one class
+    # an unknown key used to be ignored, a string size or noise_sigma to end
+    # in a TypeError traceback, n_classes=true to give one class, a NaN
+    # noise_sigma or a shared_fraction above 1 to be generated from, and the
+    # other cases to end in an untyped ValueError
     out = tmp_path / "d.rpmat"
-    rc = main(["ingest", "--synthetic", "--seed", "1", "--out", str(out), "--set", setting])
+    args = setting if isinstance(setting, list) else ["--seed", "1", "--set", setting]
+    rc = main(["ingest", "--synthetic", "--out", str(out), *args])
     assert rc == 1 and not out.exists()
     err_text = capsys.readouterr().err
     assert "Traceback" not in err_text
@@ -214,7 +222,8 @@ def test_train_and_classify(dataset, tmp_path, capsys):
     d = load_dictionary(dict_path)
     # classify a training column of class000: should be an easy hit
     query_path = str(tmp_path / "q.rpmat")
-    write_matrix(query_path, d.class_block("class000")[:, 0])
+    lo, _ = d.class_ranges["class000"]
+    write_matrix(query_path, d.data[:, lo])
     rc = main(["classify", "--dict", dict_path, "--query", query_path])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
@@ -534,6 +543,16 @@ def test_roc_matches_library(dataset, tmp_path):
     assert json.loads(out.read_text()) == {"points": points, "auc": harness.roc_auc(points)}
 
 
+def test_roc_non_finite_threshold_is_config_invalid(dataset, tmp_path, capsys):
+    # "nan" used to be written as the threshold NaN, which is not JSON
+    out = tmp_path / "roc.json"
+    rc = main(["roc", "--gallery", dataset, "--customers", dataset, "--imposters", dataset,
+               "--thresholds", "0.5,nan", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid" and "threshold" in err["message"]
+
+
 def test_analyze_geometry_matches_library(trained, tmp_path):
     dict_path, query_path, query = trained
     out = tmp_path / "geometry.json"
@@ -547,7 +566,9 @@ def test_analyze_geometry_matches_library(trained, tmp_path):
 def test_analyze_perturbation_matches_library(trained, tmp_path):
     dict_path, query_path, query = trained
     rng = np.random.default_rng(8)
-    X = load_dictionary(dict_path).class_block("class002")
+    d = load_dictionary(dict_path)
+    lo, hi = d.class_ranges["class002"]
+    X = d.data[:, lo:hi]
     delta = 1e-3 * rng.standard_normal(X.shape)
     X_path, delta_path = str(tmp_path / "x.rpmat"), str(tmp_path / "delta.rpmat")
     write_matrix(X_path, X)

@@ -14,7 +14,6 @@ from repclass.errors import (
     MalformedMatrix,
     NonFiniteInput,
     NonPositiveLambda,
-    UnknownClass,
     ZeroColumn,
 )
 
@@ -122,16 +121,6 @@ def test_fingerprint_stability_and_sensitivity():
     bumped = [(v + (0.1 if i == 0 else 0.0), lab) for i, (v, lab) in enumerate(samples)]
     d3 = build_dictionary(bumped)
     assert d3.fingerprint != d1.fingerprint
-
-
-def test_class_block_and_coefficients():
-    rng = np.random.default_rng(3)
-    d = build_dictionary(_samples(rng, per_class=3))
-    blk = d.class_block("b")
-    assert blk.shape == (12, 3)
-    np.testing.assert_array_equal(blk, d.data[:, 3:6])
-    with pytest.raises(UnknownClass):
-        d.class_block("zz")
 
 
 def test_projector_matches_direct_inverse():

@@ -149,17 +149,18 @@ def test_pca_dimension_validation():
         fit_pca(data.ravel(), 2)
 
 
-def test_project_single_vector_and_matrix_agree():
+def test_project_takes_a_block_and_refuses_a_vector():
     rng = np.random.default_rng(6)
     data = rng.standard_normal((15, 20))
     model = fit_pca(data, 4)
     x = rng.standard_normal(15)
-    single = project_pca(model, x)
-    batch = project_pca(model, x[:, None])
-    assert single.shape == (4,)
-    np.testing.assert_array_equal(single, batch[:, 0])
-    with pytest.raises(DimensionMismatch):
-        project_pca(model, rng.standard_normal(16))
+    one = project_pca(model, x[:, None])
+    assert one.shape == (4, 1)
+    np.testing.assert_array_equal(one[:, 0], model.basis.T @ (x - model.mean))
+    np.testing.assert_allclose(project_pca(model, data)[:, [3]], project_pca(model, data[:, [3]]), rtol=1e-12)
+    for bad in (x, rng.standard_normal((16, 1)), x[None, :, None]):
+        with pytest.raises(DimensionMismatch):
+            project_pca(model, bad)
 
 
 def test_vectorize_image_column_major():

@@ -11,6 +11,7 @@ from repclass.classifiers import Model, fit
 from repclass.degradation import DegradationSpec
 from repclass.dictionary import build_dictionary
 from repclass.errors import (
+    BadLabel,
     ConfigInvalid,
     EmptyInput,
     MalformedMatrix,
@@ -332,6 +333,33 @@ def test_run_experiment_block_occlusion_needs_image_shape():
     assert run_experiment(config, data).n_queries == 16
 
 
+def _no_call(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the input was refused")
+
+    return fail
+
+
+def test_block_occlusion_without_image_shape_is_refused_before_the_fit(monkeypatch):
+    # the check used to sit in the degradation step, after the PCA fit
+    monkeypatch.setattr(harness, "fit_pca", _no_call("the PCA fit"))
+    spec = DegradationSpec("block_occlusion", 0.3, seed=1, low=-1.0, high=1.0)
+    with pytest.raises(ConfigInvalid, match="block occlusion"):
+        run_experiment(ExperimentConfig(feature_dim=3, degradation=spec), _small_data(seed=4, ambient_dim=12))
+
+
+def test_run_experiment_refuses_non_string_labels(monkeypatch):
+    # classes 1 and "1" used to be scored apart but reported as one class "1"
+    rng = np.random.default_rng(2)
+    labels = [1] * 4 + ["1"] * 4
+    split = ["train", "train", "train", "test"] * 2
+    data = Dataset(features=rng.standard_normal((10, 8)), labels=labels, split=split)
+    monkeypatch.setattr(harness, "fit_pca", _no_call("the PCA fit"))
+    monkeypatch.setattr(Model, "decide_block", _no_call("a query"))
+    with pytest.raises(BadLabel, match="label 1"):
+        run_experiment(ExperimentConfig(feature_dim=2), data)
+
+
 def test_run_experiment_report_contents():
     data = _small_data(seed=4)
     report = run_experiment(ExperimentConfig(classifier="crc_rls"), data)
@@ -568,6 +596,16 @@ def test_run_roc_rejects_features_and_degradation(name, value, monkeypatch):
     config = ExperimentConfig(**{name: value})
     with pytest.raises(ConfigInvalid, match=name):
         run_roc(config, gallery, customers, imposters, [0.5])
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_run_roc_rejects_non_finite_thresholds(threshold, monkeypatch):
+    # each used to give a point whose threshold JSON cannot hold
+    gallery, customers, imposters = _roc_datasets()
+    monkeypatch.setattr(harness, "fit", _no_call("the fit"))
+    monkeypatch.setattr(Model, "decide_block", _no_call("a query"))
+    with pytest.raises(ConfigInvalid, match=f"threshold.*{threshold}"):
+        run_roc(ExperimentConfig(), gallery, customers, imposters, [0.5, threshold])
 
 
 @pytest.mark.parametrize("classifier", ["crc_rls", "src"])

@@ -1062,3 +1062,9 @@ def test_constrained_lp_bad_grid():
         solve_constrained_lp(X, y, 1, [1.0, 0.5])
     with pytest.raises(BadGrid):
         solve_constrained_lp(X, y, 3, [1.0, 2.0])
+    # a NaN budget used to pass the order check, as every comparison with it is false
+    for p in (0, 1, 2):
+        with pytest.raises(BadGrid, match="NaN"):
+            solve_constrained_lp(X, y, p, [np.nan, 1.0])
+        # an unbounded budget is allowed: it leaves the least-squares residual
+        assert solve_constrained_lp(X, y, p, [1.0, np.inf])[-1] == (np.inf, pytest.approx(0.0, abs=1e-9))
