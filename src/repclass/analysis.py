@@ -5,7 +5,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateAngle, RankDeficient, TooFewSamples, UnknownClass
+from .errors import (
+    ConfigInvalid,
+    DegenerateAngle,
+    DimensionMismatch,
+    NonFiniteInput,
+    RankDeficient,
+    TooFewSamples,
+    UnknownClass,
+)
+from .solvers import _check_dims
 
 
 @dataclass
@@ -51,11 +60,14 @@ def coef_distribution_fit(coefs, bins=101):
 
     The histogram is symmetric about zero and clipped to the 0.1-99.9
     percentile range; KL divergence is taken between histogram masses and
-    the fitted density integrated per bin, skipping empty bins.
+    the fitted density integrated per bin, skipping empty bins. A NaN or
+    infinite coefficient raises NonFiniteInput.
     """
     coefs = np.asarray(coefs, dtype=np.float64).ravel()
     if coefs.size < 100:
         raise TooFewSamples(f"need at least 100 samples, got {coefs.size}")
+    if not np.isfinite(coefs).all():
+        raise NonFiniteInput("coefficients contain NaN or inf")
     if bins < 10:
         raise ConfigInvalid(f"need at least 10 bins, got {bins}")
     lo, hi = np.percentile(coefs, [0.1, 99.9])
@@ -99,9 +111,11 @@ def geometry_check(dictionary, y, label):
     splits as ||y - X_i a_i||^2 = ||y - y_hat||^2 + ||y_hat - X_i a_i||^2, and
     the in-span part equals sin^2(y_hat, chi_i) * ||y_hat||^2 / sin^2(chi_i,
     chibar_i) where chi_i = X_i a_i and chibar_i is the other classes' part.
+    A query of another length than the dictionary's columns raises
+    DimensionMismatch, and a NaN or infinite one NonFiniteInput.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
     X = dictionary.data
+    y = _check_dims(X, y)
     alpha, *_ = np.linalg.lstsq(X, y, rcond=None)
     y_hat = X @ alpha
     if label not in dictionary.class_ranges:
@@ -133,15 +147,21 @@ def perturbation_demo(X_i, delta, y):
     it: lhs = ||r_j - r_i||_2 / ||y||_2 for X_j = X_i + delta, and
     rhs = xi * (1 + 2 kappa) * min(1, m - n) (Golub & Van Loan, Thm 5.3.1),
     with xi the relative perturbation size and kappa the condition number
-    of X_i.
+    of X_i. delta must have X_i's shape and y one entry per row (else
+    DimensionMismatch), all finite (else NonFiniteInput), and X_i full
+    column rank, so no more columns than rows (else RankDeficient).
     """
     X_i = np.asarray(X_i, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    if X_i.ndim != 2 or delta.shape != X_i.shape:
+        raise DimensionMismatch(f"delta is {delta.shape}, it needs X_i's shape {X_i.shape}")
+    if not (np.isfinite(X_i).all() and np.isfinite(delta).all()):
+        raise NonFiniteInput("X_i or delta contains NaN or inf")
+    y = _check_dims(X_i, y)
     m, n = X_i.shape
     s = np.linalg.svd(X_i, compute_uv=False)
-    if s[-1] < 1e-12 * s[0]:
-        raise RankDeficient("X_i must have full column rank")
+    if not 0 < n <= m or s[-1] <= 1e-12 * s[0]:
+        raise RankDeficient(f"X_i ({m} x {n}) must have full column rank")
     kappa = float(s[0] / s[-1])
     xi = float(np.linalg.norm(delta, "fro") / np.linalg.norm(X_i, "fro"))
 

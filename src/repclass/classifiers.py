@@ -21,8 +21,6 @@ from .errors import (
 from .solvers import _check_block, solve_fista_l1, solve_l1res_block, solve_ssnal_l1
 
 _ZERO_COEF_TOL = 1e-12
-# rcrc codes a block in slices whose queries hold at most this many bytes together
-_RCRC_BYTES = 128 << 20
 
 
 CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
@@ -42,8 +40,8 @@ class Decisions:
     duality gaps of the SSNAL and R-CRC codes (None for the other coders).
     inner_iterations counts SSNAL's Newton steps (0 for the other coders).
     seconds is each query's own coding time plus an equal share of the rest.
-    rcrc codes the queries in lockstep slices, so its own coding time is its
-    slice's coding time shared in proportion to the queries' iterations.
+    rcrc codes the block in one call, so its own coding time is that call's
+    time shared in proportion to the queries' iterations.
     """
 
     scores: np.ndarray
@@ -63,18 +61,6 @@ def _residual_sq(T, A, B):
     R = A @ B.T
     np.subtract(T, R, out=R)
     return np.vecdot(R, R)
-
-
-def _rcrc_query_bytes(m, n):
-    """The bytes one query holds in solve_l1res_block on an m x n dictionary: its
-    min(m, n)^2 Cholesky factor and its rows of the lockstep state, which
-    tracemalloc put at up to 22 m-vectors and 7 n-vectors, so bounded by 24 and 8."""
-    return 8 * (min(m, n) ** 2 + 24 * m + 8 * n)
-
-
-def _rcrc_slice(m, n):
-    """How many queries rcrc codes at once: as many as fit in _RCRC_BYTES, at least one."""
-    return max(1, _RCRC_BYTES // _rcrc_query_bytes(m, n))
 
 
 def _timed_slices(coder, rows, seconds, size=1):
@@ -115,8 +101,8 @@ class Model:
         the objective of coding with block i alone, nn by the nearest column,
         ns by the least-squares residual. crc_rls, rns_l2 and ns code the
         block by one code_map product; src and rns_l1 by solvers run query by
-        query, rcrc by its block coder run over slices of the block, all
-        looked up as module globals at call time, so tracing can wrap them.
+        query, rcrc by one call of its block coder, all looked up as module
+        globals at call time, so tracing can wrap them.
         """
         d, c, rule = self.dictionary, self.config, self.config.classifier
         X = d.data
@@ -133,7 +119,9 @@ class Model:
             if rule == "src":
                 codings = _timed_slices(lambda R: [self._lasso(d, R[0])], Yt, seconds)
             else:
-                codings = _timed_slices(self._l1_residual, Yt, seconds, _rcrc_slice(*X.shape))
+                codings = _timed_slices(
+                    lambda R: solve_l1res_block(d, R.T, self.lam, c.alm), Yt, seconds, max(q, 1)
+                )
                 Et = np.reshape([r.residual_vec for r in codings], Yt.shape)
             At = np.reshape([r.alpha for r in codings], (q, d.n))
         T = Yt if Et is None else Yt - Et  # the query less rcrc's outlier estimate
@@ -177,9 +165,6 @@ class Model:
             gap = None if None in gaps else np.array(gaps, dtype=float)
         seconds += (time.perf_counter() - t_start - seconds.sum()) / max(q, 1)
         return Decisions(scores, predicted, At.T, iterations, converged, objective, gap, seconds, inner)
-
-    def _l1_residual(self, R):
-        return solve_l1res_block(self.dictionary, R.T, self.lam, self.config.alm)
 
     def _lasso(self, X, y):
         c = self.config

@@ -11,7 +11,6 @@ import dataclasses
 import inspect
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import analysis, harness, io
@@ -131,16 +130,12 @@ def cmd_experiment(args):
     (load_dataset) and `log_write` (the query log, 0 when none is asked
     for), so the log is written before the report."""
     config = ExperimentConfig.from_json(_load_config(args))
-    t0 = time.perf_counter()
-    data = harness.load_dataset(args.data)
-    load_s = time.perf_counter() - t0
+    stages = harness.Stages(load=0.0, log_write=0.0)
+    data = stages.time("load", harness.load_dataset, args.data)
     report = harness.run_experiment(config, data)
-    log_s = 0.0
     if args.log:
-        t0 = time.perf_counter()
-        report.write_query_log(args.log)
-        log_s = time.perf_counter() - t0
-    report.stages.update(load=load_s, log_write=log_s)
+        stages.time("log_write", report.write_query_log, args.log)
+    report.stages.update(stages)
     _write_json(args.out, report.to_json())
 
 

@@ -339,6 +339,17 @@ def synthetic_dataset(
     return Dataset(features=features, labels=labels, split=split, provenance=provenance)
 
 
+class Stages(dict):
+    """Seconds spent per stage of a run, keyed by stage name."""
+
+    def time(self, name, f, *args):
+        """f(*args), with the call's wall time added to stage name."""
+        t0 = time.perf_counter()
+        out = f(*args)
+        self[name] += time.perf_counter() - t0
+        return out
+
+
 def _degrade_queries(queries, spec, image_shape):
     """Apply the configured degradation to each test column (pre-PCA)."""
     shape = image_shape if image_shape is not None else (queries.shape[0], 1)
@@ -360,41 +371,24 @@ def run_experiment(config, data):
         raise ConfigInvalid("block occlusion needs image-shaped data")
     train_raw, train_labels = data.columns("train")
 
-    clock = time.perf_counter
-    stages = dict.fromkeys(
+    stages = Stages.fromkeys(
         ("degrade", "pca_fit", "pca_project", "dictionary", "fit", "decide", "sci", "rows"),
         0.0,
     )
-    # the test columns are taken and degraded only after the PCA fit and the
-    # training projection, so they are not held through the fit's peak memory
-    pca, train_feats, offline_extra = None, train_raw, 0.0
+    # the test columns are taken and degraded only after the offline stages,
+    # so they are not held through the PCA fit's or the model fit's peak memory
+    pca, train_feats = None, train_raw
     if config.feature_dim is not None:
-        t0 = clock()
-        pca = fit_pca(train_raw, config.feature_dim)
-        t1 = clock()
-        train_feats = project_pca(pca, train_raw)
-        t2 = clock()
-        stages["pca_fit"], stages["pca_project"] = t1 - t0, t2 - t1
-        offline_extra = t2 - t0
+        pca = stages.time("pca_fit", fit_pca, train_raw, config.feature_dim)
+        train_feats = stages.time("pca_project", project_pca, pca, train_raw)
+    dictionary = stages.time("dictionary", build_dictionary, zip(train_feats.T, train_labels))
+    model = stages.time("fit", fit, dictionary, config)
+    offline_time = sum(stages.values())  # the stages so far are the offline ones
 
     test_raw, test_labels = data.columns("test")
-    t0 = clock()
     if degrade:
-        test_raw = _degrade_queries(test_raw, spec, data.image_shape)
-    stages["degrade"] = clock() - t0
-    test_feats = test_raw
-    if pca is not None:
-        t0 = clock()
-        test_feats = project_pca(pca, test_raw)
-        stages["pca_project"] += clock() - t0
-
-    t0 = clock()
-    dictionary = build_dictionary(zip(train_feats.T, train_labels))
-    t1 = clock()
-    model = fit(dictionary, config)
-    t2 = clock()
-    stages["dictionary"], stages["fit"] = t1 - t0, t2 - t1
-    offline_time = t2 - t0 + offline_extra
+        test_raw = stages.time("degrade", _degrade_queries, test_raw, spec, data.image_shape)
+    test_feats = test_raw if pca is None else stages.time("pca_project", project_pca, pca, test_raw)
 
     block = model.decide_block(test_feats)
     classes = dictionary.classes
@@ -405,20 +399,15 @@ def run_experiment(config, data):
     sci = [None] * n
     gap = [None] * n if block.gap is None else block.gap.tolist()
     if dictionary.k >= 2 and config.classifier in SCI_CLASSIFIERS:
-        t0 = clock()
-        sci = block_sci(dictionary, block.alpha).tolist()
-        stages["sci"] = clock() - t0
-    t0 = clock()
+        sci = stages.time("sci", block_sci, dictionary, block.alpha).tolist()
     keys = ("query", "true", "predicted", "residuals", "sci", "wall_time",
             "iterations", "inner_iterations", "converged", "objective", "gap")
-    columns = (
+    per_query = stages.time("rows", lambda: [dict(zip(keys, row)) for row in zip(
         range(n), test_labels, predicted,
         (dict(zip(classes, row)) for row in _jsonable(block.scores.T)), sci, times,
         block.iterations.tolist(), block.inner_iterations.tolist(), block.converged.tolist(),
         _jsonable(block.objective), gap,
-    )
-    per_query = [dict(zip(keys, row)) for row in zip(*columns)]
-    stages["rows"] = clock() - t0
+    )])
     total_by_class = Counter(test_labels)
     correct_by_class = Counter(t for t, p in zip(test_labels, predicted) if p == t)
     confusion = {}
@@ -445,12 +434,14 @@ def _jsonable(v):
 
 
 def lambda_sweep(config, data, lambdas):
-    """One Report per lambda; lambdas must be positive and sorted."""
+    """One Report per lambda; lambdas must be finite, positive and sorted,
+    which is checked before the first run."""
     lambdas = list(lambdas)
-    if any(l <= 0 for l in lambdas) or any(
-        b <= a for a, b in zip(lambdas, lambdas[1:])
-    ):
-        raise ConfigInvalid("lambdas must be positive and strictly increasing")
+    for lam in lambdas:
+        if not (is_number(lam) and 0 < lam < math.inf):
+            raise ConfigInvalid(f"lambda must be finite and positive, got {lam!r}")
+    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ConfigInvalid("lambdas must be strictly increasing")
     return [run_experiment(replace(config, lam=lam), data) for lam in lambdas]
 
 

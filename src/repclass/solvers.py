@@ -54,6 +54,8 @@ _SIGMA0, _SIGMA_MAX, _LAM_RATIO = 1e3, 1e6, 1e5
 # converged, after _STALL_STEPS outer steps there without halving it. Runs
 # that do converge plateau there for at most 10 steps on the SRC workloads.
 _STALL_STEPS = 20
+# solve_l1res_block codes a block in slices whose queries hold at most this many bytes together
+_L1RES_BYTES = 128 << 20
 
 
 def _check_stopping(params):
@@ -237,15 +239,32 @@ def solve_l1res_block(X, Y, lam, params=None):
     objective is the pair's value, never below the optimum; residual_vec is
     e = y - X a and multiplier is z.
 
-    The queries iterate in lockstep, one per row, each leaving when its own
-    stop rule fires. Elementwise work and row reductions are batched; the
-    products with X (a GEMM would round apart), the factors and the centring
-    target are per query, so each result is the one-column call's bit for bit.
+    The queries are coded in slices of _l1res_slice(m, n) columns, so one
+    call holds at most _L1RES_BYTES of factors and state, however many
+    queries it is given. Within a slice they iterate in lockstep, one per
+    row, each leaving when its own stop rule fires. Elementwise work and row
+    reductions are batched; the products with X (a GEMM would round apart),
+    the factors and the centring target are per query, so each result is
+    the one-column call's bit for bit.
     """
     X = _as_matrix(X)
     Yt = np.ascontiguousarray(_check_block(X, Y).T)  # one query per row
     lam = check_lambda(lam)
     params = params or AlmParams()
+    size = _l1res_slice(*X.shape)
+    return [r for lo in range(0, len(Yt), size) for r in _l1res_lockstep(X, Yt[lo : lo + size], lam, params)]
+
+
+def _l1res_slice(m, n):
+    """How many queries solve_l1res_block codes at once on an m x n dictionary:
+    as many as fit in _L1RES_BYTES, at least one. Each holds its min(m, n)^2
+    Cholesky factor and its rows of the lockstep state, which tracemalloc put
+    at up to 22 m-vectors and 7 n-vectors, so bounded by 24 and 8."""
+    return max(1, _L1RES_BYTES // (8 * (min(m, n) ** 2 + 24 * m + 8 * n)))
+
+
+def _l1res_lockstep(X, Yt, lam, params):
+    """solve_l1res_block's loop over the q x m queries Yt, one per row, in lockstep."""
     (m, n), tol = X.shape, params.tol
     out = [CodingResult(np.zeros(n), 0.0, 0, True, np.zeros(m), np.zeros(m), 0.0) for _ in Yt]
     idx = np.flatnonzero(Yt.any(axis=1))  # a zero query keeps the zero code

@@ -10,6 +10,8 @@ from repclass.dictionary import build_dictionary
 from repclass.errors import (
     ConfigInvalid,
     DegenerateAngle,
+    DimensionMismatch,
+    NonFiniteInput,
     RankDeficient,
     TooFewSamples,
     UnknownClass,
@@ -67,6 +69,15 @@ def test_fit_too_few_samples():
         coef_distribution_fit(np.zeros(99))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fit_non_finite_coefficient_is_non_finite_input(bad):
+    # a NaN coefficient gave KL 0.0 and NaN parameters, an inf one a NaN KL
+    sample = np.random.default_rng(3).laplace(size=500)
+    sample[7] = bad
+    with pytest.raises(NonFiniteInput):
+        coef_distribution_fit(sample)
+
+
 # --------------------------------------------------------------- geometry
 
 def _geometry_instance(seed):
@@ -109,6 +120,16 @@ def test_geometry_unknown_label_is_unknown_class():
         geometry_check(d, y, "zz")
 
 
+def test_geometry_checks_its_query():
+    # an all-NaN query gave a report of NaN, and a short one numpy's
+    # untyped LinAlgError
+    d, y = _geometry_instance(5)
+    with pytest.raises(NonFiniteInput):
+        geometry_check(d, np.full(d.m, np.nan), "a")
+    with pytest.raises(DimensionMismatch):
+        geometry_check(d, y[:-1], "a")
+
+
 # ------------------------------------------------------------ perturbation
 
 def test_perturbation_zero_delta():
@@ -145,3 +166,26 @@ def test_perturbation_rank_deficient():
     X = np.ones((8, 3))
     with pytest.raises(RankDeficient):
         perturbation_demo(X, np.zeros_like(X), np.ones(8))
+
+
+def _perturbation_cases():
+    """(X_i, delta, y, error) for each bad input, on a 10 x 3 X_i."""
+    rng = np.random.default_rng(9)
+    X, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+    nan_y, nan_delta = y.copy(), np.zeros_like(X)
+    nan_y[2] = nan_delta[4, 1] = np.nan
+    return {
+        "nan-query": (X, np.zeros_like(X), nan_y, NonFiniteInput),  # lhs read 0.0
+        "nan-delta": (X, nan_delta, y, NonFiniteInput),  # an untyped LinAlgError
+        "short-delta": (X, np.zeros((9, 3)), y, DimensionMismatch),  # a broadcast ValueError
+        "short-query": (X, np.zeros_like(X), y[:9], DimensionMismatch),  # an untyped LinAlgError
+        # the rank check saw min(m, n) singular values, and rhs_first_order read -0.0
+        "wide": (X.T, np.zeros((3, 10)), y[:3], RankDeficient),
+    }
+
+
+@pytest.mark.parametrize("case", list(_perturbation_cases()))
+def test_perturbation_refuses_bad_input(case):
+    X, delta, y, error = _perturbation_cases()[case]
+    with pytest.raises(error):
+        perturbation_demo(X, delta, y)

@@ -470,10 +470,11 @@ def test_decide_calls_the_module_solvers(monkeypatch):
     assert calls == ["solve_ssnal_l1"] * (1 + d.k)
 
 
-def test_rcrc_codes_a_block_in_slices(monkeypatch):
-    # rcrc feeds its block coder as many queries at a time as fit in
-    # _RCRC_BYTES; the decisions do not depend on the slicing, and a slice's coding time goes
-    # to its queries in proportion to their iterations, none to a zero query
+def test_rcrc_decides_a_block_by_one_coder_call(monkeypatch):
+    # rcrc hands its whole block to one solve_l1res_block call, which slices
+    # it itself; the decisions do not depend on the slicing, and the call's
+    # time goes to the queries in proportion to their iterations, so a zero
+    # query gets only its equal share of the time outside the coder
     d, rng = _toy(24)
     Y = rng.standard_normal((d.m, 5))
     Y[:, 3] = 0.0
@@ -485,28 +486,14 @@ def test_rcrc_codes_a_block_in_slices(monkeypatch):
         widths.append(R.shape[1])
         return block(X, R, *args)
 
-    budget = 2 * repclass.classifiers._rcrc_query_bytes(d.m, d.n)
-    monkeypatch.setattr(repclass.classifiers, "_RCRC_BYTES", budget)
+    monkeypatch.setattr(repclass.solvers, "_L1RES_BYTES", 1)  # one query per slice
     monkeypatch.setattr(repclass.classifiers, "solve_l1res_block", spy)
     sliced = model.decide_block(Y)
-    assert widths == [2, 2, 1]
+    assert widths == [5]
     for f in ("scores", "predicted", "alpha", "iterations", "converged", "objective", "gap"):
         assert getattr(sliced, f).tobytes() == getattr(whole, f).tobytes(), f
     assert sliced.iterations[3] == 0 < sliced.iterations[2]
     assert 0 < sliced.seconds[3] < sliced.seconds[2]
-
-
-def test_rcrc_slice_is_sized_from_the_dictionary_shape():
-    # a fixed slice of 64 queries held about 760 MiB of Cholesky factors on
-    # raw pixels at Extended Yale B scale (2016 x 1216); the slice now fits
-    # the byte budget, and a 100-query block on 600 x 80 stays one slice
-    slice_of = repclass.classifiers._rcrc_slice
-    budget = repclass.classifiers._RCRC_BYTES
-    assert slice_of(2016, 1216) == 10 and 10 * 8 * 1216**2 < budget
-    assert min(100, slice_of(600, 80)) == 100
-    # a tall, thin dictionary's state rows count, not only its tiny factor
-    assert slice_of(10**7, 2) * 10**7 * 8 < budget
-    assert slice_of(10**10, 2) == 1
 
 
 def test_fit_reuses_a_projector_only_at_its_lambda():

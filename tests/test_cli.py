@@ -580,6 +580,69 @@ def test_analyze_perturbation_matches_library(trained, tmp_path):
     assert json.loads(out.read_text()) == analysis.perturbation_demo(X, delta, query)
 
 
+def _analyze_error(argv, capsys):
+    """The error name that `repclass analyze` prints for argv, which must fail."""
+    assert main(["analyze"] + argv) == 1
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_analyze_coef_fit_non_finite_is_json_error(tmp_path, capsys):
+    # a NaN coefficient exited 0 with KL 0.0, an inf one wrote "kl_gaussian": NaN
+    coefs, out = str(tmp_path / "coefs.rpmat"), tmp_path / "fit.json"
+    for bad in (np.nan, np.inf):
+        sample = np.random.default_rng(5).laplace(size=(500, 1))
+        sample[3] = bad
+        write_matrix(coefs, sample)
+        argv = ["--mode", "coef_fit", "--input", coefs, "--out", str(out)]
+        assert _analyze_error(argv, capsys) == "NonFiniteInput"
+    assert not out.exists()
+
+
+def test_analyze_geometry_bad_query_is_json_error(trained, tmp_path, capsys):
+    # an all-NaN query wrote "r_total_sq": NaN (not JSON), and a short one
+    # gave numpy's untyped LinAlgError
+    dict_path, query_path, query = trained
+    out = tmp_path / "geometry.json"
+    for bad, error in ((np.full_like(query, np.nan), "NonFiniteInput"), (query[:-1], "DimensionMismatch")):
+        write_matrix(query_path, bad)
+        argv = ["--mode", "geometry", "--input", dict_path, "--query", query_path,
+                "--label", "class001", "--out", str(out)]
+        assert _analyze_error(argv, capsys) == error
+    assert not out.exists()
+
+
+def test_analyze_perturbation_bad_input_is_json_error(tmp_path, capsys):
+    # each exited 0 or raised an untyped numpy error; see test_analysis
+    rng = np.random.default_rng(9)
+    X, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+    nan_y, nan_delta = y.copy(), np.zeros_like(X)
+    nan_y[2] = nan_delta[4, 1] = np.nan
+    cases = [
+        (X, np.zeros_like(X), nan_y, "NonFiniteInput"),
+        (X, nan_delta, y, "NonFiniteInput"),
+        (X, np.zeros((9, 3)), y, "DimensionMismatch"),
+        (X.T, np.zeros((3, 10)), y[:3], "RankDeficient"),
+    ]
+    out = tmp_path / "perturbation.json"
+    paths = [str(tmp_path / f"{name}.rpmat") for name in ("x", "delta", "y")]
+    for X_i, delta, query, error in cases:
+        for path, a in zip(paths, (X_i, delta, query)):
+            write_matrix(path, a)
+        argv = ["--mode", "perturbation", "--input", paths[0], "--delta", paths[1],
+                "--query", paths[2], "--out", str(out)]
+        assert _analyze_error(argv, capsys) == error
+    assert not out.exists()
+
+
+def test_sweep_non_finite_lambda_is_config_invalid(dataset, tmp_path, capsys):
+    # the sweep ran the 0.01 experiment in full before refusing nan
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--data", dataset, "--lambdas", "0.01,nan", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid" and "nan" in err["message"]
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     rc = main(["experiment", "--data", str(tmp_path / "missing.rpmat")])
     assert rc == 1

@@ -536,6 +536,16 @@ def test_lambda_sweep_validation_and_order():
     assert reports[0].config["lambda"] == 1e-4
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_lambda_sweep_checks_every_lambda_before_running(monkeypatch, bad):
+    # a NaN lambda passed the <= 0 test (every comparison with NaN is false),
+    # so the sweep ran its first experiment in full before ExperimentConfig
+    # refused the bad one; an infinite lambda did the same
+    monkeypatch.setattr(harness, "run_experiment", _no_call("an experiment"))
+    with pytest.raises(ConfigInvalid, match=f"got {bad!r}"):
+        lambda_sweep(ExperimentConfig(), _small_data(seed=12), [0.01, bad])
+
+
 # ------------------------------------------------------------------- ROC
 
 def _roc_datasets(seed=13):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -662,6 +663,67 @@ def test_block_coder_failed_factorization_stops_its_query_alone(monkeypatch):
     _assert_same_coding(block[1], failed)
     for j in (0, 2):
         _assert_same_coding(block[j], alone[j])
+
+
+def _l1res_query_bytes(m, n):
+    """The bytes _l1res_slice counts for one query on an m x n dictionary."""
+    return 8 * (min(m, n) ** 2 + 24 * m + 8 * n)
+
+
+def test_rcrc_codes_a_block_in_slices(monkeypatch):
+    # solve_l1res_block feeds its lockstep loop as many queries at a time as
+    # fit in _L1RES_BYTES; the results do not depend on the slicing, and a
+    # zero query keeps the zero code in any slice
+    X, _ = _corrupted_problem()
+    Y = _corrupted_block(X, 5)
+    Y[:, 3] = 0.0
+    whole = solvers.solve_l1res_block(X, Y, 0.05)
+    widths, lockstep = [], solvers._l1res_lockstep
+
+    def spy(X, Yt, *args):
+        widths.append(Yt.shape[0])
+        return lockstep(X, Yt, *args)
+
+    monkeypatch.setattr(solvers, "_L1RES_BYTES", 2 * _l1res_query_bytes(*X.shape))
+    monkeypatch.setattr(solvers, "_l1res_lockstep", spy)
+    sliced = solvers.solve_l1res_block(X, Y, 0.05)
+    assert widths == [2, 2, 1]
+    assert len(sliced) == 5
+    for a, b in zip(sliced, whole):
+        _assert_same_coding(a, b)
+    assert sliced[3].iterations == 0 < sliced[2].iterations
+
+
+def test_rcrc_slice_is_sized_from_the_dictionary_shape():
+    # a fixed slice of 64 queries held about 760 MiB of Cholesky factors on
+    # raw pixels at Extended Yale B scale (2016 x 1216); the slice now fits
+    # the byte budget, and a 100-query block on 600 x 80 stays one slice
+    slice_of, budget = solvers._l1res_slice, solvers._L1RES_BYTES
+    assert slice_of(2016, 1216) == 10 and 10 * 8 * 1216**2 < budget
+    assert min(100, slice_of(600, 80)) == 100
+    # a tall, thin dictionary's state rows count, not only its tiny factor
+    assert slice_of(10**7, 2) * 10**7 * 8 < budget
+    assert slice_of(10**10, 2) == 1
+
+
+def test_block_coder_holds_one_slice_of_factors_at_a_time(monkeypatch):
+    # each query of a lockstep slice holds a min(m, n)^2 factor; a direct
+    # call given eight slices' worth of queries peaks near one slice's
+    # memory, where coding all 16 at once held 16 factors (4.2 times the
+    # two-query peak on this 200 x 100 dictionary)
+    X, _ = _corrupted_problem(m=200, n=100)
+    Y = _corrupted_block(X, 16)
+    monkeypatch.setattr(solvers, "_L1RES_BYTES", 2 * _l1res_query_bytes(*X.shape))
+
+    def peak(Y):
+        tracemalloc.start()
+        try:
+            solvers.solve_l1res_block(X, Y, 0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(Y) < 1.5 * peak(Y[:, :2])
 
 
 def test_ssnal_counts_its_newton_steps(monkeypatch):
