@@ -45,7 +45,8 @@ def _gaussian_cdf(x, mu, sigma):
 def _laplace_cdf(x, loc, scale):
     x = np.asarray(x, dtype=np.float64)
     z = (x - loc) / scale
-    return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+    tail = 0.5 * np.exp(-np.abs(z))  # exp of a nonpositive number cannot overflow
+    return np.where(z < 0, tail, 1.0 - tail)
 
 
 def _kl(counts, bin_masses):
@@ -61,13 +62,16 @@ def coef_distribution_fit(coefs, bins=101):
     The histogram is symmetric about zero and clipped to the 0.1-99.9
     percentile range; KL divergence is taken between histogram masses and
     the fitted density integrated per bin, skipping empty bins. A NaN or
-    infinite coefficient raises NonFiniteInput.
+    infinite coefficient raises NonFiniteInput, and constant coefficients,
+    which no density fits, TooFewSamples.
     """
     coefs = np.asarray(coefs, dtype=np.float64).ravel()
     if coefs.size < 100:
         raise TooFewSamples(f"need at least 100 samples, got {coefs.size}")
     if not np.isfinite(coefs).all():
         raise NonFiniteInput("coefficients contain NaN or inf")
+    if coefs.min() == coefs.max():
+        raise TooFewSamples(f"all {coefs.size} coefficients equal {coefs[0]!r}: no spread to fit")
     if bins < 10:
         raise ConfigInvalid(f"need at least 10 bins, got {bins}")
     lo, hi = np.percentile(coefs, [0.1, 99.9])

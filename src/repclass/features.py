@@ -3,17 +3,19 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import BadDimension, DimensionMismatch, EmptyImage, NonFiniteInput
 
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Mean vector plus orthonormal basis of the top principal directions."""
+    """Mean vector plus orthonormal basis of the top principal directions,
+    with the fitted training columns' coordinates in that basis."""
 
     mean: np.ndarray
     basis: np.ndarray  # D x d, orthonormal columns
+    train_features: np.ndarray  # d x N, the training columns projected
 
     @property
     def input_dim(self):
@@ -78,7 +80,14 @@ def fit_pca(training, d):
     zero eigenvalue, which centering always leaves at d = N. Otherwise they
     come from the D x D scatter matrix C C^T. Component signs are fixed by
     making each component's largest-magnitude entry nonnegative. Training
-    data holding NaN or inf raises NonFiniteInput.
+    data holding NaN or inf, or whose scatter overflows, raises
+    NonFiniteInput.
+
+    The model's train_features are the training columns' coordinates, taken
+    from the fit instead of a second pass over C: Q^T C = R V^T for the QR
+    C V = Q R (R^T R = V^T C^T C V is diagonal, so Q = C V R^-1 and
+    Q^T C = R^-T V^T C^T C = R V^T), within rounding of project_pca; for
+    D <= N they are basis^T C, bit for bit project_pca's.
     """
     training = np.asarray(training, dtype=np.float64)
     if training.ndim != 2:
@@ -88,16 +97,25 @@ def fit_pca(training, d):
         raise BadDimension(f"need 1 <= d <= min(D, N) = {min(D, N)}, got {d}")
     if not np.isfinite(training).all():
         raise NonFiniteInput("training samples contain NaN or inf")
-    mean = training.mean(axis=1)
-    centered = training - mean[:, None]
-    scatter = centered.T @ centered if D > N else centered @ centered.T
+    # an overflowing mean or scatter (inf, or NaN where inf meets -inf) is
+    # refused below by the scatter's diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = training.mean(axis=1)
+        centered = training - mean[:, None]
+        scatter = centered.T @ centered if D > N else centered @ centered.T
+    if not np.isfinite(np.diagonal(scatter)).all():
+        raise NonFiniteInput("training samples are too large: their scatter overflows")
     V = _top_eigenvectors(scatter, d)
-    basis = np.linalg.qr(centered @ V)[0] if D > N else V
-    for j in range(d):
-        i = int(np.argmax(np.abs(basis[:, j])))
-        if basis[i, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return PcaModel(mean=mean, basis=basis)
+    del scatter  # the reduction overwrote it; free it before the QR
+    basis, R = np.linalg.qr(centered @ V) if D > N else (V, None)
+    flip = basis[np.argmax(np.abs(basis), axis=0), np.arange(d)] < 0
+    basis[:, flip] *= -1
+    if R is None:
+        return PcaModel(mean=mean, basis=basis, train_features=basis.T @ centered)
+    R[flip] *= -1  # a row of R goes with its column of Q
+    # R V^T as one triangular product written over V (V's C-order storage
+    # is V^T in Fortran order), so no new d x N block is allocated
+    return PcaModel(mean=mean, basis=basis, train_features=blas.dtrmm(1.0, R, V.T, overwrite_b=1))
 
 
 def project_pca(model, x):

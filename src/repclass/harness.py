@@ -380,7 +380,7 @@ def run_experiment(config, data):
     pca, train_feats = None, train_raw
     if config.feature_dim is not None:
         pca = stages.time("pca_fit", fit_pca, train_raw, config.feature_dim)
-        train_feats = stages.time("pca_project", project_pca, pca, train_raw)
+        train_feats = pca.train_features
     dictionary = stages.time("dictionary", build_dictionary, zip(train_feats.T, train_labels))
     model = stages.time("fit", fit, dictionary, config)
     offline_time = sum(stages.values())  # the stages so far are the offline ones

@@ -105,13 +105,16 @@ def _check_dims(X, y):
 
 
 def _check_block(X, Y):
-    """Y as an m x q float block of queries, checked to match X's rows and to
-    be finite."""
+    """Y as an m x q float block of queries, checked to match X's rows, to
+    be finite and to have finite squared norms: a query whose squares
+    overflow would score inf against every class."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise DimensionMismatch(f"X has {X.shape[0]} rows but the queries have shape {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise NonFiniteInput("query contains NaN or inf")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        norms_sq = np.vecdot(Y, Y, axis=0)  # NaN or inf for a NaN or inf entry too
+    if not np.all(np.isfinite(norms_sq)):
+        raise NonFiniteInput("query contains NaN or inf, or its squared norm overflows")
     return Y
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repclass.analysis import (
+    _laplace_cdf,
     coef_distribution_fit,
     geometry_check,
     perturbation_demo,
@@ -67,6 +68,21 @@ def test_fit_kl_nonnegative():
 def test_fit_too_few_samples():
     with pytest.raises(TooFewSamples):
         coef_distribution_fit(np.zeros(99))
+
+
+def test_fit_constant_coefficients_are_too_few_samples():
+    # 500 zeros read as a perfect fit of both laws, with an overflow warning
+    # from the Laplace CDF at the 1e-300 scale floor
+    for value in (0.0, 2.5):
+        with pytest.raises(TooFewSamples, match="no spread"):
+            coef_distribution_fit(np.full(500, value))
+
+
+def test_laplace_cdf_takes_far_tails_without_overflow():
+    z = np.array([-1e308, -800.0, -1.0, 0.0, 1.0, 800.0, 1e308])
+    np.testing.assert_array_equal(
+        _laplace_cdf(z, 0.0, 1.0), [0.0, 0.0, 0.5 * np.exp(-1.0), 0.5, 1.0 - 0.5 * np.exp(-1.0), 1.0, 1.0]
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -59,6 +59,48 @@ def test_pca_rejects_non_finite_training(bad):
         fit_pca(data, 4)
 
 
+def test_pca_rejects_training_whose_scatter_overflows():
+    # finite entries above about 1e154 overflow the scatter matrix, whose
+    # eigenvectors were then NaN; refused without a warning, also where the
+    # mean overflows and the centered rows meet as inf - inf
+    data = np.random.default_rng(10).standard_normal((20, 8)) * 1e160
+    huge_row = np.random.default_rng(10).standard_normal((8, 20))
+    huge_row[0] = np.abs(huge_row[0]) * 1e307 + 1e307
+    for training in (data, data.T, huge_row):
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            fit_pca(training, 4)
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (15, 15), (6, 90)])
+def test_pca_train_features_are_the_projection_bit_for_bit_when_d_le_n(shape):
+    D, N = shape
+    data = np.asfortranarray(np.random.default_rng(11).standard_normal(shape))
+    for d in (1, 3, D):
+        model = fit_pca(data, d)
+        assert model.train_features.shape == (d, N)
+        np.testing.assert_array_equal(model.train_features, project_pca(model, data))
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (300, 25), (60, 59)])
+def test_pca_train_features_match_the_projection_when_d_gt_n(shape):
+    # for D > N they are R V^T from the fit's QR of C V, which rounds apart
+    # from basis^T C; d = N takes the zero eigenvalue that centering leaves
+    D, N = shape
+    data = np.asfortranarray(np.random.default_rng(12).standard_normal(shape))
+    centered = data - data.mean(axis=1, keepdims=True)
+    flipped = 0
+    for d in (1, N // 2, N - 1, N):
+        model = fit_pca(data, d)
+        P = project_pca(model, data)
+        assert model.train_features.shape == (d, N)
+        assert np.abs(model.train_features - P).max() <= 1e-12 * np.abs(P).max()
+        # count the columns whose sign the fit flipped; their rows of R
+        # must have been flipped with them
+        Q = np.linalg.qr(centered @ _top_eigenvectors(centered.T @ centered, d))[0]
+        flipped += int(np.sum(np.sum(Q * model.basis, axis=0) < 0))
+    assert flipped > 0
+
+
 def test_pca_basis_is_orthonormal():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((50, 30))

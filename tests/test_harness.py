@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from repclass.errors import (
     MalformedMatrix,
     MissingPath,
     MixedImageSizes,
+    NonFiniteInput,
     OverlappingClasses,
 )
 from repclass.features import fit_pca, project_pca
@@ -293,6 +295,23 @@ def test_run_experiment_stage_timings():
     assert sum(stages.values()) <= wall
 
 
+def test_run_experiment_projects_only_the_test_columns(monkeypatch):
+    # the training columns' features come with the PCA fit, so pca_project
+    # times the test columns alone and the offline time leaves it out
+    calls = []
+
+    def project(pca, x):
+        calls.append(x.shape)
+        return project_pca(pca, x)
+
+    monkeypatch.setattr(harness, "project_pca", project)
+    data = _small_data(seed=4, ambient_dim=40)
+    report = run_experiment(ExperimentConfig(feature_dim=12), data)
+    assert calls == [data.columns("test")[0].shape]
+    stages = report.stages
+    assert report.offline_time == stages["pca_fit"] + stages["dictionary"] + stages["fit"]
+
+
 def test_run_experiment_with_pca_and_degradation_matches_manual_pipeline():
     # run_experiment takes and degrades the test columns after the PCA fit;
     # the order must not change what is decided
@@ -304,7 +323,7 @@ def test_run_experiment_with_pca_and_degradation_matches_manual_pipeline():
     test, test_labels = data.columns("test")
     test = harness._degrade_queries(test, spec, data.image_shape)
     pca = fit_pca(train, 12)
-    model = fit(build_dictionary(zip(project_pca(pca, train).T, train_labels)), config)
+    model = fit(build_dictionary(zip(pca.train_features.T, train_labels)), config)
     block = model.decide_block(project_pca(pca, test))
     names = [str(c) for c in model.dictionary.classes]
     assert [rec["predicted"] for rec in report.per_query] == [
@@ -312,6 +331,19 @@ def test_run_experiment_with_pca_and_degradation_matches_manual_pipeline():
     ]
     assert [rec["true"] for rec in report.per_query] == list(map(str, test_labels))
     assert [list(rec["residuals"].values()) for rec in report.per_query] == block.scores.T.tolist()
+
+
+@pytest.mark.parametrize("classifier", harness.CLASSIFIERS)
+def test_run_experiment_refuses_queries_whose_squared_norm_overflows(classifier):
+    # the dictionary's columns are normalized overflow-safely but the queries
+    # are not: at this scale every rule read chance (0.20), as the argmin over
+    # all-inf class scores, and exited cleanly
+    data = synthetic_dataset(n_classes=5, subspace_dim=2, ambient_dim=30, n_train=5, n_test=3, seed=1)
+    big = Dataset(data.features * 1e160, data.labels, data.split)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            run_experiment(ExperimentConfig(classifier=classifier), big)
 
 
 def test_run_experiment_leaves_the_dataset_unchanged():
