@@ -71,7 +71,7 @@ def coef_distribution_fit(coefs, bins=101):
     if not np.isfinite(coefs).all():
         raise NonFiniteInput("coefficients contain NaN or inf")
     if coefs.min() == coefs.max():
-        raise TooFewSamples(f"all {coefs.size} coefficients equal {coefs[0]!r}: no spread to fit")
+        raise TooFewSamples(f"all {coefs.size} coefficients equal {float(coefs[0])!r}: no spread to fit")
     if bins < 10:
         raise ConfigInvalid(f"need at least 10 bins, got {bins}")
     lo, hi = np.percentile(coefs, [0.1, 99.9])
