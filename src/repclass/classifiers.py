@@ -1,9 +1,9 @@
 """Classification rules built on the coders.
 
-fit(dictionary, config) binds one of CLASSIFIERS to a dictionary; its
-Model.decide_block(Y) scores each class for each query of a block and picks
-the argmin, ties going to the earliest class block. One query is the block
-of one column.
+fit(dictionary, config) binds one of CLASSIFIERS, each a cell of CELLS, to
+a dictionary; its Model.decide_block(Y) scores each class for each query of
+a block and picks the argmin, ties going to the earliest class block. One
+query is the block of one column.
 """
 
 import time
@@ -23,11 +23,27 @@ from .solvers import _check_block, solve_fista_l1, solve_l1res_block, solve_ssna
 _ZERO_COEF_TOL = 1e-12
 
 
-CLASSIFIERS = ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
-# classifiers whose code spans the whole dictionary, so SCI is defined for it
-# (ns's is its per-class least-squares codes stacked); rns_* score each class
-# by its own coding objective and nn codes nothing
-SCI_CLASSIFIERS = ("src", "crc_rls", "rcrc", "ns")
+# Each classifier is one cell of the coding grid: (residual norm, coefficient
+# norm, scope). Scope "collaborative" codes a query over the whole dictionary
+# once, "per-class" over each class block alone. The coefficient norm "none"
+# codes by least squares, with no penalty. The "nearest" cell codes nothing,
+# so it has no coefficient (None), and scores each class by its nearest column.
+CELLS = {
+    "src": ("l2", "l1", "collaborative"),
+    "crc_rls": ("l2", "l2", "collaborative"),
+    "rcrc": ("l1", "l2", "collaborative"),
+    "rns_l1": ("l2", "l1", "per-class"),
+    "rns_l2": ("l2", "l2", "per-class"),
+    "nn": ("l2", None, "nearest"),
+    "ns": ("l2", "none", "per-class"),
+}
+CLASSIFIERS = tuple(CELLS)
+# the cells with one code over the whole dictionary, so SCI is defined for it:
+# the collaborative ones, and the coefficient-free per-class one, whose
+# least-squares codes stack into one
+SCI_CLASSIFIERS = tuple(
+    name for name, (_, coef, scope) in CELLS.items() if scope == "collaborative" or coef == "none"
+)
 
 
 @dataclass
@@ -35,13 +51,17 @@ class Decisions:
     """Decisions on a block of q queries; column (or entry) j is query j.
 
     scores is K x q with rows in class order; predicted the row of each
-    column's least score. alpha is the n x q code (for rns_* each class
-    block's code of the query alone, zeros for nn) and gap the relative
-    duality gaps of the SSNAL and R-CRC codes (None for the other coders).
-    inner_iterations counts SSNAL's Newton steps (0 for the other coders).
-    seconds is each query's own coding time plus an equal share of the rest.
-    rcrc codes the block in one call, so its own coding time is that call's
-    time shared in proportion to the queries' iterations.
+    column's least score. alpha is the n x q code (for a per-class cell each
+    class block's code of the query alone, zeros for nearest). objective is
+    the coding objective of the collaborative code, or the picked class's
+    score (its square for the coefficient-free cell, whose score is a
+    residual norm). iterations, converged, gap (the relative duality gap of
+    the SSNAL and R-CRC codes, None for the other coders) and
+    inner_iterations (SSNAL's Newton steps, 0 for the other coders) are the
+    solver's for the code that scored the pick. seconds is each query's own
+    coding time plus an equal share of the rest. R-CRC codes the block in
+    one call, so its own coding time is that call's time shared in
+    proportion to the queries' iterations.
     """
 
     scores: np.ndarray
@@ -77,15 +97,25 @@ def _timed_slices(coder, rows, seconds, size=1):
     return out
 
 
+def _spans(d, scope):
+    """(matrix, lo, hi) for each span a scope's coder runs over: the whole
+    dictionary once (as the Dictionary, whose norm FISTA reuses), or each
+    class block."""
+    if scope == "collaborative":
+        return [(d, 0, d.n)]
+    return [(d.data[:, lo:hi], lo, hi) for lo, hi in d.class_ranges.values()]
+
+
 @dataclass(frozen=True, eq=False)
 class Model:
     """A classifier bound to its dictionary, with its offline work done.
 
     config is an ExperimentConfig: the classifier name, decision variant and
     solver settings are read from it. lam is the resolved ridge/l1 weight;
-    code_map is the n x m map L coding a block as A = L Y: for crc_rls the
-    ridge projector's matrix, for rns_l2 and ns each class's ridge map or
-    pseudo-inverse stacked in class order (None for the others).
+    code_map is the n x m map L coding a block as A = L Y, for the cells with
+    an l2 residual and an l2 or no coefficient norm: the ridge map of each
+    span (the projector's matrix for the collaborative cell), or the
+    pseudo-inverse, stacked in class order (None for the other cells).
     """
 
     dictionary: Dictionary
@@ -96,93 +126,93 @@ class Model:
     def decide_block(self, Y):
         """Classify the m x q block Y of queries at once, as Decisions.
 
-        crc_rls, src and rcrc code over the whole dictionary and score class i
-        by ||t - X_i a_i|| (over ||a_i|| under regularized_residual); rns_* by
-        the objective of coding with block i alone, nn by the nearest column,
-        ns by the least-squares residual. crc_rls, rns_l2 and ns code the
-        block by one code_map product; src and rns_l1 by solvers run query by
-        query, rcrc by one call of its block coder, all looked up as module
-        globals at call time, so tracing can wrap them.
+        The classifier's cell says how. Its residual and coefficient norms
+        pick the coder: the code map (one product for the block), the l1
+        coder (SSNAL, or FISTA under fista settings, query by query) or the
+        l1-residual coder (solve_l1res_block, one call for the block); the
+        solvers are looked up as module globals at call time, so tracing can
+        wrap them. Its scope picks what the coder runs over: the whole
+        dictionary once, or each class block. A collaborative cell scores
+        class i by ||t - X_i a_i|| (over ||a_i|| under regularized_residual),
+        t the query less the l1-residual coder's outlier estimate; a
+        per-class cell by its coding objective over block i, the
+        coefficient-free one by its residual norm; nearest by the nearest
+        column of block i.
         """
-        d, c, rule = self.dictionary, self.config, self.config.classifier
+        d, c = self.dictionary, self.config
+        residual, coefficient, scope = CELLS[c.classifier]
         X = d.data
         Y = _check_block(X, Y)
         t_start = time.perf_counter()
         Yt = np.ascontiguousarray(Y.T)  # one query per row
         q = Yt.shape[0]
         At = np.zeros((q, d.n)) if self.code_map is None else Y.T @ self.code_map.T
-        Et, codings, per_class = None, None, []
-        seconds, scores = np.zeros(q), np.empty((d.k, q))
-        if rule == "crc_rls":
-            objective = _residual_sq(Yt, At, X) + self.lam * np.vecdot(At, At)
-        elif rule in ("src", "rcrc"):
-            if rule == "src":
-                codings = _timed_slices(lambda R: [self._lasso(d, R[0])], Yt, seconds)
-            else:
-                codings = _timed_slices(
-                    lambda R: solve_l1res_block(d, R.T, self.lam, c.alm), Yt, seconds, max(q, 1)
-                )
-                Et = np.reshape([r.residual_vec for r in codings], Yt.shape)
-            At = np.reshape([r.alpha for r in codings], (q, d.n))
-        T = Yt if Et is None else Yt - Et  # the query less rcrc's outlier estimate
-        code_sq = np.empty((d.k, q))  # squared norm of each class's code
-        for i, (lo, hi) in enumerate(d.class_ranges.values()):
-            B = X[:, lo:hi]
-            if rule == "nn":
+        spans = _spans(d, scope)
+        seconds, objectives, codings = np.zeros(q), np.empty((len(spans), q)), []
+        for s, (S, lo, hi) in enumerate(spans):  # each span's code of each query, and its objective
+            A, B = At[:, lo:hi], X[:, lo:hi]
+            if scope == "nearest":
                 # imported here: scipy.spatial adds about 10 MB to every process
                 from scipy.spatial.distance import cdist
 
-                scores[i] = cdist(Yt, B.T).min(axis=1)
-                continue
-            if rule == "rns_l1":
-                per_class.append(_timed_slices(lambda R: [self._lasso(B, R[0])], Yt, seconds))
-                At[:, lo:hi] = np.reshape([r.alpha for r in per_class[i]], (q, hi - lo))
-                scores[i] = [r.objective for r in per_class[i]]
-                continue
-            Ai = At[:, lo:hi]
-            scores[i], code_sq[i] = _residual_sq(T, Ai, B), np.vecdot(Ai, Ai)
-        if rule == "rns_l2":
-            scores += self.lam * code_sq
-        elif rule in ("crc_rls", "src", "rcrc", "ns"):
-            scores = np.sqrt(scores)
-            if rule != "ns" and c.decision_variant == "regularized_residual":
-                norm = np.sqrt(code_sq)
+                objectives[s] = cdist(Yt, B.T).min(axis=1)
+            elif self.code_map is None:
+                codings.append(self._code(residual, S, Yt, seconds))
+                A[:] = np.reshape([r.alpha for r in codings[s]], A.shape)
+                objectives[s] = [r.objective for r in codings[s]]
+            else:
+                objectives[s] = _residual_sq(Yt, A, B)
+                if coefficient == "l2":
+                    objectives[s] += self.lam * np.vecdot(A, A)
+        if scope == "collaborative":
+            objective, T = objectives[0], Yt
+            if residual == "l1":  # the query less the coder's outlier estimate
+                T = Yt - np.reshape([r.residual_vec for r in codings[0]], Yt.shape)
+            blocks = [(At[:, lo:hi], X[:, lo:hi]) for lo, hi in d.class_ranges.values()]
+            scores = np.sqrt([_residual_sq(T, A, B) for A, B in blocks])
+            if c.decision_variant == "regularized_residual":
+                norm = np.sqrt([np.vecdot(A, A) for A, _ in blocks])
                 big = norm >= _ZERO_COEF_TOL
                 scores = np.divide(scores, norm, out=np.full_like(scores, np.inf), where=big)
+        else:
+            scores = np.sqrt(objectives) if coefficient == "none" else objectives
+            objective = scores.min(axis=0) ** (2 if coefficient == "none" else 1)
         predicted = np.argmin(scores, axis=0)
-        if rule in ("nn", "ns", "rns_l2"):
-            objective = scores.min(axis=0) ** (2 if rule == "ns" else 1)
-        elif rule == "rns_l1":
-            codings = [per_class[i][j] for j, i in enumerate(predicted)]
         iterations, converged, gap = np.zeros(q, int), np.ones(q, bool), None
         inner = np.zeros(q, int)
-        if codings is not None:
-            iterations = np.array([r.iterations for r in codings], dtype=int)
-            inner = np.array([r.inner_iterations for r in codings], dtype=int)
-            converged = np.array([r.converged for r in codings], dtype=bool)
-            objective = np.array([r.objective for r in codings], dtype=float)
-            gaps = [r.gap for r in codings]  # None from a coder without a gap
+        if codings:  # the solver's diagnostics of the code that scored each pick
+            picked = [codings[0 if scope == "collaborative" else i][j] for j, i in enumerate(predicted)]
+            iterations = np.array([r.iterations for r in picked], dtype=int)
+            inner = np.array([r.inner_iterations for r in picked], dtype=int)
+            converged = np.array([r.converged for r in picked], dtype=bool)
+            gaps = [r.gap for r in picked]  # None from a coder without a gap
             gap = None if None in gaps else np.array(gaps, dtype=float)
         seconds += (time.perf_counter() - t_start - seconds.sum()) / max(q, 1)
         return Decisions(scores, predicted, At.T, iterations, converged, objective, gap, seconds, inner)
 
-    def _lasso(self, X, y):
-        c = self.config
-        if c.fista is None:
-            return solve_ssnal_l1(X, y, self.lam, c.alm)
-        return solve_fista_l1(X, y, self.lam, c.fista)
+    def _code(self, residual, S, Yt, seconds):
+        """One CodingResult per query (row of Yt) over the span S: by the
+        l1-residual coder for an l1 residual, else by the l1 coder. Each
+        query's coding time goes to seconds."""
+        c, lam = self.config, self.lam
+        if residual == "l1":
+            return _timed_slices(lambda R: solve_l1res_block(S, R.T, lam, c.alm), Yt, seconds, max(len(Yt), 1))
+        lasso, params = (solve_ssnal_l1, c.alm) if c.fista is None else (solve_fista_l1, c.fista)
+        return _timed_slices(lambda R: [lasso(S, R[0], lam, params)], Yt, seconds)
 
 
 def fit(dictionary, config, projector=None):
     """Bind the configured classifier to a dictionary and do its offline work.
 
-    For crc_rls that is the ridge map at the resolved lambda: a given
-    projector's matrix is reused when it was built at that lambda, else the
-    map is computed as build_projector computes it. A projector from another
+    For a cell with an l2 residual and an l2 coefficient norm that is the
+    ridge map of each span at the resolved lambda (RankDeficient when it
+    cannot be factored). For the collaborative cell, a given projector's
+    matrix is reused when it was built at that lambda, else the map is
+    computed as build_projector computes it. A projector from another
     dictionary raises FingerprintMismatch, and one that is not n x m raises
-    MalformedMatrix.
-    For rns_l2 and ns it is each class block's ridge map or pseudo-inverse
-    (cut at 1e-10 of its largest singular value), stacked as one code map.
+    MalformedMatrix. For the coefficient-free cell it is each class block's
+    pseudo-inverse (cut at 1e-10 of its largest singular value). Per-class
+    maps are stacked as one code map.
     """
     if projector is not None:
         if projector.dictionary_fingerprint != dictionary.fingerprint:
@@ -192,15 +222,15 @@ def fit(dictionary, config, projector=None):
                 f"projector is {projector.matrix.shape[0]} x {projector.matrix.shape[1]}, "
                 f"the dictionary needs {dictionary.n} x {dictionary.m}"
             )
-    lam, rule = config.resolve_lambda(dictionary.n), config.classifier
-    code_map = None
-    if rule == "crc_rls":
-        reuse = projector is not None and projector.lam == lam
-        code_map = projector.matrix if reuse else _ridge_map(dictionary.data, lam)
-    elif rule in ("rns_l2", "ns"):
-        blocks = (dictionary.data[:, lo:hi] for lo, hi in dictionary.class_ranges.values())
-        maps = [_ridge_map(B, lam) if rule == "rns_l2" else np.linalg.pinv(B, rtol=1e-10) for B in blocks]
-        code_map = np.asfortranarray(np.vstack(maps))
+    lam = config.resolve_lambda(dictionary.n)
+    residual, coefficient, scope = CELLS[config.classifier]
+    if residual != "l2" or coefficient not in ("l2", "none"):  # coded by a solver, or not coded
+        return Model(dictionary, config, lam)
+    if projector is not None and projector.lam == lam and (coefficient, scope) == ("l2", "collaborative"):
+        return Model(dictionary, config, lam, projector.matrix)
+    blocks = (dictionary.data[:, lo:hi] for _, lo, hi in _spans(dictionary, scope))
+    maps = [_ridge_map(B, lam) if coefficient == "l2" else np.linalg.pinv(B, rtol=1e-10) for B in blocks]
+    code_map = maps[0] if scope == "collaborative" else np.asfortranarray(np.vstack(maps))
     return Model(dictionary, config, lam, code_map)
 
 

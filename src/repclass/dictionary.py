@@ -15,6 +15,7 @@ from .errors import (
     MalformedMatrix,
     NonFiniteInput,
     NonPositiveLambda,
+    RankDeficient,
     ZeroColumn,
 )
 
@@ -189,11 +190,19 @@ def _ridge_map(X, lam):
     potrs on the _cholesky factor of the smaller of the SPD matrices
     X^T X + lam*I (n x n) and, when n > m, X X^T + lam*I (m x m), by the
     identity (X^T X + lam I)^{-1} X^T = X^T (X X^T + lam I)^{-1}.
+    RankDeficient when that matrix is not positive definite to working
+    precision: X is rank deficient and lam below its rounding.
     """
     wide = X.shape[1] > X.shape[0]
     gram = X @ X.T if wide else X.T @ X
     gram.flat[:: gram.shape[0] + 1] += lam
-    S = dpotrs(_cholesky(gram), X if wide else X.T, lower=1)[0]
+    try:
+        factor = _cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(
+            f"ridge system singular to working precision at lambda={lam:g}; raise lambda"
+        ) from exc
+    S = dpotrs(factor, X if wide else X.T, lower=1)[0]
     # Fortran order either way: a block decide's Y^T P^T ran a fifth slower
     # with P in C order (300 x 1178 queries, 1216 columns)
     return np.asfortranarray(S.T) if wide else S

@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     NegativeThreshold,
     NonFiniteInput,
+    RankDeficient,
 )
 
 
@@ -381,7 +382,10 @@ def solve_ssnal_l1(X, y, lam, params=None):
     params.max_iter outer steps, or once sigma is at its cap and the gap
     has not halved over _STALL_STEPS outer steps (a tol below the gap that
     rounding lets it reach). iterations counts outer steps, inner_iterations
-    their Newton steps, and objective is the primal value at a.
+    their Newton steps, and objective is the primal value at a. A Newton
+    system that cannot be factored (columns of X that are dependent to
+    working precision, met at a lam so small that the penalty's ridge
+    1/sigma is below their rounding) raises RankDeficient.
     """
     X = _as_matrix(X)
     y = _check_dims(X, y)
@@ -402,7 +406,12 @@ def solve_ssnal_l1(X, y, lam, params=None):
     while it < params.max_iter:
         it += 1
         w0 = alpha / sigma
-        u, w, s, steps = _newton(Xt, y, sigma, t, u, xtu + w0)
+        try:
+            u, w, s, steps = _newton(Xt, y, sigma, t, u, xtu + w0)
+        except np.linalg.LinAlgError as exc:  # a Newton system that _spd_solve cannot factor
+            raise RankDeficient(
+                f"SSNAL's Newton system singular to working precision at lambda={lam:g}; raise lambda"
+            ) from exc
         inner += steps
         alpha = sigma * s
         xtu = w - w0

@@ -1,4 +1,6 @@
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import repclass.classifiers
 import repclass.dictionary
-from repclass.classifiers import CLASSIFIERS, Model, block_sci, fit
+from repclass.classifiers import CLASSIFIERS, SCI_CLASSIFIERS, Model, block_sci, fit
 from repclass.dictionary import (
     Projector,
     build_dictionary,
@@ -19,10 +21,11 @@ from repclass.errors import (
     FingerprintMismatch,
     MalformedMatrix,
     NonFiniteInput,
+    RankDeficient,
     SingleClass,
 )
 from repclass.harness import ExperimentConfig
-from repclass.solvers import AlmParams, FistaParams, solve_l1res_block
+from repclass.solvers import AlmParams, FistaParams, solve_l1res_block, solve_ssnal_l1
 from repclass.synthetic import make_subspace_dataset
 
 
@@ -43,6 +46,41 @@ def _decide(d, y, classifier="crc_rls", lam="auto", projector=None, **config):
         lam = projector.lam
     model = fit(d, ExperimentConfig(classifier=classifier, lam=lam, **config), projector)
     return model.decide_block(np.reshape(y, (-1, 1)))
+
+
+def test_cells_table():
+    # each name is one (residual, coefficient, scope) cell; the names keep
+    # their order, so the CLI choices do not move, and the SCI names are the
+    # cells with one code over the whole dictionary
+    assert repclass.classifiers.CELLS == {
+        "src": ("l2", "l1", "collaborative"),
+        "crc_rls": ("l2", "l2", "collaborative"),
+        "rcrc": ("l1", "l2", "collaborative"),
+        "rns_l1": ("l2", "l1", "per-class"),
+        "rns_l2": ("l2", "l2", "per-class"),
+        "nn": ("l2", None, "nearest"),
+        "ns": ("l2", "none", "per-class"),
+    }
+    assert CLASSIFIERS == ("src", "crc_rls", "rcrc", "rns_l1", "rns_l2", "nn", "ns")
+    assert SCI_CLASSIFIERS == ("src", "crc_rls", "rcrc", "ns")
+
+
+def test_no_classifier_name_outside_the_cells_table():
+    # fit and decide_block read the cell, not the name: outside the CELLS
+    # literal, no string constant of the module is a classifier name
+    tree = ast.parse(Path(repclass.classifiers.__file__).read_text())
+    tables = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CELLS"]
+    ]
+    assert len(tables) == 1
+    inside = {id(node) for node in ast.walk(tables[0])}
+    found = [
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in CLASSIFIERS and id(node) not in inside
+    ]
+    assert found == []
 
 
 def test_crc_rls_matches_manual_computation():
@@ -393,6 +431,40 @@ def test_residuals_bit_equal_to_per_class_reference(classifier, variant):
         assert b.scores[:, 0].tolist() == list(ref.values())
 
 
+def _per_class_reference(B, y, classifier, lam):
+    """A per-class or nearest cell's score of one class block B for query y,
+    from the definitions, with the relative tolerance it must meet (of the
+    query's scale, for a residual that vanishes on a wide block)."""
+    if classifier == "rns_l1":
+        return solve_ssnal_l1(B, y, lam).objective, 0.0
+    if classifier == "rns_l2":
+        coef = np.linalg.solve(B.T @ B + lam * np.eye(B.shape[1]), B.T @ y)
+        r = y - B @ coef
+        return float(r @ r + lam * coef @ coef), 1e-12
+    if classifier == "ns":
+        return float(np.linalg.norm(y - B @ np.linalg.lstsq(B, y, rcond=None)[0])), 1e-12
+    return float(np.min(np.linalg.norm(B - y[:, None], axis=0))), 1e-12
+
+
+@pytest.mark.parametrize("classifier", ["rns_l1", "rns_l2", "ns", "nn"])
+@pytest.mark.parametrize("shape", [dict(m=30, per_class=6), dict(m=5, per_class=7)], ids=["tall", "wide"])
+def test_per_class_and_nearest_scores_equal_their_reference(classifier, shape):
+    # the per-class cells score each class block by its own coding objective
+    # (ns by its residual norm), nearest by the nearest column; the reported
+    # objective is the picked class's score (its square for ns)
+    d, rng = _toy(26, **shape)
+    lam = 0.05
+    Y = rng.standard_normal((d.m, 3))
+    b = fit(d, ExperimentConfig(classifier=classifier, lam=lam)).decide_block(Y)
+    for j, y in enumerate(Y.T):
+        for i, (lo, hi) in enumerate(d.class_ranges.values()):
+            ref, rel = _per_class_reference(d.data[:, lo:hi], y, classifier, lam)
+            assert b.scores[i, j] == pytest.approx(ref, rel=rel, abs=rel * np.linalg.norm(y))
+        best = b.scores[b.predicted[j], j]
+        assert best == b.scores[:, j].min()
+        assert b.objective[j] == (best**2 if classifier == "ns" else best)
+
+
 # ------------------------------------------------------------------ SCI
 
 def _sci(d, vec):
@@ -506,6 +578,24 @@ def test_fit_reuses_a_projector_only_at_its_lambda():
     np.testing.assert_array_equal(other.code_map, build_projector(d, 0.02).matrix)
     assert isinstance(other, Model)
     assert fit(d, ExperimentConfig(classifier="src"), proj).code_map is None
+
+
+def _duplicate_column_dictionary():
+    """Five columns in two classes, the first two equal."""
+    rng = np.random.default_rng(27)
+    X = rng.standard_normal((6, 5))
+    X[:, 1] = X[:, 0]
+    return build_dictionary(zip(X.T, ["a", "a", "b", "b", "b"])), rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("classifier", ["crc_rls", "rns_l2", "src", "rns_l1"])
+def test_a_ridge_or_newton_system_that_cannot_be_factored_is_rank_deficient(classifier):
+    # lam = 1e-20 is valid, but below the rounding of a dictionary with two
+    # equal columns: fit (crc_rls, rns_l2) and SSNAL's Newton steps (src,
+    # rns_l1) used to raise numpy's untyped LinAlgError from the Cholesky
+    d, y = _duplicate_column_dictionary()
+    with pytest.raises(RankDeficient, match="lambda=1e-20"):
+        fit(d, ExperimentConfig(classifier=classifier, lam=1e-20)).decide_block(y[:, None])
 
 
 def test_model_compares_by_identity():

@@ -368,6 +368,26 @@ def test_experiment_non_finite_training_is_json_error(dataset, tmp_path, feature
     assert err["error"] == "NonFiniteInput"
 
 
+@pytest.mark.parametrize("classifier", ["crc_rls", "rns_l2", "src", "rns_l1"])
+def test_lambda_below_a_rank_deficient_dictionary_is_json_error(tmp_path, classifier, capsys):
+    # two equal training columns and lambda = 1e-20: train and experiment
+    # used to print {"error": "LinAlgError", ...}
+    rng = np.random.default_rng(5)
+    features = rng.standard_normal((6, 7))
+    features[:, 1] = features[:, 0]
+    data = harness.Dataset(features, ["a", "a", "b", "b", "b", "a", "b"], ["train"] * 5 + ["test"] * 2)
+    path = str(tmp_path / "dup.rpmat")
+    harness.save_dataset(data, path)
+    runs = [["experiment", "--data", path, "--set", "lambda=1e-20", "--set", f'classifier="{classifier}"']]
+    if classifier == "crc_rls":
+        runs.append(["train", "--data", path, "--out", str(tmp_path / "model.rpmat"), "--lambda", "1e-20"])
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RankDeficient" and "lambda=1e-20" in err["message"]
+
+
 def test_experiment_config_file_with_override(dataset, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"classifier": "nn", "lambda": 0.5}))
