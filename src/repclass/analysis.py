@@ -79,8 +79,7 @@ def coef_distribution_fit(coefs, bins=101):
     if half == 0.0:
         half = 1e-12
     edges = np.linspace(-half, half, bins + 1)
-    inside = coefs[(coefs >= -half) & (coefs <= half)]
-    raw, _ = np.histogram(inside, bins=edges)
+    raw, _ = np.histogram(coefs, bins=edges)  # explicit edges drop the values outside them
     counts = raw / raw.sum()
 
     mu, sigma = float(np.mean(coefs)), float(np.std(coefs))

@@ -147,23 +147,26 @@ class Model:
         Yt = np.ascontiguousarray(Y.T)  # one query per row
         q = Yt.shape[0]
         At = np.zeros((q, d.n)) if self.code_map is None else Y.T @ self.code_map.T
-        spans = _spans(d, scope)
-        seconds, objectives, codings = np.zeros(q), np.empty((len(spans), q)), []
-        for s, (S, lo, hi) in enumerate(spans):  # each span's code of each query, and its objective
-            A, B = At[:, lo:hi], X[:, lo:hi]
-            if scope == "nearest":
-                # imported here: scipy.spatial adds about 10 MB to every process
-                from scipy.spatial.distance import cdist
+        seconds, codings = np.zeros(q), []
+        if scope == "nearest":  # each class block's least distance, from one distance matrix
+            # imported here: scipy.spatial adds about 10 MB to every process
+            from scipy.spatial.distance import cdist
 
-                objectives[s] = cdist(Yt, B.T).min(axis=1)
-            elif self.code_map is None:
-                codings.append(self._code(residual, S, Yt, seconds))
-                A[:] = np.reshape([r.alpha for r in codings[s]], A.shape)
-                objectives[s] = [r.objective for r in codings[s]]
-            else:
-                objectives[s] = _residual_sq(Yt, A, B)
-                if coefficient == "l2":
-                    objectives[s] += self.lam * np.vecdot(A, A)
+            starts = [lo for lo, _ in d.class_ranges.values()]
+            objectives = np.minimum.reduceat(cdist(Yt, X.T), starts, axis=1).T
+        else:
+            spans = _spans(d, scope)
+            objectives = np.empty((len(spans), q))
+            for s, (S, lo, hi) in enumerate(spans):  # each span's code of each query, and its objective
+                A, B = At[:, lo:hi], X[:, lo:hi]
+                if self.code_map is None:
+                    codings.append(self._code(residual, S, Yt, seconds))
+                    A[:] = np.reshape([r.alpha for r in codings[s]], A.shape)
+                    objectives[s] = [r.objective for r in codings[s]]
+                else:
+                    objectives[s] = _residual_sq(Yt, A, B)
+                    if coefficient == "l2":
+                        objectives[s] += self.lam * np.vecdot(A, A)
         if scope == "collaborative":
             objective, T = objectives[0], Yt
             if residual == "l1":  # the query less the coder's outlier estimate

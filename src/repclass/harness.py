@@ -504,36 +504,41 @@ def roc_auc(points):
     return auc
 
 
-def bench(configs, data, repetitions=3):
-    """Timing comparison across classifier configs on one dataset.
+# the report fields a bench row carries as the last repetition gave them
+_BENCH_KEYS = (
+    "config", "recognition_rate", "solver_iterations", "n_not_converged", "max_gap", "offline_time",
+)
 
-    Per-query times exclude dictionary/projector construction, which is
-    reported separately as offline time. Accuracy outputs are deterministic
-    across repetitions; timings are averaged over them. Rows are keyed by
-    classifier name, so each config must name a different classifier.
+
+def bench(configs, data, repetitions=3):
+    """Timing comparison across experiment configs on one dataset.
+
+    One row per config, in input order, so configs may share a classifier
+    and differ in any other setting. Each row holds the report's config,
+    recognition_rate, solver_iterations, n_not_converged, max_gap and
+    offline_time, its mean_query_time (the mean over repetitions) and
+    median_query_time (the median over repetitions), and its
+    slowdown_vs_fastest; fastest is the index of the row with the least
+    mean_query_time (None without configs). Per-query times exclude
+    dictionary/projector construction, which is reported as offline time.
+    Accuracy outputs are deterministic across repetitions.
     """
     if repetitions < 3:
         raise ConfigInvalid("need at least 3 repetitions")
-    configs = list(configs)
-    names = [config.classifier for config in configs]
-    if len(set(names)) < len(names):
-        raise ConfigInvalid(f"bench configs must name different classifiers: {names}")
-    rows = {}
+    rows = []
     for config in configs:
-        name = config.classifier
         mean_times, median_times = [], []
-        report = None
         for _ in range(repetitions):
             report = run_experiment(config, data)
             mean_times.append(report.mean_query_time)
             median_times.append(report.median_query_time)
-        rows[name] = {
-            "recognition_rate": report.recognition_rate,
+        out = report.to_json()
+        rows.append({
+            **{key: out[key] for key in _BENCH_KEYS},
             "mean_query_time": float(np.mean(mean_times)),
             "median_query_time": float(np.median(median_times)),
-            "offline_time": report.offline_time,
-        }
-    fastest = min(rows, key=lambda k: rows[k]["mean_query_time"])
-    for name, row in rows.items():
+        })
+    fastest = min(range(len(rows)), key=lambda i: rows[i]["mean_query_time"], default=None)
+    for row in rows:
         row["slowdown_vs_fastest"] = row["mean_query_time"] / rows[fastest]["mean_query_time"]
     return {"fastest": fastest, "rows": rows}

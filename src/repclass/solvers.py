@@ -135,14 +135,21 @@ def _soft_threshold(x, a):
 def solve_rls(X, y, lam):
     """Ridge coding: minimize ||y - X a||_2^2 + lam * ||a||_2^2 in closed form.
 
-    X may be a matrix or a Dictionary.
+    X may be a matrix or a Dictionary. RankDeficient when X^T X + lam*I is
+    singular to working precision: X is rank deficient and lam below its
+    rounding.
     """
     Xm = _as_matrix(X)
     y = _check_dims(Xm, y)
     lam = check_lambda(lam)
     n = Xm.shape[1]
     gram = Xm.T @ Xm + lam * np.eye(n)
-    alpha = np.linalg.solve(gram, Xm.T @ y)
+    try:
+        alpha = np.linalg.solve(gram, Xm.T @ y)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(
+            f"ridge system singular to working precision at lambda={lam:g}; raise lambda"
+        ) from exc
     r = y - Xm @ alpha
     obj = float(r @ r + lam * alpha @ alpha)
     return CodingResult(alpha=alpha, objective=obj, iterations=0, converged=True)
@@ -566,9 +573,6 @@ def _pair(X, y, alpha, p):
 
 
 def _monotone(curve):
-    best = np.inf
-    out = []
-    for eps, r in curve:
-        best = min(best, r)
-        out.append((eps, best))
-    return out
+    """The curve with each residual replaced by the least one up to its budget."""
+    eps, r = zip(*curve)
+    return list(zip(eps, np.minimum.accumulate(r).tolist()))

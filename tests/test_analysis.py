@@ -70,6 +70,14 @@ def test_fit_too_few_samples():
         coef_distribution_fit(np.zeros(99))
 
 
+def test_fit_zero_percentile_range_takes_a_tiny_half_width():
+    # both clip percentiles are 0, so the bins span +-1e-12 and drop the 1.0
+    rep = coef_distribution_fit(np.r_[np.zeros(10000), 1.0])
+    assert (rep.bin_edges[0], rep.bin_edges[-1]) == (-1e-12, 1e-12)
+    assert rep.counts.sum() == pytest.approx(1.0)
+    assert np.isfinite(rep.kl_gaussian) and np.isfinite(rep.kl_laplacian)
+
+
 def test_fit_constant_coefficients_are_too_few_samples():
     # 500 zeros read as a perfect fit of both laws, with an overflow warning
     # from the Laplace CDF at the 1e-300 scale floor
@@ -128,6 +136,15 @@ def test_geometry_degenerate_query():
     d, _ = _geometry_instance(99)
     with pytest.raises(DegenerateAngle):
         geometry_check(d, np.zeros(d.m), "a")
+
+
+def test_geometry_collinear_class_and_complement_is_degenerate():
+    # two classes holding the same column: the class's part of the fit and
+    # the other class's part are multiples of that one column (all ones, so
+    # their cosine rounds to exactly 1)
+    d = build_dictionary([(np.ones(4), "a"), (np.ones(4), "b")])
+    with pytest.raises(DegenerateAngle, match="collinear"):
+        geometry_check(d, np.array([1.0, 2.0, 3.0, 4.0]), "a")
 
 
 def test_geometry_unknown_label_is_unknown_class():

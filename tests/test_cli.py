@@ -486,14 +486,18 @@ def test_bench_command(dataset, tmp_path):
     c1 = tmp_path / "c1.json"
     c1.write_text(json.dumps({"classifier": "crc_rls"}))
     c2 = tmp_path / "c2.json"
-    c2.write_text(json.dumps({"classifier": "nn"}))
+    c2.write_text(json.dumps({"classifier": "crc_rls", "decision_variant": "plain_residual"}))
     out = tmp_path / "bench.json"
     rc = main([
         "bench", "--configs", f"{c1},{c2}", "--data", dataset, "--out", str(out),
     ])
     assert rc == 0
     table = json.loads(out.read_text())
-    assert set(table["rows"]) == {"crc_rls", "nn"}
+    # one row per config file, in order, though both name crc_rls
+    assert [row["config"]["decision_variant"] for row in table["rows"]] == [
+        "regularized_residual", "plain_residual",
+    ]
+    assert table["fastest"] in (0, 1)
 
 
 def test_bench_config_not_an_object_is_json_error(dataset, tmp_path, capsys):

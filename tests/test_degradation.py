@@ -45,6 +45,13 @@ def test_corrupt_pixels_validation():
         corrupt_pixels(np.zeros(16), 0.5, seed=0)
 
 
+def test_occlude_block_empty_or_flat_image_is_empty_image():
+    occluder = np.ones((8, 8))
+    for image in (np.zeros((0, 4)), np.zeros(16)):
+        with pytest.raises(EmptyImage):
+            occlude_block(image, 0.25, occluder, seed=0)
+
+
 def test_occlude_block_geometry():
     img = np.zeros((20, 30))
     occ = np.full((20, 30), 9.0)

@@ -713,22 +713,45 @@ def test_roc_auc_known_values():
 
 # ------------------------------------------------------------------ bench
 
+def _bench_configs():
+    """Configs that share a classifier: crc_rls under both decision
+    variants, and rcrc clean and at 30% pixel corruption."""
+    spec = DegradationSpec("pixel_corruption", 0.3, seed=3, low=-1.0, high=1.0)
+    return [
+        ExperimentConfig(classifier="crc_rls"),
+        ExperimentConfig(classifier="crc_rls", decision_variant="plain_residual"),
+        ExperimentConfig(classifier="rcrc"),
+        ExperimentConfig(classifier="rcrc", degradation=spec),
+    ]
+
+
+_BENCH_TIMES = ("mean_query_time", "median_query_time", "offline_time", "slowdown_vs_fastest")
+
+
 def test_bench_table():
     data = _small_data(seed=14, n_classes=3, n_train=4, n_test=2)
-    configs = [ExperimentConfig(classifier="crc_rls"), ExperimentConfig(classifier="nn")]
+    configs = _bench_configs()
     table = bench(configs, data, repetitions=3)
-    assert set(table["rows"]) == {"crc_rls", "nn"}
-    assert table["fastest"] in table["rows"]
-    for row in table["rows"].values():
+    rows = table["rows"]
+    assert len(rows) == len(configs)
+    for config, row in zip(configs, rows):  # one row per config, in input order
+        report = run_experiment(config, data).to_json()
+        for key in ("config", "recognition_rate", "solver_iterations", "n_not_converged", "max_gap"):
+            assert row[key] == report[key], key
+        assert set(row) == {"config", "recognition_rate", "solver_iterations",
+                            "n_not_converged", "max_gap", *_BENCH_TIMES}
+    times = [row["mean_query_time"] for row in rows]
+    assert table["fastest"] == times.index(min(times))
+    for row in rows:
         assert row["slowdown_vs_fastest"] >= 1.0 - 1e-12
+    assert rows[table["fastest"]]["slowdown_vs_fastest"] == 1.0
+    assert bench([], data) == {"fastest": None, "rows": []}
     with pytest.raises(ConfigInvalid):
         bench(configs, data, repetitions=2)
 
 
-def test_bench_rejects_configs_sharing_a_classifier(monkeypatch):
+def test_bench_rows_are_deterministic_apart_from_timings():
     data = _small_data(seed=14, n_classes=3, n_train=4, n_test=2)
-    monkeypatch.setattr(harness, "run_experiment", None)  # no run may start
-    configs = [ExperimentConfig(lam=0.01), ExperimentConfig(classifier="nn"),
-               ExperimentConfig(lam=0.1)]
-    with pytest.raises(ConfigInvalid, match="'crc_rls'"):
-        bench(configs, data, repetitions=3)
+    runs = [bench(_bench_configs(), data)["rows"] for _ in range(2)]
+    first, second = ([{k: v for k, v in row.items() if k not in _BENCH_TIMES} for row in rows] for rows in runs)
+    assert first == second

@@ -99,6 +99,18 @@ def test_pgm_header_comments_and_errors(tmp_path):
         read_pgm(short)
 
 
+def test_pgm_missing_file_is_missing_path(tmp_path):
+    with pytest.raises(MissingPath, match="absent.pgm"):
+        read_pgm(tmp_path / "absent.pgm")
+
+
+def test_pgm_header_cut_before_maxval_is_truncated(tmp_path):
+    p = tmp_path / "cut.pgm"
+    p.write_bytes(b"P5\n# no maxval\n4 4\n")
+    with pytest.raises(MalformedMatrix, match="truncated PGM header"):
+        read_pgm(p)
+
+
 def test_pgm_header_token_that_is_not_a_number(tmp_path):
     # used to end in a bare ValueError: invalid literal for int()
     p = tmp_path / "ab.pgm"

@@ -1,4 +1,4 @@
-"""benchmarks/rcrc_scale.py prints one JSON line per corruption level."""
+"""benchmarks/rcrc_scale.py prints one bench row per corruption level."""
 
 import importlib.util
 import json
@@ -16,7 +16,15 @@ def test_rcrc_scale_reports_each_level(capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["corruption"] for line in lines] == [0.0, 0.3, 0.5]
     for line in lines:
-        assert {"ms_per_query_p50", "iterations", "converged", "max_gap"} <= set(line)
+        assert line["config"]["classifier"] == "rcrc"
+        degradation = line["config"]["degradation"]
+        assert (degradation["kind"], degradation["fraction"]) == ("pixel_corruption", line["corruption"])
         assert (line["pixels"], line["atoms"], line["queries"]) == (120, 18, 2)
-        assert len(line["iterations"]) == 2 and line["converged"] == 2
-        assert line["ms_per_query_p50"] > 0 and 0 <= line["max_gap"] <= 1e-6
+        assert line["solver_iterations"] > 0 and line["n_not_converged"] == 0
+        assert line["median_query_time"] > 0 and 0 <= line["max_gap"] <= 1e-6
+
+
+def test_rcrc_scale_times_through_bench():
+    source = Path(rcrc_scale.__file__).read_text()
+    assert "import time" not in source and "statistics" not in source
+    assert source.count("bench(") == 1

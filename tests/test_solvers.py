@@ -28,6 +28,7 @@ from repclass.errors import (
     NegativeThreshold,
     NonFiniteInput,
     NonPositiveLambda,
+    RankDeficient,
 )
 from repclass.harness import ExperimentConfig, run_experiment, synthetic_dataset
 from repclass.solvers import (
@@ -91,6 +92,15 @@ def test_solve_rls_matches_normal_equations():
         np.testing.assert_allclose(res.alpha, ref, rtol=1e-10, atol=1e-12)
         r = y - X @ ref
         assert res.objective == pytest.approx(r @ r + lam * ref @ ref, rel=1e-10)
+
+
+def test_solve_rls_singular_ridge_system_is_rank_deficient():
+    # two equal columns and a lambda below the Gram matrix's rounding left
+    # numpy's LinAlgError ("Singular matrix") to escape
+    X = np.random.default_rng(2).standard_normal((6, 5))
+    X[:, 1] = X[:, 0]
+    with pytest.raises(RankDeficient, match="lambda=1e-20"):
+        solve_rls(X, np.ones(6), 1e-20)
 
 
 def test_solve_rls_validation():
